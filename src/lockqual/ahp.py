@@ -203,7 +203,7 @@ def _matrix_from_cells(
 
 
 def load_judgments(path: str, hierarchy: Hierarchy = DEFAULT_HIERARCHY) -> tuple[RespondentJudgments, ...]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"respondent_id", "level", "left_factor", "right_factor", "selection"}
         if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):

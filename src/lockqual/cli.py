@@ -53,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(doc: object, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -7,14 +7,19 @@ The on-disk format is a flat CSV with header
 where q0 is overall satisfaction before the trip, q33 after, and
 q1..q32 are the catalog items. Ratings are integers on a 1..5 Likert
 scale; an empty cell is a missing rating. delay_hours may be empty.
+
+A screened survey is held column by column (see SurveyDataset): one
+int8 code array for all ratings, a float delay array and one list per
+text field, so every summary is a numpy reduction over a column.
 """
 from __future__ import annotations
 
 import csv
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from itertools import compress
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,7 +30,8 @@ class SurveyFormatError(ValueError):
     """Raised when a survey file does not match the expected layout."""
 
 
-_HEADER_FIXED = ["id", "age_band", "gender", "experience_band", "vessel_type", "dwt_band", "delay_hours"]
+DEMOGRAPHICS = ("age_band", "gender", "experience_band", "vessel_type", "dwt_band")
+_HEADER_FIXED = ["id", *DEMOGRAPHICS, "delay_hours"]
 
 
 def _expected_header(n_items: int) -> list[str]:
@@ -63,34 +69,130 @@ class RejectedRow:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurveyDataset:
-    respondents: tuple[RespondentRecord, ...]
+    """Screened respondents, stored as columns in row order.
+
+    codes        : int8 array of shape (n, len(catalog) + 2), one column per
+                   questionnaire field q0..q33; column 0 and the last column
+                   are the overall satisfaction bookends. 0 means missing.
+    delay_hours  : float64 array of shape (n,), NaN where no delay was given.
+    demographics : field name (see DEMOGRAPHICS) -> one string per row.
+
+    Two datasets are equal when their rows are; ``rejected`` is not compared.
+    """
+
     catalog: VariableCatalog
-    rejected: tuple[RejectedRow, ...] = field(default=(), compare=False)
+    respondent_ids: list[str]
+    codes: np.ndarray
+    delay_hours: np.ndarray
+    demographics: Mapping[str, list[str]]
+    rejected: tuple[RejectedRow, ...] = ()
+
+    def __post_init__(self) -> None:
+        n = len(self.respondent_ids)
+        if self.codes.dtype != np.int8 or self.codes.shape != (n, len(self.catalog) + 2):
+            raise ValueError(f"codes must be int8 of shape ({n}, {len(self.catalog) + 2})")
+        if self.delay_hours.shape != (n,):
+            raise ValueError(f"delay_hours must have shape ({n},)")
+        if set(self.demographics) != set(DEMOGRAPHICS) or any(len(v) != n for v in self.demographics.values()):
+            raise ValueError("demographics must hold one column of length n per field in DEMOGRAPHICS")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SurveyDataset):
+            return NotImplemented
+        return (
+            self.catalog == other.catalog
+            and self.respondent_ids == other.respondent_ids
+            and np.array_equal(self.codes, other.codes)
+            and np.array_equal(self.delay_hours, other.delay_hours, equal_nan=True)
+            and dict(self.demographics) == dict(other.demographics)
+        )
+
+    @classmethod
+    def from_records(cls, records: Iterable[RespondentRecord], catalog: VariableCatalog) -> "SurveyDataset":
+        """Build a dataset from row records (ratings must lie in 1..5)."""
+        records = tuple(records)
+        n_items = len(catalog)
+        rows: list[list[int]] = []
+        for r in records:
+            ratings = (r.sati_before, r.sati_after, *r.ratings.values())
+            if not set(r.ratings) <= set(catalog.indices) or not all(1 <= v <= 5 for v in ratings):
+                raise ValueError(f"respondent {r.id!r}: ratings must lie in 1..5 and name catalog items")
+            rows.append([r.sati_before, *(r.ratings.get(i, 0) for i in range(1, n_items + 1)), r.sati_after])
+        return cls(
+            catalog,
+            [r.id for r in records],
+            np.array(rows, dtype=np.int8).reshape(len(records), n_items + 2),
+            np.array([math.nan if r.delay_hours is None else r.delay_hours for r in records], dtype=float),
+            {name: [getattr(r, name) for r in records] for name in DEMOGRAPHICS},
+        )
 
     @property
     def n(self) -> int:
-        return len(self.respondents)
+        return len(self.respondent_ids)
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(r.id for r in self.respondents)
+        return tuple(self.respondent_ids)
 
-    def matrix(self, indices: Sequence[int], complete_only: bool = True) -> tuple[list[str], np.ndarray]:
+    @property
+    def respondents(self) -> tuple[RespondentRecord, ...]:
+        """The rows as records, built anew on each access."""
+        demo = [self.demographics[name] for name in DEMOGRAPHICS]
+        return tuple(
+            RespondentRecord(
+                rid,
+                *fields,
+                None if math.isnan(delay) else delay,
+                row[0],
+                row[-1],
+                {i: row[i] for i in range(1, len(row) - 1) if row[i]},
+            )
+            for rid, *fields, delay, row in zip(
+                self.respondent_ids, *demo, self.delay_hours.tolist(), self.codes.tolist()
+            )
+        )
+
+    def _col(self, index: int) -> int:
+        if index == SATI_AFTER:
+            return self.codes.shape[1] - 1
+        if 0 <= index <= len(self.catalog):
+            return index
+        raise KeyError(f"no observed variable {index}")
+
+    def column(self, index: int) -> np.ndarray:
+        """int8 codes of one observed variable, 0 where missing."""
+        return self.codes[:, self._col(index)]
+
+    def observed(self, index: int) -> np.ndarray:
+        """The non-missing ratings of one observed variable, in row order."""
+        col = self.column(index)
+        return col[col != 0].astype(float)
+
+    def complete(self, indices: Sequence[int]) -> np.ndarray:
+        """Row mask: True where every one of the observed variables is rated."""
+        return (self.codes[:, [self._col(i) for i in indices]] != 0).all(axis=1)
+
+    def matrix(self, indices: Sequence[int]) -> tuple[list[str], np.ndarray]:
         """Ratings as a float matrix, one row per respondent.
 
         Rows with any missing rating among the requested indices are
-        dropped when complete_only is set (listwise deletion).
+        dropped (listwise deletion).
         """
-        ids: list[str] = []
-        rows: list[list[float]] = []
-        for r in self.respondents:
-            vals = [r.rating(i) for i in indices]
-            if complete_only and any(v is None for v in vals):
-                continue
-            ids.append(r.id)
-            rows.append([float(v) if v is not None else math.nan for v in vals])
-        return ids, np.asarray(rows, dtype=float).reshape(len(rows), len(indices))
+        keep = self.complete(indices)
+        X = self.codes[np.ix_(keep, [self._col(i) for i in indices])].astype(float)
+        return list(compress(self.respondent_ids, keep.tolist())), X
+
+    def _take(self, rows: np.ndarray) -> "SurveyDataset":
+        """The rows where the boolean mask is set, in their original order."""
+        keep = rows.tolist()
+        return SurveyDataset(
+            self.catalog,
+            list(compress(self.respondent_ids, keep)),
+            self.codes[rows],
+            self.delay_hours[rows],
+            {name: list(compress(col, keep)) for name, col in self.demographics.items()},
+        )
 
 
 def _parse_rating(cell: str) -> tuple[int | None, str | None]:
@@ -106,16 +208,52 @@ def _parse_rating(cell: str) -> tuple[int | None, str | None]:
     return value, None
 
 
+# exact spellings of every valid cell; anything else goes through _parse_rating
+_CODE_OF = {"": 0, "1": 1, "2": 2, "3": 3, "4": 4, "5": 5}
+_CELL_OF = ("", "1", "2", "3", "4", "5")
+
+
+def _parse_codes(cells: Sequence[str]) -> tuple[bytes, str | None]:
+    """Codes of one row's rating cells, or the first failing cell's reason."""
+    try:
+        return bytes(map(_CODE_OF.__getitem__, cells)), None
+    except KeyError:
+        pass
+    codes = bytearray()
+    for cell in cells:
+        value, reason = _parse_rating(cell)
+        if reason is not None:
+            return bytes(codes), reason
+        codes.append(value or 0)
+    return bytes(codes), None
+
+
+def _parse_delay(cell: str) -> tuple[float, str | None]:
+    cell = cell.strip()
+    if cell == "":
+        return math.nan, None
+    try:
+        delay = float(cell)
+    except ValueError:
+        return math.nan, "invalid delay"
+    if not math.isfinite(delay):
+        return math.nan, "invalid delay"
+    if delay < 0:
+        return math.nan, "negative delay"
+    return delay, None
+
+
 def load_survey(path: str, catalog: VariableCatalog = DEFAULT_CATALOG) -> SurveyDataset:
     """Read and screen a survey CSV.
 
     Rows failing validation are excluded from the dataset and reported
     on the returned object's ``rejected`` tuple together with the
-    1-based data row number and a reason.
+    1-based data row number and a reason. A row's first failing check
+    names the reason; an id is taken only by an accepted row.
     """
     n_items = len(catalog)
     expected = _expected_header(n_items)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -125,13 +263,17 @@ def load_survey(path: str, catalog: VariableCatalog = DEFAULT_CATALOG) -> Survey
             raise SurveyFormatError(
                 "unexpected header; want " + ",".join(expected[:8]) + ",...," + expected[-1]
             )
-        respondents: list[RespondentRecord] = []
+        ids: list[str] = []
+        demo: list[list[str]] = [[] for _ in DEMOGRAPHICS]
+        delays: list[float] = []
+        codes = bytearray()
         rejected: list[RejectedRow] = []
         seen: set[str] = set()
+        labels: dict[str, str] = {}  # one string object per distinct demographic value
         for row_number, row in enumerate(reader, start=1):
-            if not row or all(c.strip() == "" for c in row):
-                continue
             rid = row[0].strip() if row else ""
+            if rid == "" and all(c.strip() == "" for c in row):
+                continue
             if len(row) != len(expected):
                 rejected.append(RejectedRow(row_number, rid, "wrong number of fields"))
                 continue
@@ -141,71 +283,42 @@ def load_survey(path: str, catalog: VariableCatalog = DEFAULT_CATALOG) -> Survey
             if rid in seen:
                 rejected.append(RejectedRow(row_number, rid, "duplicate respondent id"))
                 continue
-            delay_cell = row[6].strip()
-            delay: float | None
-            if delay_cell == "":
-                delay = None
-            else:
-                try:
-                    delay = float(delay_cell)
-                except ValueError:
-                    rejected.append(RejectedRow(row_number, rid, "invalid delay"))
-                    continue
-                if not math.isfinite(delay):
-                    rejected.append(RejectedRow(row_number, rid, "invalid delay"))
-                    continue
-                if delay < 0:
-                    rejected.append(RejectedRow(row_number, rid, "negative delay"))
-                    continue
-            cells = row[7:]
-            bad_reason: str | None = None
-            parsed: list[int | None] = []
-            for cell in cells:
-                value, reason = _parse_rating(cell)
-                if reason is not None:
-                    bad_reason = reason
-                    break
-                parsed.append(value)
-            if bad_reason is not None:
-                rejected.append(RejectedRow(row_number, rid, bad_reason))
+            delay, reason = _parse_delay(row[6])
+            if reason is None:
+                row_codes, reason = _parse_codes(row[7:])
+                if reason is None and (row_codes[0] == 0 or row_codes[-1] == 0):
+                    reason = "missing overall satisfaction"
+            if reason is not None:
+                rejected.append(RejectedRow(row_number, rid, reason))
                 continue
-            before, after = parsed[0], parsed[-1]
-            if before is None or after is None:
-                rejected.append(RejectedRow(row_number, rid, "missing overall satisfaction"))
-                continue
-            ratings = {i: v for i, v in zip(range(1, n_items + 1), parsed[1:-1]) if v is not None}
-            respondents.append(
-                RespondentRecord(
-                    id=rid,
-                    age_band=row[1].strip(),
-                    gender=row[2].strip(),
-                    experience_band=row[3].strip(),
-                    vessel_type=row[4].strip(),
-                    dwt_band=row[5].strip(),
-                    delay_hours=delay,
-                    sati_before=before,
-                    sati_after=after,
-                    ratings=ratings,
-                )
-            )
             seen.add(rid)
-    return SurveyDataset(tuple(respondents), catalog, tuple(rejected))
+            ids.append(rid)
+            for col, cell in zip(demo, row[1:6]):
+                value = cell.strip()
+                col.append(labels.setdefault(value, value))
+            delays.append(delay)
+            codes.extend(row_codes)
+    return SurveyDataset(
+        catalog,
+        ids,
+        np.frombuffer(codes, dtype=np.int8).reshape(len(ids), n_items + 2),
+        np.array(delays, dtype=float),
+        dict(zip(DEMOGRAPHICS, demo)),
+        tuple(rejected),
+    )
 
 
 def write_survey(d: SurveyDataset, path: str) -> None:
     """Write a dataset back to the flat CSV format (reload round-trips)."""
-    n_items = len(d.catalog)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_expected_header(n_items))
-        for r in d.respondents:
-            delay = "" if r.delay_hours is None else repr(float(r.delay_hours))
-            qs: list[str] = [str(r.sati_before)]
-            for i in range(1, n_items + 1):
-                v = r.ratings.get(i)
-                qs.append("" if v is None else str(v))
-            qs.append(str(r.sati_after))
-            writer.writerow([r.id, r.age_band, r.gender, r.experience_band, r.vessel_type, r.dwt_band, delay] + qs)
+        writer.writerow(_expected_header(len(d.catalog)))
+        demo = [d.demographics[name] for name in DEMOGRAPHICS]
+        for rid, *fields, delay, row in zip(
+            d.respondent_ids, *demo, d.delay_hours.tolist(), d.codes.tolist()
+        ):
+            cells = [_CELL_OF[v] for v in row]
+            writer.writerow([rid, *fields, "" if math.isnan(delay) else repr(delay), *cells])
 
 
 @dataclass(frozen=True)
@@ -234,19 +347,22 @@ class DescriptiveReport:
     overall_sati_after: float
 
 
-def _column_stats(values: Sequence[float]) -> ItemStats:
+def _column_stats(values: Sequence[int]) -> ItemStats:
+    """Moments of one column of ratings (integers on the 1..5 scale)."""
     x = np.asarray(values, dtype=float)
     n = x.size
     if n == 0:
         return ItemStats(0, math.nan, math.nan, None, None, None)
     mean = float(np.mean(x))
     std = float(np.std(x, ddof=1)) if n >= 2 else 0.0
-    if n < 2 or len(set(x.tolist())) < 2:
+    if n < 2 or x.min() == x.max():
         return ItemStats(n, mean, std, None, None, None)
-    dev = x - mean
-    m2 = float(np.mean(dev**2))
-    m3 = float(np.mean(dev**3))
-    m4 = float(np.mean(dev**4))
+    level = x.astype(np.intp)
+    if x.min() < 1 or x.max() > 5 or not np.array_equal(level, x):
+        raise ValueError("ratings must be integers in 1..5")
+    # each power of a deviation is computed once per level, then looked up
+    dev = np.arange(6) - mean
+    m2, m3, m4 = (float(np.mean((dev**p)[level])) for p in (2, 3, 4))
     skew = m3 / m2**1.5
     kurt = m4 / m2**2 - 3.0
     normal = abs(skew) <= 1.5 and abs(kurt) <= 1.5
@@ -255,14 +371,10 @@ def _column_stats(values: Sequence[float]) -> ItemStats:
 
 def describe(d: SurveyDataset) -> DescriptiveReport:
     """Per-item moment summaries plus the overall satisfaction bookends."""
-    items: dict[int, ItemStats] = {}
-    for idx in d.catalog.indices:
-        vals = [r.ratings[idx] for r in d.respondents if idx in r.ratings]
-        items[idx] = _column_stats(vals)
-    before = _column_stats([r.sati_before for r in d.respondents])
-    after = _column_stats([r.sati_after for r in d.respondents])
-    overall = after.mean
-    return DescriptiveReport(items, before, after, overall)
+    items = {idx: _column_stats(d.observed(idx)) for idx in d.catalog.indices}
+    before = _column_stats(d.observed(SATI_BEFORE))
+    after = _column_stats(d.observed(SATI_AFTER))
+    return DescriptiveReport(items, before, after, after.mean)
 
 
 def split(d: SurveyDataset, n_train: int, seed: int) -> tuple[SurveyDataset, SurveyDataset]:
@@ -274,13 +386,9 @@ def split(d: SurveyDataset, n_train: int, seed: int) -> tuple[SurveyDataset, Sur
     """
     if not 0 < n_train < d.n:
         raise ValueError(f"n_train must be in (0, {d.n})")
-    ids = sorted(r.id for r in d.respondents)
+    ids = sorted(d.respondent_ids)
     rng = random.Random(seed)
     rng.shuffle(ids)
     train_ids = set(ids[:n_train])
-    train = tuple(r for r in d.respondents if r.id in train_ids)
-    hold = tuple(r for r in d.respondents if r.id not in train_ids)
-    return (
-        SurveyDataset(train, d.catalog),
-        SurveyDataset(hold, d.catalog),
-    )
+    in_train = np.fromiter((rid in train_ids for rid in d.respondent_ids), dtype=bool, count=d.n)
+    return d._take(in_train), d._take(~in_train)

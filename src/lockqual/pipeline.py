@@ -129,7 +129,7 @@ def _jsonable(value):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.floating, float)):
         v = float(value)
-        return None if math.isnan(v) else v
+        return v if math.isfinite(v) else None
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.bool_,)):
@@ -264,8 +264,7 @@ def _xy_for_probit(
     d: SurveyDataset, items: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     ids, X = d.matrix(items)
-    sati = {r.id: r.sati_after for r in d.respondents}
-    y = np.array([sati[i] for i in ids], dtype=int)
+    y = d.column(SATI_AFTER)[d.complete(items)].astype(int)
     return X, y, ids
 
 
@@ -434,8 +433,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     ent = scoring_mod.entropy_report(data, latent_items)
     bookends = {}
     for idx in (SATI_BEFORE, SATI_AFTER):
-        vals = [r.rating(idx) for r in data.respondents]
-        bookends[str(idx)] = _jsonable(scoring_mod.entropy([v for v in vals if v is not None]))
+        bookends[str(idx)] = _jsonable(scoring_mod.entropy(data.observed(idx)))
     bundle["entropy"] = {
         "per_item": {str(i): _jsonable(e) for i, e in sorted(ent.per_item.items())},
         "per_latent": _jsonable(dict(ent.per_latent)),
@@ -692,7 +690,7 @@ def _write_outputs(cfg, bundle, weights, scores) -> dict[str, str]:
     paths: dict[str, str] = {}
     report_path = os.path.join(cfg.out_dir, "report.json")
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(bundle, fh, indent=2, sort_keys=True)
+        json.dump(bundle, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     paths["report"] = report_path
     summary_path = os.path.join(cfg.out_dir, "summary.md")

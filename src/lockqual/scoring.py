@@ -14,10 +14,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from itertools import compress
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .catalog import SATI_AFTER
 from .dataset import RespondentRecord, SurveyDataset
 from .sem import SemEstimate
 
@@ -109,36 +111,67 @@ def weights_from_estimate(est: SemEstimate) -> ScoreWeights:
     return ScoreWeights(sources, item_weights, latent_weights)
 
 
+def _lvr_rows(column: Callable[[int], np.ndarray], w: ScoreWeights, latent: str) -> np.ndarray:
+    """LVR of every row, NaN where the row misses one of the latent's items.
+
+    column(item) gives that item's int8 codes over the rows (0 = missing).
+    Items are accumulated one at a time in weight order, so a row's value
+    is the same float however many rows are scored together.
+    """
+    items = w.item_weights[latent]
+    if not items:
+        raise ValueError(f"latent {latent!r} has no item weights")
+    for item, weight in items.items():
+        if weight <= 0:
+            raise ValueError(f"nonpositive weight for item {item} of {latent!r}")
+    num: np.ndarray | float = 0.0
+    den = 0.0
+    rated: np.ndarray | bool = True
+    for item, weight in items.items():
+        codes = column(item)
+        rated = rated & (codes != 0)
+        num = num + codes * weight
+        den += weight
+    return np.where(rated, num / den, np.nan)
+
+
+def _score_rows(
+    column: Callable[[int], np.ndarray], actual: np.ndarray, w: ScoreWeights
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LVRs (rows x latents), SQR and signed relative error of every row.
+
+    Rows missing any scored item carry NaN throughout.
+    """
+    values = {name: _lvr_rows(column, w, name) for name in w.latents}
+    s = sqr(values, w)
+    return np.column_stack([values[name] for name in w.latents]), s, (s - actual) / actual
+
+
+def _record_column(r: RespondentRecord) -> Callable[[int], np.ndarray]:
+    return lambda item: np.array([r.rating(item) or 0], dtype=np.int8)
+
+
 def lvr(r: RespondentRecord, w: ScoreWeights, latent: str) -> float | None:
     """Latent variable rating: weighted mean of the latent's item ratings.
 
     Returns None when the respondent is missing any of the items.
     """
-    items = w.item_weights[latent]
-    if not items:
-        raise ValueError(f"latent {latent!r} has no item weights")
-    num = 0.0
-    den = 0.0
-    for item, weight in items.items():
-        if weight <= 0:
-            raise ValueError(f"nonpositive weight for item {item} of {latent!r}")
-        v = r.rating(item)
-        if v is None:
-            return None
-        num += v * weight
-        den += weight
-    return num / den
+    value = float(_lvr_rows(_record_column(r), w, latent)[0])
+    return None if math.isnan(value) else value
 
 
 def sqr(lvr_values: Mapping[str, float], w: ScoreWeights) -> float:
-    """Service quality rating: weighted mean of the latent ratings."""
+    """Service quality rating: weighted mean of the latent ratings.
+
+    The values may be floats or arrays of one rating per respondent.
+    """
     num = 0.0
     den = 0.0
     for name in w.latents:
         weight = w.latent_weights[name]
         if weight <= 0:
             raise ValueError(f"nonpositive weight for latent {name!r}")
-        num += lvr_values[name] * weight
+        num = num + lvr_values[name] * weight
         den += weight
     if den == 0:
         raise ValueError("latent weights sum to zero")
@@ -157,52 +190,68 @@ class RespondentScore:
 
 def score_respondent(r: RespondentRecord, w: ScoreWeights) -> RespondentScore | None:
     """Two-stage score plus relative error against the post-trip bookend."""
-    values: dict[str, float] = {}
-    for name in w.latents:
-        v = lvr(r, w, name)
-        if v is None:
-            return None
-        values[name] = v
-    s = sqr(values, w)
-    signed = (s - r.sati_after) / r.sati_after
+    lvrs, s, signed = _score_rows(_record_column(r), np.array([r.sati_after]), w)
+    if math.isnan(s[0]):
+        return None
     return RespondentScore(
         id=r.id,
-        lvr=values,
-        sqr=s,
+        lvr=dict(zip(w.latents, lvrs[0].tolist())),
+        sqr=float(s[0]),
         actual=r.sati_after,
-        error=abs(signed),
-        signed_error=signed,
+        error=abs(float(signed[0])),
+        signed_error=float(signed[0]),
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidationSummary:
-    scores: tuple[RespondentScore, ...] = field(repr=False)
+    """Holdout scores of the scoreable respondents, in row order.
+
+    lvr holds one column per name in ``latents``; actual is the post-trip
+    bookend and signed_error is (sqr - actual) / actual.
+    """
+
+    ids: tuple[str, ...] = field(repr=False)
+    latents: tuple[str, ...] = field(repr=False)
+    lvr: np.ndarray = field(repr=False)
+    sqr: np.ndarray = field(repr=False)
+    actual: np.ndarray = field(repr=False)
+    signed_error: np.ndarray = field(repr=False)
     n_scored: int
     n_skipped: int
     mean_error: float
     share_within_10pct: float
 
+    @property
+    def scores(self) -> tuple[RespondentScore, ...]:
+        """The scores as records, built anew on each access."""
+        return tuple(
+            RespondentScore(rid, dict(zip(self.latents, row)), s, a, abs(e), e)
+            for rid, row, s, a, e in zip(
+                self.ids, self.lvr.tolist(), self.sqr.tolist(), self.actual.tolist(), self.signed_error.tolist()
+            )
+        )
+
 
 def validation_summary(d: SurveyDataset, w: ScoreWeights) -> ValidationSummary:
     """Score every scoreable respondent and summarize the relative error."""
-    scores: list[RespondentScore] = []
-    skipped = 0
-    for r in d.respondents:
-        s = score_respondent(r, w)
-        if s is None:
-            skipped += 1
-        else:
-            scores.append(s)
-    if not scores:
+    actual = d.column(SATI_AFTER)
+    lvrs, s, signed = _score_rows(d.column, actual, w)
+    scored = ~np.isnan(s)
+    n_scored = int(scored.sum())
+    if n_scored == 0:
         raise ValueError("no respondent could be scored (missing ratings)")
-    errors = np.array([s.error for s in scores])
-    signed = np.array([s.signed_error for s in scores])
+    signed = signed[scored]
     return ValidationSummary(
-        scores=tuple(scores),
-        n_scored=len(scores),
-        n_skipped=skipped,
-        mean_error=float(errors.mean()),
+        ids=tuple(compress(d.respondent_ids, scored.tolist())),
+        latents=w.latents,
+        lvr=lvrs[scored],
+        sqr=s[scored],
+        actual=actual[scored].astype(int),
+        signed_error=signed,
+        n_scored=n_scored,
+        n_skipped=d.n - n_scored,
+        mean_error=float(np.abs(signed).mean()),
         share_within_10pct=float(np.mean(np.abs(signed) <= 0.10)),
     )
 
@@ -210,13 +259,16 @@ def validation_summary(d: SurveyDataset, w: ScoreWeights) -> ValidationSummary:
 def write_scores_csv(summary: ValidationSummary, w: ScoreWeights, path: str) -> None:
     """Per-respondent scores: id, one LVR column per latent, SQR, error."""
     header = ["id"] + [f"lvr_{k + 1}" for k in range(len(w.latents))] + ["sqr", "error"]
+    lvrs = summary.lvr[:, [summary.latents.index(name) for name in w.latents]]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for s in summary.scores:
-            row = [s.id] + [repr(float(s.lvr[name])) for name in w.latents]
-            row += [repr(float(s.sqr)), repr(float(s.error))]
-            writer.writerow(row)
+        writer.writerows(
+            [rid, *map(repr, row), repr(s), repr(abs(e))]
+            for rid, row, s, e in zip(
+                summary.ids, lvrs.tolist(), summary.sqr.tolist(), summary.signed_error.tolist()
+            )
+        )
 
 
 def entropy(values: Sequence[float]) -> float:
@@ -262,9 +314,7 @@ def entropy_report(d: SurveyDataset, latent_items: Mapping[str, Sequence[int]]) 
         for item in items:
             if item in per_item:
                 continue
-            vals = [r.rating(item) for r in d.respondents]
-            vals = [v for v in vals if v is not None]
-            per_item[item] = entropy(vals)
+            per_item[item] = entropy(d.observed(item))
     per_latent = {
         name: float(np.mean([per_item[i] for i in items])) for name, items in latent_items.items() if items
     }
@@ -298,12 +348,8 @@ class DelayStrata:
     n_missing_delay: int
 
 
-def _band_index(hours: float) -> int:
-    # boundary values fall into the lower band
-    for k, (_, _, hi) in enumerate(_DELAY_BANDS):
-        if hours <= hi:
-            return k
-    return len(_DELAY_BANDS) - 1
+# upper edges of the bands; a boundary value falls into the lower band
+_BAND_TOPS = np.array([hi for _, _, hi in _DELAY_BANDS])
 
 
 def delay_strata(
@@ -318,29 +364,24 @@ def delay_strata(
     rating over those items, which reads satisfaction with delay
     exposure removed from the instrument itself.
     """
-    groups: dict[int, list[RespondentRecord]] = {k: [] for k in range(len(_DELAY_BANDS))}
-    missing = 0
-    for r in d.respondents:
-        if r.delay_hours is None:
-            missing += 1
-            continue
-        groups[_band_index(r.delay_hours)].append(r)
-    total = sum(len(g) for g in groups.values())
+    reported = ~np.isnan(d.delay_hours)
+    total = int(reported.sum())
     if total == 0:
         raise ValueError("no respondent reports a delay")
+    band = np.where(reported, np.searchsorted(_BAND_TOPS, d.delay_hours), -1)
+    after = d.column(SATI_AFTER)
+    if alt_items:
+        codes = np.column_stack([d.column(i) for i in alt_items])
+        n_rated = (codes != 0).sum(axis=1)
+        alt_mean = codes.sum(axis=1, dtype=np.int64) / np.maximum(n_rated, 1)
     bands: list[DelayBand] = []
     for k, (label, _, _) in enumerate(_DELAY_BANDS):
-        members = groups[k]
-        n = len(members)
-        s_mean = float(np.mean([r.sati_after for r in members])) if n else None
+        members = band == k
+        n = int(members.sum())
+        s_mean = float(np.mean(after[members])) if n else None
         s_alt: float | None = None
         if alt_items and n:
-            per_resp: list[float] = []
-            for r in members:
-                vals = [r.rating(i) for i in alt_items]
-                vals = [v for v in vals if v is not None]
-                if vals:
-                    per_resp.append(float(np.mean(vals)))
-            s_alt = float(np.mean(per_resp)) if per_resp else None
+            per_resp = alt_mean[members & (n_rated > 0)]
+            s_alt = float(np.mean(per_resp)) if per_resp.size else None
         bands.append(DelayBand(label, n, 100.0 * n / total, s_mean, s_alt))
-    return DelayStrata(tuple(bands), total, missing)
+    return DelayStrata(tuple(bands), total, d.n - total)

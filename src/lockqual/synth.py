@@ -16,7 +16,7 @@ import numpy as np
 
 from .ahp import DEFAULT_HIERARCHY, Hierarchy
 from .catalog import DEFAULT_CATALOG, SATI_AFTER, SATI_BEFORE
-from .dataset import RespondentRecord, SurveyDataset
+from .dataset import SurveyDataset
 from .sem import MeasurementModel, implied_sigma
 
 __all__ = [
@@ -233,28 +233,23 @@ def gen_sem_survey(spec: SemSurveySpec) -> SurveyDataset:
         miss = rng.random((spec.n, p)) < spec.missing_rate
     else:
         miss = np.zeros((spec.n, p), dtype=bool)
-    obs_index = {v: i for i, v in enumerate(spec.observed)}
-    item_cols = [(item, obs_index[item]) for item in spec.observed if item not in (SATI_BEFORE, SATI_AFTER)]
-    respondents: list[RespondentRecord] = []
-    for i in range(spec.n):
-        row_ratings = {
-            item: int(ratings[i, col]) for item, col in item_cols if not miss[i, col]
-        }
-        respondents.append(
-            RespondentRecord(
-                id=f"r{i + 1:04d}",
-                age_band=str(age[i]),
-                gender=str(gender[i]),
-                experience_band=str(exp_band[i]),
-                vessel_type=str(vessel[i]),
-                dwt_band=str(dwt[i]),
-                delay_hours=float(round(delay[i], 2)),
-                sati_before=int(ratings[i, obs_index[SATI_BEFORE]]),
-                sati_after=int(ratings[i, obs_index[SATI_AFTER]]),
-                ratings=row_ratings,
-            )
-        )
-    return SurveyDataset(tuple(respondents), DEFAULT_CATALOG)
+    # the bookends are never blanked; items outside spec.observed stay missing
+    miss[:, [k for k, v in enumerate(spec.observed) if v in (SATI_BEFORE, SATI_AFTER)]] = False
+    codes = np.zeros((spec.n, len(DEFAULT_CATALOG) + 2), dtype=np.int8)
+    codes[:, list(spec.observed)] = np.where(miss, 0, ratings)
+    return SurveyDataset(
+        DEFAULT_CATALOG,
+        [f"r{i + 1:04d}" for i in range(spec.n)],
+        codes,
+        np.round(delay, 2),
+        {
+            "age_band": age.tolist(),
+            "gender": gender.tolist(),
+            "experience_band": exp_band.tolist(),
+            "vessel_type": vessel.tolist(),
+            "dwt_band": dwt.tolist(),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,3 +335,13 @@ def test_full_chain_consistent_experts():
     assert gw.weights["safe_security"] == pytest.approx(0.6 * 0.75, abs=1e-9)
     assert gw.weights["time_convenience"] == pytest.approx(0.6 * 0.25, abs=1e-9)
     assert sum(gw.weights.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_load_judgments_ignores_utf8_bom(tmp_path):
+    fixture = Path(__file__).resolve().parent.parent / "data" / "fixture_judgments.csv"
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + fixture.read_bytes())
+    plain, with_bom = load_judgments(str(fixture)), load_judgments(str(bom))
+    assert [r.respondent_id for r in with_bom] == [r.respondent_id for r in plain]
+    for a, b in zip(with_bom, plain):
+        assert np.array_equal(a.criteria.values, b.criteria.values)

@@ -285,3 +285,10 @@ def test_report_honours_out_dir_env(tmp_path, monkeypatch, capsys):
     assert (target / "summary.md").exists()
     assert (target / "scores.csv").exists()
     assert (target / "questionnaire.csv").exists()
+
+
+def test_emit_refuses_nonfinite_floats(tmp_path):
+    with pytest.raises(ValueError):
+        cli._emit({"x": float("nan")}, str(tmp_path / "out.json"))
+    cli._emit(cli._jsonable({"x": float("-inf")}), str(tmp_path / "ok.json"))
+    assert json.loads((tmp_path / "ok.json").read_text("utf-8")) == {"x": None}

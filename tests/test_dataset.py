@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,3 +228,13 @@ def test_generator_delay_negatively_tracks_time_items():
     time_mean = np.array([np.mean([r.ratings[i] for i in (5, 6, 7, 8, 9, 10)]) for r in d.respondents])
     rho = np.corrcoef(np.log(delays), time_mean)[0, 1]
     assert rho < -0.4
+
+
+def test_utf8_bom_is_ignored(tmp_path):
+    fixture = Path(__file__).resolve().parent.parent / "data" / "fixture_survey.csv"
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + fixture.read_bytes())
+    plain, with_bom = load_survey(str(fixture)), load_survey(str(bom))
+    assert with_bom.n == plain.n
+    assert with_bom.rejected == plain.rejected
+    assert with_bom == plain

@@ -18,8 +18,10 @@ from lockqual.pipeline import (
     render_summary,
     run_pipeline,
     _cfa_from_structural,
+    _jsonable,
     _label_factors,
     _synthesize_models,
+    _write_outputs,
 )
 from lockqual.sem import MeasurementModel
 
@@ -342,3 +344,15 @@ def test_summary_is_rendered_from_the_bundle_alone(full_run):
 def test_default_catalog_shape():
     assert len(DEFAULT_CATALOG) == 32
     assert DEFAULT_CATALOG.indices == tuple(range(1, 33))
+
+
+def test_jsonable_maps_every_nonfinite_float_to_null():
+    doc = _jsonable({"a": float("inf"), "b": [float("-inf"), float("nan")], "c": 1.5})
+    assert doc == {"a": None, "b": [None, None], "c": 1.5}
+    assert json.dumps(doc, allow_nan=False) == '{"a": null, "b": [null, null], "c": 1.5}'
+
+
+def test_report_json_refuses_nonfinite_floats(tmp_path):
+    cfg = PipelineConfig(survey_path=SURVEY, out_dir=str(tmp_path))
+    with pytest.raises(ValueError):
+        _write_outputs(cfg, {"x": float("inf")}, None, None)

@@ -160,13 +160,13 @@ def test_weights_from_estimate_requires_standardization_and_one_target():
 
 def test_validation_summary_counts_and_error():
     w = _weights()
-    ds = SurveyDataset(
-        respondents=(
+    ds = SurveyDataset.from_records(
+        (
             _resp("r1", {1: 4, 2: 4, 3: 4}, sati_after=4),
             _resp("r2", {1: 5, 2: 5, 3: 5}, sati_after=4),
             _resp("r3", {1: 2, 3: 2}, sati_after=2),  # unscoreable
         ),
-        catalog=DEFAULT_CATALOG,
+        DEFAULT_CATALOG,
     )
     out = validation_summary(ds, w)
     assert out.n_scored == 2
@@ -179,9 +179,9 @@ def test_validation_summary_counts_and_error():
 
 def test_scores_csv_round_trip(tmp_path):
     w = _weights()
-    ds = SurveyDataset(
-        respondents=(_resp("r1", {1: 4, 2: 4, 3: 4}, sati_after=4),),
-        catalog=DEFAULT_CATALOG,
+    ds = SurveyDataset.from_records(
+        (_resp("r1", {1: 4, 2: 4, 3: 4}, sati_after=4),),
+        DEFAULT_CATALOG,
     )
     out = validation_summary(ds, w)
     path = tmp_path / "scores.csv"
@@ -223,13 +223,13 @@ def test_entropy_zero_term_handled():
 def test_entropy_report_ranking():
     # latent "flat" has uniform answers (E = 1, variability 0);
     # latent "split" concentrates answers (E < 1, variability > 0)
-    ds = SurveyDataset(
-        respondents=(
+    ds = SurveyDataset.from_records(
+        (
             _resp("r1", {1: 3, 2: 1}),
             _resp("r2", {1: 3, 2: 5}),
             _resp("r3", {1: 3, 2: 1}),
         ),
-        catalog=DEFAULT_CATALOG,
+        DEFAULT_CATALOG,
     )
     rep = entropy_report(ds, {"flat": (1,), "split": (2,)})
     assert rep.per_latent["flat"] == pytest.approx(1.0)
@@ -239,27 +239,27 @@ def test_entropy_report_ranking():
 
 
 def test_entropy_report_mean_over_items():
-    ds = SurveyDataset(
-        respondents=(
+    ds = SurveyDataset.from_records(
+        (
             _resp("r1", {1: 1, 2: 2}),
             _resp("r2", {1: 4, 2: 2}),
         ),
-        catalog=DEFAULT_CATALOG,
+        DEFAULT_CATALOG,
     )
     rep = entropy_report(ds, {"g": (1, 2)})
     assert rep.per_latent["g"] == pytest.approx((entropy([1, 4]) + entropy([2, 2])) / 2, rel=1e-12)
 
 
 def test_delay_band_boundaries_go_low():
-    ds = SurveyDataset(
-        respondents=(
+    ds = SurveyDataset.from_records(
+        (
             _resp("r1", {1: 3}, sati_after=4, delay=2.0),  # boundary -> [0,2]
             _resp("r2", {1: 3}, sati_after=4, delay=3.0),
             _resp("r3", {1: 3}, sati_after=2, delay=20.0),
             _resp("r4", {1: 3}, sati_after=5, delay=16.0),  # boundary -> (8,16]
             _resp("r5", {1: 3}, sati_after=3, delay=None),
         ),
-        catalog=DEFAULT_CATALOG,
+        DEFAULT_CATALOG,
     )
     out = delay_strata(ds)
     assert isinstance(out, DelayStrata)
@@ -278,12 +278,12 @@ def test_delay_band_boundaries_go_low():
 
 
 def test_delay_alt_items_average():
-    ds = SurveyDataset(
-        respondents=(
+    ds = SurveyDataset.from_records(
+        (
             _resp("r1", {1: 2, 2: 4}, sati_after=4, delay=1.0),
             _resp("r2", {1: 4, 2: 4}, sati_after=4, delay=1.5),
         ),
-        catalog=DEFAULT_CATALOG,
+        DEFAULT_CATALOG,
     )
     out = delay_strata(ds, alt_items=(1, 2))
     band = out.bands[0]
@@ -291,9 +291,9 @@ def test_delay_alt_items_average():
 
 
 def test_delay_requires_some_delays():
-    ds = SurveyDataset(
-        respondents=(_resp("r1", {1: 3}, delay=None),),
-        catalog=DEFAULT_CATALOG,
+    ds = SurveyDataset.from_records(
+        (_resp("r1", {1: 3}, delay=None),),
+        DEFAULT_CATALOG,
     )
     with pytest.raises(ValueError):
         delay_strata(ds)
