@@ -78,9 +78,11 @@ class JudgmentMatrix:
             raise ValueError("matrix shape must match the label count")
         if np.any(a <= 0):
             raise ValueError("judgments must be positive")
-        if not np.allclose(np.diag(a), 1.0, atol=1e-12):
+        # np.allclose(x, 1.0, atol) without its per-call overhead: the same
+        # |x - 1| <= atol + rtol * 1 test, with its default rtol of 1e-5
+        if not (np.abs(np.diag(a) - 1.0) <= 1e-12 + 1e-5).all():
             raise ValueError("diagonal must be 1")
-        if not np.allclose(a * a.T, 1.0, atol=1e-9):
+        if not (np.abs(a * a.T - 1.0) <= 1e-9 + 1e-5).all():
             raise ValueError("matrix must be reciprocal (a_ij * a_ji = 1)")
         object.__setattr__(self, "values", a)
 
@@ -116,13 +118,6 @@ DEFAULT_HIERARCHY = Hierarchy(
         "WLMS": ("comfortable_conditions", "staff_skills"),
     },
 )
-
-CRITERION_NAMES: Mapping[str, str] = {
-    "WLOE": "Lock operation efficiency",
-    "WLFP": "Lock facility perfection",
-    "WLMS": "Lock management service",
-}
-
 
 @dataclass(frozen=True)
 class RespondentJudgments:

@@ -21,7 +21,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.special
-import scipy.stats
+
+from ._dist import chi2_sf, norm_cdf, norm_pdf, norm_ppf, norm_sf
 
 __all__ = [
     "ProbitModel",
@@ -36,9 +37,6 @@ __all__ = [
     "build_questionnaire",
     "write_questionnaire_csv",
 ]
-
-_norm = scipy.stats.norm
-
 
 def _validate_xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     X = np.asarray(X, dtype=float)
@@ -75,7 +73,7 @@ def _ll(eta: np.ndarray, y: np.ndarray, kappa: np.ndarray, c: int) -> float:
     kext = np.concatenate(([-np.inf], kappa, [np.inf]))
     z_hi = kext[y] - eta
     z_lo = kext[y - 1] - eta
-    p = np.where(z_lo > 0, _norm.sf(z_lo) - _norm.sf(z_hi), _norm.cdf(z_hi) - _norm.cdf(z_lo))
+    p = np.where(z_lo > 0, norm_sf(z_lo) - norm_sf(z_hi), norm_cdf(z_hi) - norm_cdf(z_lo))
     p = np.maximum(p, 1e-300)
     return float(np.log(p).sum())
 
@@ -89,11 +87,11 @@ def _grad_hess_raw(
     kext = np.concatenate(([-np.inf], kappa, [np.inf]))
     z_hi = kext[y] - eta
     z_lo = kext[y - 1] - eta
-    p = np.where(z_lo > 0, _norm.sf(z_lo) - _norm.sf(z_hi), _norm.cdf(z_hi) - _norm.cdf(z_lo))
+    p = np.where(z_lo > 0, norm_sf(z_lo) - norm_sf(z_hi), norm_cdf(z_hi) - norm_cdf(z_lo))
     p = np.maximum(p, 1e-300)
     ll = float(np.log(p).sum())
-    phi_hi = np.where(np.isfinite(z_hi), _norm.pdf(z_hi), 0.0)
-    phi_lo = np.where(np.isfinite(z_lo), _norm.pdf(z_lo), 0.0)
+    phi_hi = norm_pdf(z_hi)  # 0 at the infinite outer cuts
+    phi_lo = norm_pdf(z_lo)
     zphi_hi = np.zeros_like(phi_hi)
     zphi_lo = np.zeros_like(phi_lo)
     fin_hi = np.isfinite(z_hi)
@@ -123,27 +121,29 @@ def _grad_hess_raw(
     dll_eta = g_eta / p
     grad = np.zeros(k + c - 1)
     grad[:k] = X.T @ dll_eta
-    gk = np.zeros(c - 1)
-    hi_idx = y - 1  # kappa index of the upper cut, valid when y <= c-1
-    lo_idx = y - 2  # kappa index of the lower cut, valid when y >= 2
-    hi_ok = y <= c - 1
-    lo_ok = y >= 2
-    np.add.at(gk, hi_idx[hi_ok], (g_hi / p)[hi_ok])
-    np.add.at(gk, lo_idx[lo_ok], (g_lo / p)[lo_ok])
-    grad[k:] = gk
+    # Each kappa sum runs over the upper-cut terms, then the lower-cut
+    # terms, in row order: one bincount over both index lists in turn.
+    hi_ok = y <= c - 1  # kappa_{y} is a finite cut
+    lo_ok = y >= 2  # kappa_{y-1} is a finite cut
+    cut = np.concatenate((y[hi_ok] - 1, y[lo_ok] - 2))
+
+    def per_cut(hi_terms: np.ndarray, lo_terms: np.ndarray) -> np.ndarray:
+        return np.bincount(cut, np.concatenate((hi_terms[hi_ok], lo_terms[lo_ok])), minlength=c - 1)
+
+    grad[k:] = per_cut(g_hi / p, g_lo / p)
     hess = np.zeros((k + c - 1, k + c - 1))
     hess[:k, :k] = X.T @ (X * w_ee[:, None])
-    hbk = np.zeros((k, c - 1))
-    np.add.at(hbk.T, hi_idx[hi_ok], (X[hi_ok] * w_eh[hi_ok, None]))
-    np.add.at(hbk.T, lo_idx[lo_ok], (X[lo_ok] * w_el[lo_ok, None]))
+    hbk = np.empty((k, c - 1))
+    for j in range(k):
+        hbk[j] = per_cut(X[:, j] * w_eh, X[:, j] * w_el)
     hess[:k, k:] = hbk
     hess[k:, :k] = hbk.T
-    hkk = np.zeros((c - 1, c - 1))
-    np.add.at(hkk, (hi_idx[hi_ok], hi_idx[hi_ok]), w_hh[hi_ok])
-    np.add.at(hkk, (lo_idx[lo_ok], lo_idx[lo_ok]), w_ll[lo_ok])
+    hkk = np.diag(per_cut(w_hh, w_ll))
     both = hi_ok & lo_ok
-    np.add.at(hkk, (hi_idx[both], lo_idx[both]), w_hl[both])
-    np.add.at(hkk, (lo_idx[both], hi_idx[both]), w_hl[both])
+    off = np.bincount(y[both] - 2, w_hl[both], minlength=c - 2)
+    r = np.arange(c - 2)
+    hkk[r + 1, r] = off
+    hkk[r, r + 1] = off
     hess[k:, k:] = hkk
     return ll, grad, hess
 
@@ -212,7 +212,7 @@ def null_fit(y: np.ndarray) -> NullFit:
         raise ValueError(f"unobserved categories: {missing}")
     n = counts.sum()
     shares = counts / n
-    kappa = _norm.ppf(np.cumsum(shares)[:-1])
+    kappa = norm_ppf(np.cumsum(shares)[:-1])
     ll = float((counts * np.log(shares)).sum())
     return NullFit(loglik=ll, kappa=kappa)
 
@@ -345,7 +345,7 @@ def fit(
     se = se_all[:k]
     with np.errstate(invalid="ignore", divide="ignore"):
         z = beta / se
-    pvals = 2.0 * _norm.sf(np.abs(z))
+    pvals = 2.0 * norm_sf(np.abs(z))
     lr = 2.0 * (ll - null.loglik)
     return ProbitModel(
         names=names,
@@ -360,7 +360,7 @@ def fit(
         pseudo_r2=1.0 - ll / null.loglik,
         lr_chi2=lr,
         lr_df=k,
-        lr_p=float(scipy.stats.chi2.sf(lr, k)),
+        lr_p=float(chi2_sf(lr, k)),
         n_obs=n,
         n_categories=c,
         n_iter=it,
@@ -375,7 +375,7 @@ def predict_proba(model: ProbitModel, X: np.ndarray) -> np.ndarray:
     eta = X @ model.beta
     c = model.n_categories
     kext = np.concatenate(([-np.inf], model.kappa, [np.inf]))
-    cdf = _norm.cdf(kext[None, :] - eta[:, None])
+    cdf = norm_cdf(kext[None, :] - eta[:, None])
     return np.diff(cdf, axis=1)
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
+
+from ._dist import chi2_sf
 
 __all__ = ["AdequacyReport", "cronbach_alpha", "kmo", "bartlett", "adequacy", "correlation_matrix"]
 
@@ -105,7 +106,7 @@ def bartlett(R: np.ndarray, n: int) -> tuple[float, int, float]:
     chi2 = -(n - 1 - (2 * p + 5) / 6.0) * logdet
     chi2 = max(chi2, 0.0)
     df = p * (p - 1) // 2
-    p_value = float(scipy.stats.chi2.sf(chi2, df))
+    p_value = float(chi2_sf(chi2, df))
     return float(chi2), df, p_value
 
 

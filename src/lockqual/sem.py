@@ -23,8 +23,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
 
+from ._dist import norm_sf
 from .optimize import minimize_qn
 
 __all__ = [
@@ -147,12 +147,6 @@ class MeasurementModel:
 def load_model(path: str) -> MeasurementModel:
     with open(path, "r", encoding="utf-8") as fh:
         return MeasurementModel.from_json(fh.read())
-
-
-def save_model(model: MeasurementModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(model.to_json())
-        fh.write("\n")
 
 
 def sample_cov(X: np.ndarray) -> np.ndarray:
@@ -299,7 +293,7 @@ class SemEstimate:
             if not math.isfinite(se) or se <= 0:
                 return None, None
             t = est / se
-            return t, float(2.0 * scipy.stats.norm.sf(abs(t)))
+            return t, float(2.0 * norm_sf(abs(t)))
 
         for name in lat:
             for pos, item in enumerate(self.model.indicators[name]):

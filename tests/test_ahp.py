@@ -49,6 +49,51 @@ def test_matrix_validation():
         _jm(("a", "b", "c"), [[1, 2], [0.5, 1]])  # shape
 
 
+def _allclose_verdict(a):
+    """What the validation said when it called np.allclose."""
+    if np.any(a <= 0):
+        return "judgments must be positive"
+    if not np.allclose(np.diag(a), 1.0, atol=1e-12):
+        return "diagonal must be 1"
+    if not np.allclose(a * a.T, 1.0, atol=1e-9):
+        return "matrix must be reciprocal"
+    return None
+
+
+def _perturbed(i, j, value):
+    a = np.array([[1.0, 3.0, 0.2], [1 / 3, 1.0, 7.0], [5.0, 1 / 7, 1.0]])
+    a[i, j] = value
+    return a
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        # a diagonal cell enters the product check squared
+        (_perturbed(1, 1, 1 + 0.45e-5), None),
+        (_perturbed(1, 1, 1 + 0.9e-5), "matrix must be reciprocal"),
+        (_perturbed(1, 1, 1 - 0.9e-5), "matrix must be reciprocal"),
+        (_perturbed(1, 1, 1 + 1.1e-5), "diagonal must be 1"),
+        (_perturbed(1, 1, 1 - 1.1e-5), "diagonal must be 1"),
+        (_perturbed(1, 0, (1 + 0.9e-5) / 3), None),
+        (_perturbed(1, 0, (1 - 0.9e-5) / 3), None),
+        (_perturbed(1, 0, (1 + 1.1e-5) / 3), "matrix must be reciprocal"),
+        (_perturbed(1, 0, (1 - 1.1e-5) / 3), "matrix must be reciprocal"),
+        (_perturbed(0, 2, math.nan), "matrix must be reciprocal"),
+        (_perturbed(2, 2, math.nan), "diagonal must be 1"),
+        (_perturbed(0, 2, math.inf), "matrix must be reciprocal"),
+        (_perturbed(0, 0, math.inf), "diagonal must be 1"),
+    ],
+)
+def test_matrix_validation_matches_allclose(values, expected):
+    assert _allclose_verdict(values) == expected
+    if expected is None:
+        assert np.array_equal(_jm("abc", values).values, values)
+    else:
+        with pytest.raises(ValueError, match=expected):
+            _jm("abc", values)
+
+
 def test_two_by_two_weights_hand_value():
     m = _jm(("a", "b"), [[1, 3], [1 / 3, 1]])
     wv, lam = weights_eigen(m)
