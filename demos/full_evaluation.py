@@ -15,7 +15,7 @@ from pathlib import Path
 from lockqual import ahp, efa, psychometrics, scoring, sem
 from lockqual.catalog import DEFAULT_CATALOG, DISPLAY_NAMES
 from lockqual.dataset import describe, load_survey, split
-from lockqual.pipeline import _label_factors, _synthesize_models
+from lockqual.pipeline import _label_factors, synthesize_models
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,7 +61,7 @@ def main() -> None:
 
     # confirmatory fit of the synthesized structural model
     warnings: list[str] = []
-    cfa, structural = _synthesize_models(assignment, labels, warnings)
+    cfa, structural = synthesize_models(assignment, labels, warnings)
     _, xs = train.matrix(structural.observed)
     est = sem.standardize(sem.fit_ml(structural, sem.sample_cov(xs), n=xs.shape[0]))
     fi = sem.fit_indices(est)

@@ -12,9 +12,8 @@ import argparse
 from pathlib import Path
 
 from lockqual import oprobit
-from lockqual.catalog import DEFAULT_CATALOG, DISPLAY_NAMES
+from lockqual.catalog import DEFAULT_CATALOG, DISPLAY_NAMES, SATI_AFTER
 from lockqual.dataset import load_survey
-from lockqual.pipeline import _xy_for_probit
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,7 +27,9 @@ def main() -> None:
 
     data = load_survey(args.survey, DEFAULT_CATALOG)
     items = DEFAULT_CATALOG.indices
-    X, y, _ = _xy_for_probit(data, items)
+    # the rows that rate every item
+    _, X = data.matrix(items)
+    y = data.column(SATI_AFTER)[data.complete(items)].astype(int)
     names = tuple(DEFAULT_CATALOG.abbreviation_of(i) for i in items)
 
     print(f"observations: {X.shape[0]}, candidate items: {len(items)}, gate p < {args.alpha}")

@@ -247,6 +247,9 @@ def normalized_weights(raw: Mapping[str, float], labels: Sequence[str] | None = 
     """Normalize positive raw weights (for example standardized path weights)."""
     if labels is None:
         labels = tuple(raw)
+    missing = [k for k in labels if k not in raw]
+    if missing:
+        raise ValueError(f"no weights for {missing}")
     vals = {k: float(raw[k]) for k in labels}
     if any(v <= 0 for v in vals.values()):
         bad = [k for k, v in vals.items() if v <= 0]

@@ -13,32 +13,34 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import ahp as ahp_mod
-from . import efa as efa_mod
-from . import oprobit
-from . import psychometrics
 from . import scoring as scoring_mod
 from . import sem as sem_mod
 from . import synth
-from .catalog import DEFAULT_CATALOG, DISPLAY_NAMES, load_catalog
+from .catalog import DEFAULT_CATALOG, load_catalog
 from .dataset import describe, load_survey, split, write_survey
 from .pipeline import (
     GateThresholds,
     PipelineConfig,
-    _ahp_stage,
-    _check,
-    _fit_doc,
-    _fit_index_gates,
-    _jsonable,
-    _label_factors,
-    _stats_doc,
-    _synthesize_models,
-    _xy_for_probit,
+    adequacy_section,
+    ahp_section,
+    bias_section,
+    delay_section,
+    descriptives_section,
+    efa_section,
+    entropy_section,
+    gates_doc,
+    probit_section,
     run_pipeline,
+    scoring_section,
+    screening_section,
+    sem_section,
+    synthesize_models,
+    validity_doc,
+    write_questionnaire,
 )
 
 __all__ = ["main"]
@@ -78,21 +80,15 @@ def _items_arg(text: str | None, known: Sequence[int]) -> tuple[int, ...]:
     return items
 
 
-def _gate_doc(checks) -> list[dict]:
-    return [
-        {
-            "name": c.name,
-            "value": _jsonable(c.value),
-            "threshold": _jsonable(c.threshold),
-            "mode": c.mode,
-            "passed": c.passed,
-        }
-        for c in checks
-    ]
+def _required(doc: dict | None, warnings: list[str]) -> dict:
+    """A stage's document, or the reason it has none as an input error."""
+    if doc is None:
+        raise ValueError("; ".join(warnings))
+    return doc
 
 
 def _finish(args: argparse.Namespace, doc: dict, checks, out: str | None) -> int:
-    doc["gates"] = _gate_doc(checks)
+    doc["gates"] = gates_doc(checks)
     _emit(doc, out)
     if getattr(args, "strict", False) and any(not c.passed for c in checks):
         return 2
@@ -100,98 +96,35 @@ def _finish(args: argparse.Namespace, doc: dict, checks, out: str | None) -> int
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    d = load_survey(args.input, _catalog(args))
-    _emit(
-        {
-            "n_valid": d.n,
-            "n_rejected": len(d.rejected),
-            "rejected": [
-                {"row": r.row_number, "id": r.respondent_id, "reason": r.reason}
-                for r in d.rejected
-            ],
-        },
-        args.out,
-    )
+    _emit(screening_section(load_survey(args.input, _catalog(args))), args.out)
     return 0
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
     d = load_survey(args.input, _catalog(args))
-    rep = describe(d)
-    _emit(
-        {
-            "items": {str(i): _stats_doc(s) for i, s in sorted(rep.items.items())},
-            "sati_before": _stats_doc(rep.sati_before),
-            "sati_after": _stats_doc(rep.sati_after),
-            "overall_sati_after": _jsonable(rep.overall_sati_after),
-            "non_normal_items": sorted(i for i, s in rep.items.items() if s.normal is False),
-        },
-        args.out,
-    )
+    _emit(descriptives_section(describe(d), []), args.out)
     return 0
 
 
 def _cmd_reliability(args: argparse.Namespace) -> int:
     catalog = _catalog(args)
     d = load_survey(args.input, catalog)
-    items = _items_arg(args.items, catalog.indices)
-    _, x = d.matrix(items)
-    adq = psychometrics.adequacy(x)
-    g = GateThresholds()
-    checks = [
-        _check("cronbach_alpha", adq.cronbach_alpha, g.alpha, "at_least"),
-        _check("kmo", adq.kmo, g.kmo, "at_least"),
-        _check("bartlett_p", adq.bartlett_p, g.bartlett_p, "below"),
-    ]
-    doc = {
-        "items": list(items),
-        "n_complete": int(x.shape[0]),
-        "cronbach_alpha": _jsonable(adq.cronbach_alpha),
-        "kmo": _jsonable(adq.kmo),
-        "bartlett_chi2": _jsonable(adq.bartlett_chi2),
-        "bartlett_df": adq.bartlett_df,
-        "bartlett_p": _jsonable(adq.bartlett_p),
-    }
+    checks: list = []
+    doc, items = adequacy_section(
+        d, _items_arg(args.items, catalog.indices), GateThresholds(), checks, []
+    )
+    doc["items"] = list(items)
     return _finish(args, doc, checks, args.out)
 
 
 def _cmd_efa(args: argparse.Namespace) -> int:
     catalog = _catalog(args)
     d = load_survey(args.input, catalog)
-    _, x = d.matrix(catalog.indices)
-    R = psychometrics.correlation_matrix(x)
-    rotated = efa_mod.rotate_varimax(efa_mod.extract_pca(R, items=catalog.indices))
-    assignment = efa_mod.prune(
-        rotated, data=x, threshold=args.threshold, cross_margin=args.cross_margin
-    )
-    labels = _label_factors(assignment, catalog)
-    _emit(
-        {
-            "n_rows": int(x.shape[0]),
-            "n_factors": rotated.n_factors,
-            "eigenvalues": _jsonable(rotated.eigenvalues),
-            "variance_explained": _jsonable(rotated.variance_explained),
-            "cumulative_explained": _jsonable(rotated.cumulative_explained),
-            "loadings": {
-                str(item): _jsonable(rotated.loadings[k, :])
-                for k, item in enumerate(rotated.items)
-            },
-            "assignment": {
-                "factor_labels": {str(j): labels[j] for j in sorted(labels)},
-                "factor_items": {
-                    labels[j]: list(items) for j, items in assignment.factor_items.items()
-                },
-                "dropped": [
-                    {"item": di.item, "reason": di.reason} for di in assignment.dropped_items
-                ],
-                "per_factor_alpha": {
-                    labels[j]: _jsonable(a) for j, a in assignment.per_factor_alpha.items()
-                },
-                "warnings": list(assignment.warnings),
-            },
-        },
-        args.out,
-    )
+    g = replace(GateThresholds(), loading=args.threshold, cross_margin=args.cross_margin)
+    warnings: list[str] = []
+    doc, _, _ = efa_section(d, catalog, g, warnings)
+    doc["assignment"]["warnings"] = warnings
+    _emit(doc, args.out)
     return 0
 
 
@@ -200,45 +133,22 @@ def _cmd_sem(args: argparse.Namespace) -> int:
     d = load_survey(args.input, catalog)
     n_train = args.n_train if args.n_train is not None else round(0.6 * d.n)
     train, _ = split(d, n_train, args.seed)
+    g = GateThresholds()
+    checks: list = []
     warnings: list[str] = []
     if args.model:
         model = sem_mod.load_model(args.model)
     else:
-        _, x = train.matrix(catalog.indices)
-        R = psychometrics.correlation_matrix(x)
-        rotated = efa_mod.rotate_varimax(efa_mod.extract_pca(R, items=catalog.indices))
-        assignment = efa_mod.prune(rotated, data=x)
-        labels = _label_factors(assignment, catalog)
-        _, model = _synthesize_models(assignment, labels, warnings)
+        _, assignment, labels = efa_section(train, catalog, g, warnings)
+        _, model = synthesize_models(assignment, labels, warnings)
         if model is None:
             raise ValueError("factor extraction left no usable model; supply --model")
-    _, x_fit = train.matrix(model.observed)
-    est = sem_mod.fit_ml(model, sem_mod.sample_cov(x_fit), n=x_fit.shape[0])
-    est = sem_mod.standardize(est)
-    fi = sem_mod.fit_indices(est)
-    doc = _fit_doc(est, fi)
+    doc, est = sem_section(train, model, g, checks, warnings)
+    doc = _required(doc, warnings)
+    doc["validity"] = validity_doc(est, warnings)
     doc["model"] = json.loads(model.to_json())
     doc["split"] = {"seed": args.seed, "n_train": train.n}
-    try:
-        validity = sem_mod.construct_validity(est)
-        doc["validity"] = {
-            "factors": list(validity.factors),
-            "composite_reliability": _jsonable(dict(validity.composite_reliability)),
-            "ave": _jsonable(dict(validity.ave)),
-            "convergent_pass": _jsonable(dict(validity.convergent_pass)),
-            "discriminant_pass": _jsonable(dict(validity.discriminant_pass)),
-            "fornell_larcker": _jsonable(validity.fornell_larcker),
-        }
-    except ValueError as exc:
-        doc["validity"] = None
-        warnings.append(f"construct validity unavailable: {exc}")
-    try:
-        doc["score_weights"] = scoring_mod.weights_from_estimate(est).to_jsonable()
-    except ValueError as exc:
-        doc["score_weights"] = None
-        warnings.append(f"score weights unavailable: {exc}")
     doc["cli_warnings"] = warnings
-    checks = _fit_index_gates(fi, "sem", GateThresholds())
     return _finish(args, doc, checks, args.out)
 
 
@@ -274,19 +184,13 @@ def _cmd_score(args: argparse.Namespace) -> int:
             f"{args.weights}: not a usable weights document "
             "(needs latents, item_weights and latent_weights)"
         ) from exc
-    summary = scoring_mod.validation_summary(d, w)
+    warnings: list[str] = []
+    doc, summary = scoring_section(d, w, warnings)
+    doc = _required(doc, warnings)
     if args.csv:
         scoring_mod.write_scores_csv(summary, w, args.csv)
-    _emit(
-        {
-            "n_scored": summary.n_scored,
-            "n_skipped": summary.n_skipped,
-            "mean_error": _jsonable(summary.mean_error),
-            "share_within_10pct": _jsonable(summary.share_within_10pct),
-            "csv": args.csv,
-        },
-        args.out,
-    )
+    doc["csv"] = args.csv
+    _emit(doc, args.out)
     return 0
 
 
@@ -308,48 +212,21 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
         groups = {}
         for i in catalog.indices:
             groups.setdefault(catalog.hint_of(i), []).append(i)
-    ent = scoring_mod.entropy_report(d, groups)
-    alt_items = sorted(
-        i for name, items in groups.items() if name != "time_convenience" for i in items
-    )
-    doc: dict[str, object] = {
-        "per_item": {str(i): _jsonable(e) for i, e in sorted(ent.per_item.items())},
-        "per_group": _jsonable(dict(ent.per_latent)),
-        "variability": _jsonable(dict(ent.variability)),
-        "ranking": list(ent.ranking),
-    }
-    try:
-        strata = scoring_mod.delay_strata(d, alt_items=alt_items or None)
-        doc["delay"] = {
-            "bands": [
-                {
-                    "label": b.label,
-                    "n": b.n,
-                    "share_pct": _jsonable(b.share_pct),
-                    "s_mean": _jsonable(b.s_mean),
-                    "s_mean_alt": _jsonable(b.s_mean_alt),
-                }
-                for b in strata.bands
-            ],
-            "n_with_delay": strata.n_with_delay,
-            "n_missing_delay": strata.n_missing_delay,
-            "alt_items": alt_items,
-        }
-    except ValueError as exc:
-        doc["delay"] = None
-        doc["delay_warning"] = str(exc)
+    warnings: list[str] = []
+    doc = entropy_section(d, groups)
+    doc["per_group"] = doc.pop("per_latent")
+    doc["delay"] = delay_section(d, groups, warnings)
+    doc["cli_warnings"] = warnings
     _emit(doc, args.out)
     return 0
 
 
 def _cmd_ahp(args: argparse.Namespace) -> int:
+    g = replace(GateThresholds(), consistency_ratio=args.cr_gate)
     checks: list = []
     warnings: list[str] = []
-    doc = _ahp_stage(
-        args.judgments, args.cr_gate, args.exclude_inconsistent, checks, warnings
-    )
-    if doc is None:
-        raise ValueError("; ".join(warnings) or "no usable judgments")
+    doc = ahp_section(args.judgments, g, args.exclude_inconsistent, checks, warnings)
+    doc = _required(doc, warnings)
     doc["warnings"] = warnings
     return _finish(args, doc, checks, args.out)
 
@@ -357,85 +234,26 @@ def _cmd_ahp(args: argparse.Namespace) -> int:
 def _cmd_probit(args: argparse.Namespace) -> int:
     catalog = _catalog(args)
     d = load_survey(args.input, catalog)
-    items = _items_arg(args.items, catalog.indices)
-    X, y, _ = _xy_for_probit(d, items)
-    names = tuple(catalog.abbreviation_of(i) for i in items)
-    out = oprobit.backward_eliminate(
-        X, y, names, alpha=args.alpha, single_pass=args.single_pass
-    )
-    doc: dict[str, object] = {
-        "n_obs": out.initial.n_obs,
-        "alpha": args.alpha,
-        "initial_loglik": _jsonable(out.initial.loglik),
-        "initial_pseudo_r2": _jsonable(out.initial.pseudo_r2),
-        "steps": [{"dropped": s.dropped, "p_value": _jsonable(s.p_value)} for s in out.steps],
-        "survivors": list(out.survivors),
-        "warnings": list(out.warnings),
-        "final": None,
-        "questionnaire": None,
-    }
-    if out.final is not None:
-        doc["final"] = {
-            "coef_table": _jsonable(out.final.coef_table()),
-            "kappa": _jsonable(out.final.kappa),
-            "loglik": _jsonable(out.final.loglik),
-            "pseudo_r2": _jsonable(out.final.pseudo_r2),
-            "lr_chi2": _jsonable(out.final.lr_chi2),
-            "lr_p": _jsonable(out.final.lr_p),
-            "converged": out.final.converged,
-        }
-        by_abbrev = {catalog.abbreviation_of(i): i for i in items}
-        metadata = {}
-        order: list[str] = []
-        for name in out.survivors:
-            idx = by_abbrev[name]
-            construct = DISPLAY_NAMES.get(catalog.hint_of(idx), catalog.hint_of(idx))
-            metadata[name] = {
-                "construct": construct,
-                "abbreviation": name,
-                "description": f"survey item {idx}",
-            }
-            if construct not in order:
-                order.append(construct)
-        q = oprobit.build_questionnaire(out.survivors, metadata, construct_order=order)
-        doc["questionnaire"] = [
-            {
-                "construct": e.construct,
-                "question_number": e.number,
-                "description": e.description,
-                "abbreviation": e.abbreviation,
-            }
-            for e in q.entries
-        ]
-        if args.csv:
-            oprobit.write_questionnaire_csv(q, args.csv)
-            doc["csv"] = args.csv
+    # items are filed under their catalog hint: EFA may drop some of them
+    constructs = {i: catalog.hint_of(i) for i in _items_arg(args.items, catalog.indices)}
+    g = replace(GateThresholds(), probit_alpha=args.alpha)
+    warnings: list[str] = []
+    doc = probit_section(d, constructs, catalog, g, args.single_pass, warnings)
+    doc = _required(doc, warnings)
+    doc["warnings"] = warnings
+    if args.csv and doc["questionnaire"] is not None:
+        write_questionnaire(doc["questionnaire"], args.csv)
+        doc["csv"] = args.csv
     _emit(doc, args.out)
     return 0
 
 
 def _cmd_bias(args: argparse.Namespace) -> int:
-    h = ahp_mod.DEFAULT_HIERARCHY
-    ow = ahp_mod.normalized_weights(_load_weight_doc(args.ow), labels=h.leaves)
-    sw = ahp_mod.normalized_weights(_load_weight_doc(args.sw), labels=h.leaves)
-    rep = ahp_mod.bias_report(ow, sw, h)
-    _emit(
-        {
-            "rows": [
-                {
-                    "factor": r.factor,
-                    "ow": _jsonable(r.ow),
-                    "ow_rank": r.ow_rank,
-                    "sw": _jsonable(r.sw),
-                    "sw_rank": r.sw_rank,
-                }
-                for r in rep.rows
-            ],
-            "spearman": _jsonable(rep.spearman),
-            "dominance": _jsonable(dict(rep.dominance)),
-        },
-        args.out,
+    sw = ahp_mod.normalized_weights(
+        _load_weight_doc(args.sw), labels=ahp_mod.DEFAULT_HIERARCHY.leaves
     )
+    warnings: list[str] = []
+    _emit(_required(bias_section(_load_weight_doc(args.ow), sw, warnings), warnings), args.out)
     return 0
 
 
@@ -527,8 +345,8 @@ def _build_parser() -> _Parser:
     p = add("efa", _cmd_efa, "extract, rotate and prune a factor solution")
     p.add_argument("--input", required=True)
     p.add_argument("--catalog")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--cross-margin", type=float, default=0.2)
+    p.add_argument("--threshold", type=float, default=GateThresholds().loading)
+    p.add_argument("--cross-margin", type=float, default=GateThresholds().cross_margin)
     p.add_argument("--out")
 
     p = add("sem", _cmd_sem, "fit the structural model and emit score weights")
@@ -555,7 +373,7 @@ def _build_parser() -> _Parser:
 
     p = add("ahp", _cmd_ahp, "aggregate pairwise judgments into global weights")
     p.add_argument("--judgments", required=True)
-    p.add_argument("--cr-gate", type=float, default=0.1)
+    p.add_argument("--cr-gate", type=float, default=GateThresholds().consistency_ratio)
     p.add_argument("--exclude-inconsistent", action="store_true")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out")
@@ -564,7 +382,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--catalog")
     p.add_argument("--items", help="comma-separated item indices (default: all)")
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--alpha", type=float, default=GateThresholds().probit_alpha)
     p.add_argument("--single-pass", action="store_true")
     p.add_argument("--csv", help="write the simplified questionnaire CSV here")
     p.add_argument("--out")

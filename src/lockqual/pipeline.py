@@ -31,7 +31,7 @@ from . import scoring as scoring_mod
 from . import sem as sem_mod
 from .catalog import DISPLAY_NAMES, SATI_AFTER, SATI_BEFORE, VariableCatalog, load_catalog
 from .catalog import DEFAULT_CATALOG
-from .dataset import SurveyDataset, describe, load_survey, split
+from .dataset import DescriptiveReport, SurveyDataset, describe, load_survey, split
 
 __all__ = [
     "GateThresholds",
@@ -40,6 +40,22 @@ __all__ = [
     "PipelineResult",
     "run_pipeline",
     "render_summary",
+    "screening_section",
+    "descriptives_section",
+    "adequacy_section",
+    "efa_section",
+    "cfa_section",
+    "sem_section",
+    "scoring_section",
+    "entropy_section",
+    "delay_section",
+    "ahp_section",
+    "bias_section",
+    "probit_section",
+    "gates_doc",
+    "validity_doc",
+    "synthesize_models",
+    "write_questionnaire",
 ]
 
 
@@ -137,6 +153,20 @@ def _jsonable(value):
     return value
 
 
+def gates_doc(checks: Sequence[GateCheck]) -> list[dict]:
+    """JSON form of gate checks, in the order they were made."""
+    return [
+        {
+            "name": c.name,
+            "value": _jsonable(c.value),
+            "threshold": _jsonable(c.threshold),
+            "mode": c.mode,
+            "passed": c.passed,
+        }
+        for c in checks
+    ]
+
+
 def _stats_doc(s) -> dict:
     return {
         "n": s.n,
@@ -169,7 +199,7 @@ def _label_factors(assignment: efa_mod.FactorAssignment, catalog: VariableCatalo
     return labels
 
 
-def _synthesize_models(
+def synthesize_models(
     assignment: efa_mod.FactorAssignment,
     labels: Mapping[int, str],
     warnings: list[str],
@@ -260,25 +290,27 @@ def _fit_index_gates(fi: sem_mod.FitIndices, prefix: str, g: GateThresholds) -> 
     return checks
 
 
-def _xy_for_probit(
-    d: SurveyDataset, items: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    ids, X = d.matrix(items)
-    y = d.column(SATI_AFTER)[d.complete(items)].astype(int)
-    return X, y, ids
+def _drop_constant(
+    items: Sequence[int], x: np.ndarray, stage: str, warnings: list[str]
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Leave out the items whose column of x holds one value in every row."""
+    const = np.ptp(x, axis=0) == 0
+    if const.any():
+        warnings.append(
+            f"items {[i for i, c in zip(items, const) if c]} give the same response in every "
+            f"complete row; left out of {stage}"
+        )
+    return tuple(i for i, c in zip(items, const) if not c), x[:, ~const]
 
 
-def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
-    """Execute every stage, write the bundle and reports, return the result."""
-    gates: list[GateCheck] = []
-    warnings: list[str] = []
-    catalog = load_catalog(cfg.catalog_path) if cfg.catalog_path else DEFAULT_CATALOG
-    data = load_survey(cfg.survey_path, catalog)
-    if data.n < 10:
-        raise ValueError(f"only {data.n} valid respondents; too few for any analysis")
+# One builder per report section. Each returns its section's document
+# (None when the stage could not run) and appends to the caller's gate
+# checks and warnings; run_pipeline and the command line share them.
 
-    bundle: dict[str, object] = {}
-    bundle["screening"] = {
+
+def screening_section(data: SurveyDataset) -> dict:
+    """Rows kept and rows rejected by screening, with the reasons."""
+    return {
         "n_valid": data.n,
         "n_rejected": len(data.rejected),
         "rejected": [
@@ -286,50 +318,77 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         ],
     }
 
-    # descriptives over the full sample
-    rep = describe(data)
+
+def descriptives_section(rep: DescriptiveReport, warnings: list[str]) -> dict:
+    """Item and bookend statistics; warns on items outside the normality screen."""
     non_normal = sorted(i for i, s in rep.items.items() if s.normal is False)
-    bundle["descriptives"] = {
+    if non_normal:
+        warnings.append(f"items outside the skew/kurtosis screen: {non_normal}")
+    return {
         "items": {str(i): _stats_doc(s) for i, s in sorted(rep.items.items())},
         "sati_before": _stats_doc(rep.sati_before),
         "sati_after": _stats_doc(rep.sati_after),
         "overall_sati_after": _jsonable(rep.overall_sati_after),
         "non_normal_items": non_normal,
     }
-    if non_normal:
-        warnings.append(f"items outside the skew/kurtosis screen: {non_normal}")
 
-    # reliability and sampling adequacy on the full sample
-    _, x_full = data.matrix(catalog.indices)
-    adq = psychometrics.adequacy(x_full)
-    bundle["adequacy"] = {
-        "n_complete": int(x_full.shape[0]),
+
+def adequacy_section(
+    data: SurveyDataset,
+    items: Sequence[int],
+    g: GateThresholds,
+    gates: list[GateCheck],
+    warnings: list[str],
+) -> tuple[dict, tuple[int, ...]]:
+    """Alpha, KMO and Bartlett over the complete rows of `items`.
+
+    Raises ValueError unless there are more complete rows than items.
+    Constant items are left out; the items analysed come back with the
+    document.
+    """
+    _, x = data.matrix(items)
+    if x.shape[0] <= len(items):
+        raise ValueError(
+            f"only {x.shape[0]} complete respondents for {len(items)} items; too few for "
+            "reliability and sampling adequacy, which need more respondents than items"
+        )
+    items, x = _drop_constant(items, x, "reliability and sampling adequacy", warnings)
+    adq = psychometrics.adequacy(x)
+    gates.append(_check("cronbach_alpha", adq.cronbach_alpha, g.alpha, "at_least"))
+    gates.append(_check("kmo", adq.kmo, g.kmo, "at_least"))
+    gates.append(_check("bartlett_p", adq.bartlett_p, g.bartlett_p, "below"))
+    doc = {
+        "n_complete": int(x.shape[0]),
         "cronbach_alpha": _jsonable(adq.cronbach_alpha),
         "kmo": _jsonable(adq.kmo),
         "bartlett_chi2": _jsonable(adq.bartlett_chi2),
         "bartlett_df": adq.bartlett_df,
         "bartlett_p": _jsonable(adq.bartlett_p),
     }
-    g = cfg.gates
-    gates.append(_check("cronbach_alpha", adq.cronbach_alpha, g.alpha, "at_least"))
-    gates.append(_check("kmo", adq.kmo, g.kmo, "at_least"))
-    gates.append(_check("bartlett_p", adq.bartlett_p, g.bartlett_p, "below"))
+    return doc, items
 
-    # deterministic train/holdout split
-    n_train = cfg.n_train if cfg.n_train is not None else round(0.6 * data.n)
-    train, holdout = split(data, n_train, cfg.seed)
-    bundle["split"] = {"seed": cfg.seed, "n_train": train.n, "n_holdout": holdout.n}
 
-    # factor extraction on the training part
-    _, x_train = train.matrix(catalog.indices)
-    r_train = psychometrics.correlation_matrix(x_train)
-    raw = efa_mod.extract_pca(r_train, items=catalog.indices)
-    rotated = efa_mod.rotate_varimax(raw)
-    assignment = efa_mod.prune(rotated, data=x_train, threshold=g.loading, cross_margin=g.cross_margin)
+def efa_section(
+    sample: SurveyDataset, catalog: VariableCatalog, g: GateThresholds, warnings: list[str]
+) -> tuple[dict, efa_mod.FactorAssignment, dict[int, str]]:
+    """PCA, varimax and pruning (g.loading, g.cross_margin) on the complete rows.
+
+    Constant items are dropped first, with reason "constant response".
+    Returns the document, the assignment and the factor labels.
+    """
+    _, x = sample.matrix(catalog.indices)
+    items, x = _drop_constant(catalog.indices, x, "factor extraction", warnings)
+    r = psychometrics.correlation_matrix(x)
+    rotated = efa_mod.rotate_varimax(efa_mod.extract_pca(r, items=items))
+    assignment = efa_mod.prune(rotated, data=x, threshold=g.loading, cross_margin=g.cross_margin)
+    constant = tuple(
+        efa_mod.DroppedItem(i, "constant response") for i in catalog.indices if i not in items
+    )
+    assignment = replace(assignment, dropped_items=constant + assignment.dropped_items)
     labels = _label_factors(assignment, catalog)
     warnings.extend(assignment.warnings)
-    bundle["efa"] = {
-        "n_rows": int(x_train.shape[0]),
+    doc = {
+        "n_rows": int(x.shape[0]),
         "n_factors": rotated.n_factors,
         "eigenvalues": _jsonable(rotated.eigenvalues),
         "variance_explained": _jsonable(rotated.variance_explained),
@@ -344,221 +403,173 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             "per_factor_alpha": {labels[j]: _jsonable(a) for j, a in assignment.per_factor_alpha.items()},
         },
     }
+    return doc, assignment, labels
 
-    # model specs: user-supplied or synthesized from the assignment
-    if cfg.model_path:
-        structural = sem_mod.load_model(cfg.model_path)
-        cfa = _cfa_from_structural(structural)
-        if not structural.structural_paths:
-            cfa, structural = structural, None
-    else:
-        cfa, structural = _synthesize_models(assignment, labels, warnings)
 
-    # measurement fit and construct validity
-    weights = None
-    bundle["cfa"] = None
-    bundle["sem"] = None
-    if cfa is not None:
-        try:
-            ids_c, x_cfa = train.matrix(cfa.observed)
-            est_c = sem_mod.fit_ml(cfa, sem_mod.sample_cov(x_cfa), n=x_cfa.shape[0])
-            est_c = sem_mod.standardize(est_c)
-            fi_c = sem_mod.fit_indices(est_c)
-            validity = sem_mod.construct_validity(est_c)
-        except ValueError as exc:
-            warnings.append(f"measurement fit failed: {exc}")
-        else:
-            doc = _fit_doc(est_c, fi_c)
-            doc["validity"] = {
-                "factors": list(validity.factors),
-                "composite_reliability": _jsonable(dict(validity.composite_reliability)),
-                "ave": _jsonable(dict(validity.ave)),
-                "convergent_pass": _jsonable(dict(validity.convergent_pass)),
-                "discriminant_pass": _jsonable(dict(validity.discriminant_pass)),
-                "fornell_larcker": _jsonable(validity.fornell_larcker),
-            }
-            bundle["cfa"] = doc
-            warnings.extend(f"measurement fit: {w}" for w in est_c.warnings)
-            gates.extend(_fit_index_gates(fi_c, "cfa", g))
-            for name in validity.factors:
-                if not validity.convergent_pass[name]:
-                    warnings.append(f"convergent validity short of the gate for {name!r}")
-                if not validity.discriminant_pass[name]:
-                    warnings.append(f"discriminant validity short of the gate for {name!r}")
+def _fit(
+    sample: SurveyDataset,
+    model: sem_mod.MeasurementModel,
+    prefix: str,
+    what: str,
+    g: GateThresholds,
+    gates: list[GateCheck],
+    warnings: list[str],
+) -> tuple[dict | None, sem_mod.SemEstimate | None]:
+    """ML fit on the complete rows: fit document and standardized estimate."""
+    try:
+        _, x = sample.matrix(model.observed)
+        est = sem_mod.standardize(sem_mod.fit_ml(model, sem_mod.sample_cov(x), n=x.shape[0]))
+        fi = sem_mod.fit_indices(est)
+    except ValueError as exc:
+        warnings.append(f"{what} failed: {exc}")
+        return None, None
+    warnings.extend(f"{what}: {w}" for w in est.warnings)
+    gates.extend(_fit_index_gates(fi, prefix, g))
+    return _fit_doc(est, fi), est
 
-    # structural fit, standardized weights
-    if structural is not None:
-        try:
-            ids_s, x_sem = train.matrix(structural.observed)
-            est_s = sem_mod.fit_ml(structural, sem_mod.sample_cov(x_sem), n=x_sem.shape[0])
-            est_s = sem_mod.standardize(est_s)
-            fi_s = sem_mod.fit_indices(est_s)
-        except ValueError as exc:
-            warnings.append(f"structural fit failed: {exc}")
-        else:
-            doc = _fit_doc(est_s, fi_s)
-            try:
-                weights = scoring_mod.weights_from_estimate(est_s)
-            except ValueError as exc:
-                warnings.append(f"score weights unavailable: {exc}")
-            if weights is not None and weights.nonpositive:
-                warnings.append(
-                    "nonpositive standardized weights, scoring skipped: "
-                    + ", ".join(weights.nonpositive)
-                )
-                weights = None
-            doc["score_weights"] = weights.to_jsonable() if weights is not None else None
-            bundle["sem"] = doc
-            warnings.extend(f"structural fit: {w}" for w in est_s.warnings)
-            gates.extend(_fit_index_gates(fi_s, "sem", g))
 
-    # holdout score validation
-    bundle["scoring"] = None
-    scores = None
-    if weights is not None:
-        try:
-            scores = scoring_mod.validation_summary(holdout, weights)
-        except ValueError as exc:
-            warnings.append(f"holdout scoring failed: {exc}")
-        if scores is not None:
-            bundle["scoring"] = {
-                "n_scored": scores.n_scored,
-                "n_skipped": scores.n_skipped,
-                "mean_error": _jsonable(scores.mean_error),
-                "share_within_10pct": _jsonable(scores.share_within_10pct),
-            }
+def validity_doc(est: sem_mod.SemEstimate, warnings: list[str]) -> dict:
+    """Composite reliability, AVE and Fornell-Larcker of a fitted model."""
+    v = sem_mod.construct_validity(est)
+    for name in v.factors:
+        if not v.convergent_pass[name]:
+            warnings.append(f"convergent validity short of the gate for {name!r}")
+        if not v.discriminant_pass[name]:
+            warnings.append(f"discriminant validity short of the gate for {name!r}")
+    return {
+        "factors": list(v.factors),
+        "composite_reliability": _jsonable(dict(v.composite_reliability)),
+        "ave": _jsonable(dict(v.ave)),
+        "convergent_pass": _jsonable(dict(v.convergent_pass)),
+        "discriminant_pass": _jsonable(dict(v.discriminant_pass)),
+        "fornell_larcker": _jsonable(v.fornell_larcker),
+    }
 
-    # response entropy per item and factor, over the full sample
-    latent_items = {labels[j]: list(items) for j, items in assignment.factor_items.items()}
-    ent = scoring_mod.entropy_report(data, latent_items)
-    bookends = {}
-    for idx in (SATI_BEFORE, SATI_AFTER):
-        bookends[str(idx)] = _jsonable(scoring_mod.entropy(data.observed(idx)))
-    bundle["entropy"] = {
+
+def cfa_section(
+    sample: SurveyDataset,
+    model: sem_mod.MeasurementModel | None,
+    g: GateThresholds,
+    gates: list[GateCheck],
+    warnings: list[str],
+) -> dict | None:
+    """Measurement-model fit, its fit-index gates and construct validity."""
+    if model is None:
+        return None
+    doc, est = _fit(sample, model, "cfa", "measurement fit", g, gates, warnings)
+    if doc is not None:
+        doc["validity"] = validity_doc(est, warnings)
+    return doc
+
+
+def sem_section(
+    sample: SurveyDataset,
+    model: sem_mod.MeasurementModel | None,
+    g: GateThresholds,
+    gates: list[GateCheck],
+    warnings: list[str],
+) -> tuple[dict | None, sem_mod.SemEstimate | None]:
+    """Structural-model fit, its fit-index gates and the score weights.
+
+    The weights are null when they cannot be drawn from the estimate or
+    any of them is nonpositive. The estimate comes back as well.
+    """
+    if model is None:
+        return None, None
+    doc, est = _fit(sample, model, "sem", "structural fit", g, gates, warnings)
+    if doc is None:
+        return None, None
+    try:
+        weights = scoring_mod.weights_from_estimate(est)
+    except ValueError as exc:
+        warnings.append(f"score weights unavailable: {exc}")
+        weights = None
+    if weights is not None and weights.nonpositive:
+        warnings.append(
+            "nonpositive standardized weights, scoring skipped: " + ", ".join(weights.nonpositive)
+        )
+        weights = None
+    doc["score_weights"] = weights.to_jsonable() if weights is not None else None
+    return doc, est
+
+
+def scoring_section(
+    sample: SurveyDataset, weights: scoring_mod.ScoreWeights | None, warnings: list[str]
+) -> tuple[dict | None, scoring_mod.ValidationSummary | None]:
+    """Two-stage scores checked against the post-trip rating; the summary comes back too."""
+    if weights is None:
+        return None, None
+    try:
+        s = scoring_mod.validation_summary(sample, weights)
+    except ValueError as exc:
+        warnings.append(f"scoring failed: {exc}")
+        return None, None
+    doc = {
+        "n_scored": s.n_scored,
+        "n_skipped": s.n_skipped,
+        "mean_error": _jsonable(s.mean_error),
+        "share_within_10pct": _jsonable(s.share_within_10pct),
+    }
+    return doc, s
+
+
+def entropy_section(data: SurveyDataset, groups: Mapping[str, Sequence[int]]) -> dict:
+    """Response entropy per item, per group of items and of the two bookends."""
+    ent = scoring_mod.entropy_report(data, groups)
+    return {
         "per_item": {str(i): _jsonable(e) for i, e in sorted(ent.per_item.items())},
         "per_latent": _jsonable(dict(ent.per_latent)),
         "variability": _jsonable(dict(ent.variability)),
         "ranking": list(ent.ranking),
-        "bookends": bookends,
+        "bookends": {
+            str(idx): _jsonable(scoring_mod.entropy(data.observed(idx)))
+            for idx in (SATI_BEFORE, SATI_AFTER)
+        },
     }
 
-    # delay bands; the time-pressure factor's items are structurally
-    # excluded from the alternative per-band satisfaction reading
-    time_factors = {name for name in latent_items if name.startswith("time_convenience")}
-    alt_items = sorted(
-        i for name, items in latent_items.items() if name not in time_factors for i in items
-    )
+
+def delay_section(
+    data: SurveyDataset, groups: Mapping[str, Sequence[int]], warnings: list[str]
+) -> dict | None:
+    """Satisfaction by delay band.
+
+    The alternative per-band reading leaves out every group whose name
+    starts with "time_convenience": those items measure the delay itself.
+    """
+    time_groups = {name for name in groups if name.startswith("time_convenience")}
+    alt_items = sorted(i for name, items in groups.items() if name not in time_groups for i in items)
     try:
         strata = scoring_mod.delay_strata(data, alt_items=alt_items or None)
-        bundle["delay"] = {
-            "bands": [
-                {
-                    "label": b.label,
-                    "n": b.n,
-                    "share_pct": _jsonable(b.share_pct),
-                    "s_mean": _jsonable(b.s_mean),
-                    "s_mean_alt": _jsonable(b.s_mean_alt),
-                }
-                for b in strata.bands
-            ],
-            "n_with_delay": strata.n_with_delay,
-            "n_missing_delay": strata.n_missing_delay,
-            "alt_items": alt_items,
-            "alt_excludes": sorted(time_factors),
-        }
     except ValueError as exc:
-        bundle["delay"] = None
         warnings.append(f"delay bands unavailable: {exc}")
-
-    # supplier-side weighting
-    bundle["ahp"] = None
-    sw = None
-    if cfg.judgments_path:
-        bundle["ahp"] = _ahp_stage(
-            cfg.judgments_path, g.consistency_ratio, cfg.exclude_inconsistent, gates, warnings
-        )
-        if bundle["ahp"] is not None:
-            sw = ahp_mod.WeightVector(
-                tuple(ahp_mod.DEFAULT_HIERARCHY.leaves),
-                {k: v for k, v in bundle["ahp"]["global_weights"].items()},
-            )
-    else:
-        warnings.append("no judgment file supplied; supplier-side sections absent")
-
-    # demand-vs-supplier weight comparison
-    bundle["bias"] = None
-    if sw is not None and weights is not None:
-        ow_raw = dict(weights.latent_weights)
-        if set(ow_raw) == set(sw.labels):
-            ow = ahp_mod.normalized_weights(ow_raw, labels=tuple(sw.labels))
-            rep_b = ahp_mod.bias_report(ow, sw)
-            bundle["bias"] = {
-                "rows": [
-                    {
-                        "factor": r.factor,
-                        "ow": _jsonable(r.ow),
-                        "ow_rank": r.ow_rank,
-                        "sw": _jsonable(r.sw),
-                        "sw_rank": r.sw_rank,
-                    }
-                    for r in rep_b.rows
-                ],
-                "spearman": _jsonable(rep_b.spearman),
-                "dominance": _jsonable(dict(rep_b.dominance)),
+        return None
+    return {
+        "bands": [
+            {
+                "label": b.label,
+                "n": b.n,
+                "share_pct": _jsonable(b.share_pct),
+                "s_mean": _jsonable(b.s_mean),
+                "s_mean_alt": _jsonable(b.s_mean_alt),
             }
-        else:
-            warnings.append(
-                "factor names from the survey side do not match the hierarchy leaves; "
-                "weight comparison skipped"
-            )
-
-    # questionnaire reduction on the training part
-    bundle["probit"] = _probit_stage(cfg, g, train, assignment, labels, catalog, warnings)
-
-    bundle["gates"] = [
-        {
-            "name": c.name,
-            "value": _jsonable(c.value),
-            "threshold": _jsonable(c.threshold),
-            "mode": c.mode,
-            "passed": c.passed,
-        }
-        for c in gates
-    ]
-    bundle["warnings"] = warnings
-    bundle["meta"] = {
-        "tool": "lockqual",
-        "version": _tool_version(),
-        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "seed": cfg.seed,
-        "inputs": {
-            "survey": os.path.basename(cfg.survey_path),
-            "catalog": os.path.basename(cfg.catalog_path) if cfg.catalog_path else None,
-            "model": os.path.basename(cfg.model_path) if cfg.model_path else None,
-            "judgments": os.path.basename(cfg.judgments_path) if cfg.judgments_path else None,
-        },
-        "entropy_reading": "per observed variable across respondents, averaged per factor",
-        "random_generator": "python Random (split), numpy PCG64 (synthetic data)",
+            for b in strata.bands
+        ],
+        "n_with_delay": strata.n_with_delay,
+        "n_missing_delay": strata.n_missing_delay,
+        "alt_items": alt_items,
+        "alt_excludes": sorted(time_groups),
     }
 
-    out_paths = _write_outputs(cfg, bundle, weights, scores)
-    failures = tuple(c.name for c in gates if not c.passed)
-    return PipelineResult(bundle=bundle, gate_failures=failures, out_paths=out_paths)
 
-
-def _tool_version() -> str:
-    from . import __version__
-
-    return __version__
-
-
-def _ahp_stage(
+def ahp_section(
     judgments_path: str,
-    cr_gate: float,
+    g: GateThresholds,
     exclude_inconsistent: bool,
     gates: list[GateCheck],
     warnings: list[str],
 ) -> dict | None:
+    """Supplier-side weights from the pairwise judgments, gated by g.consistency_ratio."""
+    cr_gate = g.consistency_ratio
     h = ahp_mod.DEFAULT_HIERARCHY
     try:
         experts = ahp_mod.load_judgments(judgments_path, h)
@@ -615,24 +626,56 @@ def _ahp_stage(
     }
 
 
-def _probit_stage(
-    cfg: PipelineConfig,
-    g: GateThresholds,
-    train: SurveyDataset,
-    assignment: efa_mod.FactorAssignment,
-    labels: Mapping[int, str],
+def bias_section(
+    ow_raw: Mapping[str, float], sw: ahp_mod.WeightVector, warnings: list[str]
+) -> dict | None:
+    """Demand-side weights, normalized over sw's labels, set against the supplier's."""
+    if set(ow_raw) != set(sw.labels):
+        warnings.append(
+            "factor names from the survey side do not match the hierarchy leaves; "
+            "weight comparison skipped"
+        )
+        return None
+    rep = ahp_mod.bias_report(ahp_mod.normalized_weights(ow_raw, labels=tuple(sw.labels)), sw)
+    return {
+        "rows": [
+            {
+                "factor": r.factor,
+                "ow": _jsonable(r.ow),
+                "ow_rank": r.ow_rank,
+                "sw": _jsonable(r.sw),
+                "sw_rank": r.sw_rank,
+            }
+            for r in rep.rows
+        ],
+        "spearman": _jsonable(rep.spearman),
+        "dominance": _jsonable(dict(rep.dominance)),
+    }
+
+
+def probit_section(
+    sample: SurveyDataset,
+    constructs: Mapping[int, str],
     catalog: VariableCatalog,
+    g: GateThresholds,
+    single_pass: bool,
     warnings: list[str],
 ) -> dict | None:
-    items = sorted(assignment.retained_items)
+    """Ordered-probit backward elimination of the post-trip rating.
+
+    `constructs` maps each candidate item, in column order, to the
+    construct its questionnaire entry is filed under.
+    """
+    items = list(constructs)
     if not items:
         warnings.append("no retained items; questionnaire reduction skipped")
         return None
-    X, y, _ = _xy_for_probit(train, items)
+    _, X = sample.matrix(items)
+    y = sample.column(SATI_AFTER)[sample.complete(items)].astype(int)
     names = tuple(catalog.abbreviation_of(i) for i in items)
     try:
         out = oprobit.backward_eliminate(
-            X, y, names, alpha=g.probit_alpha, single_pass=cfg.probit_single_pass
+            X, y, names, alpha=g.probit_alpha, single_pass=single_pass
         )
     except ValueError as exc:
         warnings.append(f"questionnaire reduction failed: {exc}")
@@ -658,13 +701,12 @@ def _probit_stage(
             "lr_p": _jsonable(out.final.lr_p),
             "converged": out.final.converged,
         }
-        abbrev_to_item = {catalog.abbreviation_of(i): i for i in items}
-        factor_of = assignment.factor_of
+        abbrev_to_item = dict(zip(names, items))
         metadata = {}
         order: list[str] = []
         for name in out.survivors:
             idx = abbrev_to_item[name]
-            construct = DISPLAY_NAMES.get(labels[factor_of[idx]], labels[factor_of[idx]])
+            construct = DISPLAY_NAMES.get(constructs[idx], constructs[idx])
             metadata[name] = {
                 "construct": construct,
                 "abbreviation": name,
@@ -683,6 +725,103 @@ def _probit_stage(
             for e in q.entries
         ]
     return doc
+
+
+def write_questionnaire(rows: Sequence[Mapping], path: str) -> None:
+    """Write the `questionnaire` rows of a probit document as CSV."""
+    entries = tuple(
+        oprobit.QuestionnaireEntry(
+            construct=e["construct"],
+            number=e["question_number"],
+            description=e["description"],
+            abbreviation=e["abbreviation"],
+            item=e["abbreviation"],
+        )
+        for e in rows
+    )
+    oprobit.write_questionnaire_csv(oprobit.SimplifiedQuestionnaire(entries), path)
+
+
+def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
+    """Execute every stage, write the bundle and reports, return the result."""
+    g = cfg.gates
+    gates: list[GateCheck] = []
+    warnings: list[str] = []
+    catalog = load_catalog(cfg.catalog_path) if cfg.catalog_path else DEFAULT_CATALOG
+    data = load_survey(cfg.survey_path, catalog)
+
+    # customer side: the full sample, then the training part, scored on the holdout
+    bundle: dict[str, object] = {
+        "screening": screening_section(data),
+        "descriptives": descriptives_section(describe(data), warnings),
+    }
+    bundle["adequacy"], _ = adequacy_section(data, catalog.indices, g, gates, warnings)
+    n_train = cfg.n_train if cfg.n_train is not None else round(0.6 * data.n)
+    train, holdout = split(data, n_train, cfg.seed)
+    bundle["split"] = {"seed": cfg.seed, "n_train": train.n, "n_holdout": holdout.n}
+    bundle["efa"], assignment, labels = efa_section(train, catalog, g, warnings)
+    if cfg.model_path:
+        structural = sem_mod.load_model(cfg.model_path)
+        cfa = _cfa_from_structural(structural)
+        if not structural.structural_paths:
+            cfa, structural = structural, None
+    else:
+        cfa, structural = synthesize_models(assignment, labels, warnings)
+    bundle["cfa"] = cfa_section(train, cfa, g, gates, warnings)
+    bundle["sem"], _ = sem_section(train, structural, g, gates, warnings)
+    sw_doc = bundle["sem"] and bundle["sem"]["score_weights"]
+    weights = scoring_mod.ScoreWeights.from_jsonable(sw_doc) if sw_doc else None
+    bundle["scoring"], scores = scoring_section(holdout, weights, warnings)
+    groups = bundle["efa"]["assignment"]["factor_items"]
+    bundle["entropy"] = entropy_section(data, groups)
+    bundle["delay"] = delay_section(data, groups, warnings)
+
+    # supplier side, and the two sides' weights compared
+    bundle["ahp"] = bundle["bias"] = None
+    if cfg.judgments_path:
+        bundle["ahp"] = ahp_section(
+            cfg.judgments_path, g, cfg.exclude_inconsistent, gates, warnings
+        )
+    else:
+        warnings.append("no judgment file supplied; supplier-side sections absent")
+    if bundle["ahp"] is not None and weights is not None:
+        sw = ahp_mod.WeightVector(
+            tuple(ahp_mod.DEFAULT_HIERARCHY.leaves), dict(bundle["ahp"]["global_weights"])
+        )
+        bundle["bias"] = bias_section(weights.latent_weights, sw, warnings)
+
+    # questionnaire reduction on the training part, items filed under their EFA factor
+    constructs = {i: labels[assignment.factor_of[i]] for i in sorted(assignment.retained_items)}
+    bundle["probit"] = probit_section(
+        train, constructs, catalog, g, cfg.probit_single_pass, warnings
+    )
+
+    bundle["gates"] = gates_doc(gates)
+    bundle["warnings"] = warnings
+    bundle["meta"] = {
+        "tool": "lockqual",
+        "version": _tool_version(),
+        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "seed": cfg.seed,
+        "inputs": {
+            "survey": os.path.basename(cfg.survey_path),
+            "catalog": os.path.basename(cfg.catalog_path) if cfg.catalog_path else None,
+            "model": os.path.basename(cfg.model_path) if cfg.model_path else None,
+            "judgments": os.path.basename(cfg.judgments_path) if cfg.judgments_path else None,
+        },
+        "entropy_reading": "per observed variable across respondents, averaged per factor",
+        "random_generator": "python Random (split), numpy PCG64 (synthetic data)",
+    }
+
+    out_paths = _write_outputs(cfg, bundle, weights, scores)
+    failures = tuple(c.name for c in gates if not c.passed)
+    return PipelineResult(bundle=bundle, gate_failures=failures, out_paths=out_paths)
+
+
+def _tool_version() -> str:
+    from . import __version__
+
+    return __version__
 
 
 def _write_outputs(cfg, bundle, weights, scores) -> dict[str, str]:
@@ -704,17 +843,7 @@ def _write_outputs(cfg, bundle, weights, scores) -> dict[str, str]:
     probit = bundle.get("probit")
     if probit and probit.get("questionnaire"):
         q_path = os.path.join(cfg.out_dir, "questionnaire.csv")
-        entries = tuple(
-            oprobit.QuestionnaireEntry(
-                construct=e["construct"],
-                number=e["question_number"],
-                description=e["description"],
-                abbreviation=e["abbreviation"],
-                item=e["abbreviation"],
-            )
-            for e in probit["questionnaire"]
-        )
-        oprobit.write_questionnaire_csv(oprobit.SimplifiedQuestionnaire(entries), q_path)
+        write_questionnaire(probit["questionnaire"], q_path)
         paths["questionnaire"] = q_path
     return paths
 

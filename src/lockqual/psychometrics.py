@@ -78,7 +78,10 @@ def kmo(R: np.ndarray) -> float:
         R_inv = np.linalg.inv(R)
     except np.linalg.LinAlgError:
         raise ValueError("insufficient correlation structure (singular matrix)") from None
-    d = 1.0 / np.sqrt(np.diag(R_inv))
+    diag = np.diag(R_inv)
+    if not np.all(diag > 0):
+        raise ValueError("R is not positive definite (anti-image diagonal not positive)")
+    d = 1.0 / np.sqrt(diag)
     Q = -R_inv * np.outer(d, d)
     off = ~np.eye(R.shape[0], dtype=bool)
     r2 = float((R[off] ** 2).sum())

@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 from lockqual import cli
+from lockqual.pipeline import _jsonable
 from lockqual.catalog import DEFAULT_CATALOG, SEVEN_GROUPS
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -41,6 +42,86 @@ def ahp_doc(tmp_path_factory):
     rc, doc = _run_json(["ahp", "--judgments", JUDGMENTS], path)
     assert rc == 0
     return path, doc
+
+
+@pytest.fixture(scope="module")
+def report_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "report"
+    argv = ["report", "--input", SURVEY, "--judgments", JUDGMENTS, "--out-dir", str(out)]
+    assert cli.main(argv) == 0
+    return json.loads((out / "report.json").read_text("utf-8"))
+
+
+def test_stage_documents_equal_the_report_sections(report_bundle, sem_doc, tmp_path):
+    b = report_bundle
+    for sub, section in (("validate", "screening"), ("describe", "descriptives")):
+        rc, doc = _run_json([sub, "--input", SURVEY], tmp_path / f"{sub}.json")
+        assert rc == 0 and doc == b[section], sub
+    rc, doc = _run_json(["reliability", "--input", SURVEY], tmp_path / "r.json")
+    assert rc == 0
+    assert doc.pop("items") == list(DEFAULT_CATALOG.indices)
+    assert doc.pop("gates") == b["gates"][:3]
+    assert doc == b["adequacy"]
+    rc, doc = _run_json(["ahp", "--judgments", JUDGMENTS], tmp_path / "a.json")
+    assert rc == 0
+    assert doc.pop("gates") == [g for g in b["gates"] if g["name"] == "ahp_criteria_cr"]
+    assert doc.pop("warnings") == []
+    assert doc == b["ahp"]
+    # same split and EFA as the report; validity is the structural model's
+    cli_only = ("validity", "model", "split", "cli_warnings")
+    doc = {k: v for k, v in sem_doc[1].items() if k not in cli_only}
+    assert doc.pop("gates") == [g for g in b["gates"] if g["name"].startswith("sem_")]
+    assert doc == b["sem"]
+
+
+def test_bias_document_matches_the_report_section(report_bundle, sem_doc, ahp_doc, tmp_path):
+    # the command line re-normalizes the supplier weights it reads back from
+    # ahp.json, which may move them in the last place
+    rc, doc = _run_json(
+        ["bias", "--ow", str(sem_doc[0]), "--sw", str(ahp_doc[0])], tmp_path / "b.json"
+    )
+    assert rc == 0
+    want = report_bundle["bias"]
+    assert doc["spearman"] == want["spearman"]
+    assert doc["dominance"] == want["dominance"]
+    assert len(doc["rows"]) == len(want["rows"])
+    for got, row in zip(doc["rows"], want["rows"]):
+        assert {k: got[k] for k in ("factor", "ow_rank", "sw_rank")} == {
+            k: row[k] for k in ("factor", "ow_rank", "sw_rank")
+        }
+        assert got["ow"] == pytest.approx(row["ow"], rel=1e-12, abs=0)
+        assert got["sw"] == pytest.approx(row["sw"], rel=1e-12, abs=0)
+
+
+def test_bias_names_mismatched_weight_documents(sem_doc, ahp_doc, tmp_path, capsys):
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"a": 1.0, "b": 2.0}), encoding="utf-8")
+    assert cli.main(["bias", "--ow", str(other), "--sw", str(ahp_doc[0])]) == 1
+    assert "do not match the hierarchy leaves" in capsys.readouterr().err
+    assert cli.main(["bias", "--ow", str(sem_doc[0]), "--sw", str(other)]) == 1
+    assert "no weights for ['safe_security'" in capsys.readouterr().err
+
+
+def test_constant_item_is_dropped_by_the_stage_commands(tmp_path):
+    rows = list(csv.reader(open(SURVEY, newline="", encoding="utf-8")))
+    col = rows[0].index("q5")
+    for r in rows[1:]:
+        r[col] = "3"
+    path = tmp_path / "const5.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    rc, doc = _run_json(["reliability", "--input", str(path)], tmp_path / "r.json")
+    assert rc == 0
+    assert 5 not in doc["items"] and len(doc["items"]) == 31
+    rc, doc = _run_json(["efa", "--input", str(path)], tmp_path / "e.json")
+    assert rc == 0
+    assert {"item": 5, "reason": "constant response"} in doc["assignment"]["dropped"]
+    assert any("items [5]" in w for w in doc["assignment"]["warnings"])
+    jsonschema.validate(doc, _schema("efa"))
+    rc, doc = _run_json(["sem", "--input", str(path)], tmp_path / "s.json")
+    assert rc == 0
+    assert all(5 not in lat["indicators"] for lat in doc["model"]["latents"])
+    jsonschema.validate(doc, _schema("sem"))
 
 
 def test_bad_invocations_exit_1(tmp_path, capsys):
@@ -290,5 +371,5 @@ def test_report_honours_out_dir_env(tmp_path, monkeypatch, capsys):
 def test_emit_refuses_nonfinite_floats(tmp_path):
     with pytest.raises(ValueError):
         cli._emit({"x": float("nan")}, str(tmp_path / "out.json"))
-    cli._emit(cli._jsonable({"x": float("-inf")}), str(tmp_path / "ok.json"))
+    cli._emit(_jsonable({"x": float("-inf")}), str(tmp_path / "ok.json"))
     assert json.loads((tmp_path / "ok.json").read_text("utf-8")) == {"x": None}

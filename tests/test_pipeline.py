@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -17,10 +18,10 @@ from lockqual.pipeline import (
     PipelineConfig,
     render_summary,
     run_pipeline,
+    synthesize_models,
     _cfa_from_structural,
     _jsonable,
     _label_factors,
-    _synthesize_models,
     _write_outputs,
 )
 from lockqual.sem import MeasurementModel
@@ -220,6 +221,44 @@ def test_constant_post_trip_rating_degrades_gracefully(tmp_path):
     assert res.bundle["cfa"] is not None
 
 
+def test_constant_item_is_dropped_not_fatal(tmp_path):
+    rows = list(csv.reader(open(SURVEY, newline="", encoding="utf-8")))
+    i5 = rows[0].index("q5")
+    for r in rows[1:]:
+        r[i5] = "3"
+    path = tmp_path / "const5.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    res = run_pipeline(
+        PipelineConfig(survey_path=str(path), out_dir=str(tmp_path / "o"), judgments_path=JUDGMENTS)
+    )
+    b = res.bundle
+    schema = json.loads(
+        resources.files("lockqual").joinpath("schemas/report.schema.json").read_text("utf-8")
+    )
+    jsonschema.validate(json.loads(Path(res.out_paths["report"]).read_text("utf-8")), schema)
+    assert res.gate_failures == ()
+    assert b["efa"]["assignment"]["dropped"][0] == {"item": 5, "reason": "constant response"}
+    assert "5" not in b["efa"]["loadings"]
+    assert all(5 not in items for items in b["efa"]["assignment"]["factor_items"].values())
+    assert b["adequacy"]["bartlett_df"] == 31 * 30 // 2
+    for stage in ("reliability and sampling adequacy", "factor extraction"):
+        warning = f"items [5] give the same response in every complete row; left out of {stage}"
+        assert warning in b["warnings"]
+    assert b["sem"] is not None and b["probit"] is not None
+
+
+def test_too_few_complete_rows_for_the_items_is_a_clear_error(tmp_path):
+    rows = list(csv.reader(open(SURVEY, newline="", encoding="utf-8")))[:16]
+    path = tmp_path / "rows15.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="only 15 complete respondents for 32 items; too few"):
+            run_pipeline(PipelineConfig(survey_path=str(path), out_dir=str(tmp_path / "o")))
+
+
 def test_too_few_respondents_is_an_error(tmp_path):
     rows = list(csv.reader(open(SURVEY, newline="", encoding="utf-8")))[:6]
     path = tmp_path / "tiny.csv"
@@ -285,7 +324,7 @@ def test_factor_labels_deduplicate_repeats():
 
 def test_model_synthesis_drops_thin_factors():
     warnings: list[str] = []
-    cfa, structural = _synthesize_models(
+    cfa, structural = synthesize_models(
         _assignment({0: (1, 2, 3), 1: (4,), 2: (5, 6)}),
         {0: "x", 1: "y", 2: "z"},
         warnings,
@@ -300,7 +339,7 @@ def test_model_synthesis_drops_thin_factors():
 
 def test_model_synthesis_needs_two_usable_factors():
     warnings: list[str] = []
-    cfa, structural = _synthesize_models(
+    cfa, structural = synthesize_models(
         _assignment({0: (1, 2), 1: (3,)}), {0: "x", 1: "y"}, warnings
     )
     assert cfa is None and structural is None

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,16 @@ def test_kmo_requires_invertible_matrix():
     R = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ValueError):
         kmo(R)
+
+
+def test_kmo_rejects_an_indefinite_matrix_without_a_sqrt_warning():
+    # symmetric with a unit diagonal, but one eigenvalue is -0.8 and every
+    # diagonal cell of the inverse is negative
+    R = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not positive definite"):
+            kmo(R)
 
 
 def test_bartlett_frozen_example():
