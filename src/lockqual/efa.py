@@ -164,7 +164,8 @@ class FactorAssignment:
     """Outcome of pruning a rotated solution.
 
     factor_of maps retained catalog item -> 0-based factor column.
-    factor_items lists each factor's items ordered by loading strength.
+    factor_items lists each factor's items ordered by loading strength;
+    a factor that keeps no item is left out of it, with a warning.
     per_factor_alpha holds Cronbach's alpha per factor when rating data
     was supplied and the factor kept at least two items.
     """
@@ -217,6 +218,9 @@ def prune(
     warnings: list[str] = []
     for j in range(m):
         members = [it for it in retained if factor_of[it] == j]
+        if not members:
+            warnings.append(f"factor {j} retains no items and is left out")
+            continue
         members.sort(key=lambda it: -A[L.items.index(it), j])
         factor_items[j] = tuple(members)
         if len(members) < 2:

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.special
 
-from ._dist import chi2_sf, norm_cdf, norm_pdf, norm_ppf, norm_sf
+from ._dist import chi2_sf, expit, norm_cdf, norm_pdf, norm_ppf, norm_sf
 
 __all__ = [
     "ProbitModel",
@@ -167,7 +166,7 @@ def _transform_grad_hess(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chain rule from (beta, kappa) to (beta, a) with softplus gaps."""
     nk = c - 1
-    sig = scipy.special.expit(a[1:])
+    sig = expit(a[1:])
     deriv = np.concatenate(([1.0], sig))
     jac = np.tril(np.broadcast_to(deriv, (nk, nk)).copy())
     g_kappa = grad[k:]
@@ -255,6 +254,15 @@ class ProbitModel:
         return rows
 
 
+# Near the optimum the Newton step can gain less than the log-likelihood's
+# rounding error. The line search then accepts steps that leave it unchanged
+# until one happens to land below gtol. Over the 731 converging fits of the
+# report's and `lockqual probit`'s eliminations on 18 synthetic surveys
+# (150 to 3,000 respondents), that took at most 17 flat steps in a row; a fit
+# still flat after 30 is stuck, not about to land.
+_FLAT_STEPS = 30
+
+
 def fit(
     X: np.ndarray,
     y: np.ndarray,
@@ -262,7 +270,16 @@ def fit(
     gtol: float = 1e-8,
     max_iter: int = 200,
 ) -> ProbitModel:
-    """Maximum-likelihood ordered probit (no intercept)."""
+    """Maximum-likelihood ordered probit (no intercept).
+
+    Converges when max|gradient| < gtol, or at the floating-point floor
+    of the objective: the last _FLAT_STEPS accepted steps left the
+    log-likelihood no higher, and the gain the next step predicts is
+    within n * eps * |loglik|, the rounding error of the n-term
+    log-likelihood sum. There the line search can no longer tell a
+    better point from this one, and max|gradient| may never get below
+    gtol.
+    """
     X, yi, c = _validate_xy(X, y)
     n, k = X.shape
     if k < 1:
@@ -284,6 +301,8 @@ def fit(
     t = np.concatenate([beta, a])
     ll = _ll(X @ beta, yi, _kappa_of(a), c)
     converged = False
+    flat = 0  # accepted steps in a row that did not raise the log-likelihood
+    noise = n * np.finfo(float).eps
     warnings: list[str] = []
     it = 0
     for it in range(1, max_iter + 1):
@@ -303,12 +322,16 @@ def fit(
         if d is None or float(g @ d) <= 0:
             d = g.copy()
         slope = float(g @ d)
+        if flat >= _FLAT_STEPS and slope <= noise * abs(ll):
+            converged = True
+            break
         step = 1.0
         accepted = False
         for _ in range(60):
             cand = t + step * d
             ll_new = _ll(X @ cand[:k], yi, _kappa_of(cand[k:]), c)
             if math.isfinite(ll_new) and ll_new >= ll + 1e-4 * step * slope:
+                flat = flat + 1 if ll_new <= ll else 0
                 t = cand
                 ll = ll_new
                 accepted = True

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from ._dist import norm_sf
 from .optimize import minimize_qn
@@ -408,6 +407,10 @@ def _make_objective(pmap: _ParamMap, S: np.ndarray):
     Variances are log-parameterized in the packed space, so the chain
     rule multiplies their gradient entries by the variance itself.
     """
+    # imported here rather than at module top, so that `import lockqual`
+    # does not load SciPy (see _dist.py)
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
     p = pmap.p
     _, logdet_s = np.linalg.slogdet(S)
 
@@ -420,15 +423,15 @@ def _make_objective(pmap: _ParamMap, S: np.ndarray):
         if not np.all(np.isfinite(sig)):
             return math.inf
         try:
-            cf = scipy.linalg.cho_factor(sig, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError:
+            cf = cho_factor(sig, lower=True, check_finite=False)
+        except LinAlgError:
             return math.inf
         diag = np.diag(cf[0])
         if diag.min() <= 1e-8 * diag.max():
             # numerically singular; solve results would be meaningless
             return math.inf
         logdet = 2.0 * float(np.sum(np.log(diag)))
-        tr = float(np.trace(scipy.linalg.cho_solve(cf, S, check_finite=False)))
+        tr = float(np.trace(cho_solve(cf, S, check_finite=False)))
         f = logdet + tr - logdet_s - p
         # the discrepancy is nonnegative by construction, so anything
         # clearly below zero is lost-precision garbage, not progress

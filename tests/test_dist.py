@@ -4,13 +4,15 @@ lockqual computes normal and chi-square values with the scipy.special
 ufuncs that scipy.stats calls underneath, and sums the ordered-probit
 derivatives per cutpoint with np.bincount. The references below are the
 scipy.stats calls and the np.add.at scatters those replaced; results
-must match them exactly, not approximately.
+must match them exactly, not approximately. Subprocess tests guard which
+SciPy modules `import lockqual` and the kernel-free subcommands load.
 """
 from __future__ import annotations
 
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lockqual
-from lockqual._dist import chi2_sf, norm_cdf, norm_pdf, norm_ppf, norm_sf
+from lockqual import cli
+from lockqual._dist import chi2_sf, expit, norm_cdf, norm_pdf, norm_ppf, norm_sf
 from lockqual.oprobit import _grad_hess_raw
 
 POINTS = [-np.inf, -40.0, -1e-300, -0.0, 0.0, 1e-300, 1.0, 8.5, 40.0, np.inf, np.nan]
@@ -39,8 +42,9 @@ def _same(got, want) -> bool:
         (norm_sf, scipy.stats.norm.sf, POINTS),
         (norm_pdf, scipy.stats.norm.pdf, POINTS),
         (norm_ppf, scipy.stats.norm.ppf, PROBABILITIES),
+        (expit, scipy.stats.logistic.cdf, POINTS),
     ],
-    ids=["cdf", "sf", "pdf", "ppf"],
+    ids=["cdf", "sf", "pdf", "ppf", "expit"],
 )
 def test_normal_kernels_equal_scipy_stats(ours, ref, points):
     x = np.array(points)
@@ -67,6 +71,48 @@ def test_import_loads_neither_scipy_stats_nor_optimize():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == ""
+
+
+# scipy.special and scipy.linalg load scipy's array-API shim, about 0.3 s of
+# a fresh process; only the kernels in _dist.py and the SEM objective import them.
+SCIPY_LOADED = "[m for m in ('scipy.special', 'scipy.linalg', 'scipy._lib._array_api') if m in sys.modules]"
+
+
+def _python(code: str) -> str:
+    src = os.path.dirname(os.path.dirname(lockqual.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_import_loads_neither_scipy_special_nor_linalg():
+    out = _python(f"import sys, lockqual, lockqual.cli\nprint({SCIPY_LOADED})")
+    assert out.strip() == "[]"
+
+
+def test_subcommands_without_kernels_load_neither_scipy_special_nor_linalg(tmp_path):
+    data = Path(__file__).resolve().parent.parent / "data"
+    survey, judgments = str(data / "fixture_survey.csv"), str(data / "fixture_judgments.csv")
+    sem_json, ahp_json = str(tmp_path / "sem.json"), str(tmp_path / "ahp.json")
+    assert cli.main(["sem", "--input", survey, "--out", sem_json]) == 0
+    commands = [
+        ["validate", "--input", survey],
+        ["describe", "--input", survey],
+        ["efa", "--input", survey],
+        ["score", "--input", survey, "--weights", sem_json],
+        ["entropy", "--input", survey],
+        ["ahp", "--judgments", judgments, "--out", ahp_json],
+        ["bias", "--ow", sem_json, "--sw", ahp_json],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from lockqual.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = main(argv)\n"
+        f"    print(argv[0], rc, {SCIPY_LOADED})\n"
+    )
+    lines = _python(code).splitlines()
+    assert lines == [f"{argv[0]} 0 []" for argv in commands]
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,13 @@ def test_prune_warns_on_thin_factor():
     assert any("fewer than 2" in w for w in fa.warnings)
 
 
+def test_prune_leaves_out_a_factor_that_keeps_no_item():
+    A = np.array([[0.8, 0.1, 0.0], [0.85, 0.0, 0.1], [0.0, 0.9, 0.1], [0.1, 0.8, 0.0]])
+    fa = prune(_lm(A, items=(1, 2, 3, 4)))
+    assert dict(fa.factor_items) == {0: (2, 1), 1: (3, 4)}
+    assert fa.warnings == ("factor 2 retains no items and is left out",)
+
+
 def test_prune_computes_per_factor_alpha():
     rng = np.random.default_rng(13)
     f1 = rng.normal(size=500)

@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.stats
 
+from lockqual import cli
 from lockqual.oprobit import (
     EliminationResult,
     _grad_hess_raw,
@@ -330,3 +332,20 @@ def test_questionnaire_csv(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["construct", "question_number", "description", "abbreviation"]
     assert rows[1] == ["A", "1", "d", "ab"]
+
+
+def test_fits_that_reach_gtol_keep_their_iteration_counts(monkeypatch, capsys):
+    # `lockqual probit` on the fixture: the 25-item refit takes 6 flat steps
+    # at the noise floor before it lands below gtol, and must still land there
+    iters = []
+
+    def recording_fit(*args, **kwargs):
+        model = fit(*args, **kwargs)
+        iters.append(model.n_iter)
+        return model
+
+    monkeypatch.setattr("lockqual.oprobit.fit", recording_fit)
+    survey = str(Path(__file__).resolve().parent.parent / "data" / "fixture_survey.csv")
+    assert cli.main(["probit", "--input", survey]) == 0
+    capsys.readouterr()
+    assert iters == [6, 6, 7, 6, 6, 6, 6, 11, 6, 7] + [6] * 14

@@ -12,6 +12,7 @@ import pytest
 
 from lockqual.ahp import DEFAULT_HIERARCHY
 from lockqual.catalog import CatalogItem, DEFAULT_CATALOG, VariableCatalog
+from lockqual.dataset import write_survey
 from lockqual.efa import FactorAssignment
 from lockqual.pipeline import (
     GateThresholds,
@@ -25,6 +26,7 @@ from lockqual.pipeline import (
     _write_outputs,
 )
 from lockqual.sem import MeasurementModel
+from lockqual.synth import default_sem_truth, gen_sem_survey
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SURVEY = str(DATA / "fixture_survey.csv")
@@ -221,7 +223,7 @@ def test_constant_post_trip_rating_degrades_gracefully(tmp_path):
     assert res.bundle["cfa"] is not None
 
 
-def test_constant_item_is_dropped_not_fatal(tmp_path):
+def _run_with_constant_q5(tmp_path):
     rows = list(csv.reader(open(SURVEY, newline="", encoding="utf-8")))
     i5 = rows[0].index("q5")
     for r in rows[1:]:
@@ -229,9 +231,13 @@ def test_constant_item_is_dropped_not_fatal(tmp_path):
     path = tmp_path / "const5.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
-    res = run_pipeline(
+    return run_pipeline(
         PipelineConfig(survey_path=str(path), out_dir=str(tmp_path / "o"), judgments_path=JUDGMENTS)
     )
+
+
+def test_constant_item_is_dropped_not_fatal(tmp_path):
+    res = _run_with_constant_q5(tmp_path)
     b = res.bundle
     schema = json.loads(
         resources.files("lockqual").joinpath("schemas/report.schema.json").read_text("utf-8")
@@ -246,6 +252,34 @@ def test_constant_item_is_dropped_not_fatal(tmp_path):
         warning = f"items [5] give the same response in every complete row; left out of {stage}"
         assert warning in b["warnings"]
     assert b["sem"] is not None and b["probit"] is not None
+
+
+def test_probit_refits_converge_at_the_noise_floor(tmp_path):
+    # with q5 constant, the 9-item refit stops improving at max|grad| 3.3e-6,
+    # above gtol: it converges because the objective cannot resolve more, and
+    # the elimination goes on past the 19 drops where it used to stop
+    b = _run_with_constant_q5(tmp_path).bundle
+    assert not any("converge" in w for w in b["warnings"])
+    assert len(b["probit"]["steps"]) > 19
+
+
+def test_factor_left_without_items_is_dropped_not_fatal(tmp_path):
+    # at n=40, seed 1, pruning leaves factors 6 and 7 with no item
+    path = tmp_path / "sem40.csv"
+    write_survey(gen_sem_survey(default_sem_truth(n=40, seed=1)), str(path))
+    res = run_pipeline(
+        PipelineConfig(survey_path=str(path), out_dir=str(tmp_path / "o"), judgments_path=JUDGMENTS)
+    )
+    schema = json.loads(
+        resources.files("lockqual").joinpath("schemas/report.schema.json").read_text("utf-8")
+    )
+    jsonschema.validate(json.loads(Path(res.out_paths["report"]).read_text("utf-8")), schema)
+    assignment = res.bundle["efa"]["assignment"]
+    assert sorted(assignment["factor_labels"]) == ["0", "1", "2", "3", "4", "5"]
+    assert len(assignment["factor_items"]) == 6
+    assert all(assignment["factor_items"].values())
+    for j in (6, 7):
+        assert f"factor {j} retains no items and is left out" in res.bundle["warnings"]
 
 
 def test_too_few_complete_rows_for_the_items_is_a_clear_error(tmp_path):
