@@ -11,8 +11,8 @@ compared against the demand-side standardized weights.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -20,9 +20,11 @@ import numpy as np
 __all__ = [
     "SCALE",
     "JudgmentMatrix",
+    "JudgmentStack",
     "Hierarchy",
     "DEFAULT_HIERARCHY",
     "RespondentJudgments",
+    "JudgmentSet",
     "WeightVector",
     "ConsistencyResult",
     "BiasReport",
@@ -30,7 +32,9 @@ __all__ = [
     "load_judgments",
     "aggregate_geomean",
     "weights_eigen",
+    "weights_eigen_stack",
     "consistency",
+    "consistency_ratios",
     "global_weights",
     "normalized_weights",
     "bias_report",
@@ -64,6 +68,18 @@ RANDOM_INDEX: Mapping[int, float] = {
 }
 
 
+def _check_judgments(a: np.ndarray) -> None:
+    """Positivity, unit diagonal and reciprocity of one matrix or of a stack of them."""
+    if np.any(a <= 0):
+        raise ValueError("judgments must be positive")
+    # np.allclose(x, 1.0, atol) without its per-call overhead: the same
+    # |x - 1| <= atol + rtol * 1 test, with its default rtol of 1e-5
+    if not (np.abs(np.diagonal(a, axis1=-2, axis2=-1) - 1.0) <= 1e-12 + 1e-5).all():
+        raise ValueError("diagonal must be 1")
+    if not (np.abs(a * np.swapaxes(a, -1, -2) - 1.0) <= 1e-9 + 1e-5).all():
+        raise ValueError("matrix must be reciprocal (a_ij * a_ji = 1)")
+
+
 @dataclass(frozen=True)
 class JudgmentMatrix:
     """Positive reciprocal pairwise-comparison matrix with named rows."""
@@ -76,19 +92,43 @@ class JudgmentMatrix:
         n = len(self.labels)
         if a.shape != (n, n):
             raise ValueError("matrix shape must match the label count")
-        if np.any(a <= 0):
-            raise ValueError("judgments must be positive")
-        # np.allclose(x, 1.0, atol) without its per-call overhead: the same
-        # |x - 1| <= atol + rtol * 1 test, with its default rtol of 1e-5
-        if not (np.abs(np.diag(a) - 1.0) <= 1e-12 + 1e-5).all():
-            raise ValueError("diagonal must be 1")
-        if not (np.abs(a * a.T - 1.0) <= 1e-9 + 1e-5).all():
-            raise ValueError("matrix must be reciprocal (a_ij * a_ji = 1)")
+        _check_judgments(a)
         object.__setattr__(self, "values", a)
 
     @property
     def n(self) -> int:
         return len(self.labels)
+
+
+@dataclass(frozen=True, eq=False)
+class JudgmentStack(Sequence[JudgmentMatrix]):
+    """Judgment matrices over the same labels, held as one (m, n, n) array.
+
+    An integer index gives a JudgmentMatrix viewing one slice; a slice,
+    mask or index array gives the stack of the chosen matrices.
+    """
+
+    labels: tuple[str, ...]
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        a = np.asarray(self.values, dtype=float)
+        n = len(self.labels)
+        if a.ndim != 3 or a.shape[1:] != (n, n):
+            raise ValueError("stack shape must be (m, n, n) with n the label count")
+        _check_judgments(a)
+        object.__setattr__(self, "values", a)
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index):
+        a = self.values[index]
+        return JudgmentMatrix(self.labels, a) if a.ndim == 2 else JudgmentStack(self.labels, a)
 
 
 @dataclass(frozen=True)
@@ -101,6 +141,8 @@ class Hierarchy:
     def __post_init__(self) -> None:
         if set(self.children) != set(self.criteria):
             raise ValueError("children must be keyed by the criteria")
+        if "criteria" in self.criteria:
+            raise ValueError('"criteria" names the top level and cannot be a criterion')
         leaves = [f for c in self.criteria for f in self.children[c]]
         if len(set(leaves)) != len(leaves):
             raise ValueError("leaf factors must be unique")
@@ -126,99 +168,146 @@ class RespondentJudgments:
     leaves: Mapping[str, JudgmentMatrix]
 
 
-def _pairs(labels: Sequence[str]) -> list[tuple[str, str]]:
-    return [(labels[i], labels[j]) for i in range(len(labels)) for j in range(i + 1, len(labels))]
+@dataclass(frozen=True, eq=False)
+class JudgmentSet(Sequence[RespondentJudgments]):
+    """Every respondent's judgments, one stack per hierarchy level.
+
+    criteria holds the (m, n, n) criteria matrices and leaves[c] the
+    matrices of criterion c's children, both in respondent order. Item k
+    is respondent k's RespondentJudgments, built on access from views of
+    the stacks.
+    """
+
+    respondent_ids: tuple[str, ...]
+    criteria: JudgmentStack
+    leaves: Mapping[str, JudgmentStack]
+
+    def __post_init__(self) -> None:
+        m = len(self.respondent_ids)
+        if len(self.criteria) != m or any(len(s) != m for s in self.leaves.values()):
+            raise ValueError("every stack must hold one matrix per respondent")
+
+    def __len__(self) -> int:
+        return len(self.respondent_ids)
+
+    def __getitem__(self, index):
+        leaves = {c: s[index] for c, s in self.leaves.items()}
+        if isinstance(index, slice):
+            return JudgmentSet(self.respondent_ids[index], self.criteria[index], leaves)
+        return RespondentJudgments(self.respondent_ids[index], self.criteria[index], leaves)
+
+
+def _row_error(line_no: int, level: str, left: str, right: str, sel: str, hierarchy: Hierarchy) -> ValueError:
+    """The reason a comparison row with these stripped fields is invalid."""
+    if sel not in SCALE:
+        return ValueError(f"row {line_no}: unknown selection code {sel!r}")
+    if level != "criteria" and level not in hierarchy.children:
+        return ValueError(f"row {line_no}: unknown level {level!r}")
+    return ValueError(f"row {line_no}: invalid pair ({left!r}, {right!r}) for level {level!r}")
+
+
+def _judgment_set(records: Iterable[tuple], hierarchy: Hierarchy) -> JudgmentSet:
+    """Fill one stack per level from (respondent_id, level, left, right, selection) rows.
+
+    Comparisons are numbered in level order (criteria first), then pair
+    order; respondent k's comparison s lands at k * n_slots + s of one flat
+    array, so the first empty cell names the first missing comparison by
+    respondent, level and pair. Row errors are raised in row order first.
+    """
+    levels = [("criteria", hierarchy.criteria)] + [(c, hierarchy.children[c]) for c in hierarchy.criteria]
+    slots = [
+        (level, labels, i, j) for level, labels in levels for i in range(len(labels)) for j in range(i + 1, len(labels))
+    ]
+    # (level, left, right, selection) of every valid row -> (slot, a_ij), where
+    # a_ij is the judgment oriented on the pair's label order
+    table: dict[tuple, tuple[int, float]] = {}
+    for s, (level, labels, i, j) in enumerate(slots):
+        a, b = labels[i], labels[j]
+        if any(x != x.strip() for x in (level, a, b)):
+            continue  # no stripped field can name it, so its rows all fail
+        for left, right in ((a, b), (b, a)):
+            for sel, value in SCALE.items():
+                stored = value if left == min(left, right) else 1.0 / value
+                table[level, left, right, sel] = s, (stored if a == min(a, b) else 1.0 / stored)
+    index: dict[str, int] = {}
+    cells: dict[int, float] = {}
+    for line_no, (rid, level, left, right, sel) in enumerate(records, start=1):
+        hit = table.get((level, left, right, sel))
+        if hit is None:
+            level, left, right, sel = (str(v).strip() for v in (level, left, right, sel))
+            hit = table.get((level, left, right, sel))
+            if hit is None:
+                raise _row_error(line_no, level, left, right, sel, hierarchy)
+        rid = str(rid).strip()
+        code = index.setdefault(rid, len(index)) * len(slots) + hit[0]
+        if code in cells:
+            raise ValueError(f"respondent {rid!r}: duplicate comparison {left!r} vs {right!r}")
+        cells[code] = hit[1]
+    ids = tuple(index)
+    flat = np.full(len(ids) * len(slots), np.nan)
+    flat[np.fromiter(cells, dtype=np.intp, count=len(cells))] = np.fromiter(
+        cells.values(), dtype=float, count=len(cells)
+    )
+    missing = np.flatnonzero(np.isnan(flat))
+    if missing.size:
+        k, s = divmod(int(missing[0]), len(slots))
+        level, labels, i, j = slots[s]
+        raise ValueError(
+            f"respondent {ids[k]!r}: missing comparison {labels[i]!r} vs {labels[j]!r} at level {level!r}"
+        )
+    values = flat.reshape(len(ids), len(slots))
+    stacks = {level: np.tile(np.eye(len(labels)), (len(ids), 1, 1)) for level, labels in levels}
+    for s, (level, _, i, j) in enumerate(slots):
+        stacks[level][:, i, j] = values[:, s]
+        stacks[level][:, j, i] = 1.0 / values[:, s]
+    criteria, *leaves = (JudgmentStack(labels, stacks[level]) for level, labels in levels)
+    return JudgmentSet(ids, criteria, dict(zip(hierarchy.criteria, leaves)))
+
+
+_FIELDS = ("respondent_id", "level", "left_factor", "right_factor", "selection")
 
 
 def parse_judgments(
     rows: Iterable[Mapping[str, str]],
     hierarchy: Hierarchy = DEFAULT_HIERARCHY,
-) -> tuple[RespondentJudgments, ...]:
+) -> JudgmentSet:
     """Build per-respondent judgment matrices from flat comparison rows.
 
     Each row carries respondent_id, level ("criteria" or a criterion
     code), the two factors compared and a selection code from SCALE.
     Every respondent must supply each comparison exactly once.
     """
-    per_resp: dict[str, dict[str, dict[frozenset, float]]] = {}
-    order: list[str] = []
-    for line_no, row in enumerate(rows, start=1):
-        rid = str(row["respondent_id"]).strip()
-        level = str(row["level"]).strip()
-        left = str(row["left_factor"]).strip()
-        right = str(row["right_factor"]).strip()
-        sel = str(row["selection"]).strip()
-        if sel not in SCALE:
-            raise ValueError(f"row {line_no}: unknown selection code {sel!r}")
-        if level == "criteria":
-            labels = hierarchy.criteria
-        elif level in hierarchy.children:
-            labels = hierarchy.children[level]
-        else:
-            raise ValueError(f"row {line_no}: unknown level {level!r}")
-        if left not in labels or right not in labels or left == right:
-            raise ValueError(f"row {line_no}: invalid pair ({left!r}, {right!r}) for level {level!r}")
-        if rid not in per_resp:
-            per_resp[rid] = {}
-            order.append(rid)
-        cells = per_resp[rid].setdefault(level, {})
-        key = frozenset((left, right))
-        if key in cells:
-            raise ValueError(f"respondent {rid!r}: duplicate comparison {left!r} vs {right!r}")
-        # store oriented value on the left factor
-        value = SCALE[sel]
-        cells[key] = value if left == min(left, right) else 1.0 / value
-    out: list[RespondentJudgments] = []
-    for rid in order:
-        blocks = per_resp[rid]
-        crit = _matrix_from_cells(hierarchy.criteria, blocks.get("criteria", {}), rid, "criteria")
-        leaves = {
-            c: _matrix_from_cells(hierarchy.children[c], blocks.get(c, {}), rid, c)
-            for c in hierarchy.criteria
-        }
-        out.append(RespondentJudgments(rid, crit, leaves))
-    return tuple(out)
+    return _judgment_set((tuple(str(row[f]) for f in _FIELDS) for row in rows), hierarchy)
 
 
-def _matrix_from_cells(
-    labels: Sequence[str], cells: Mapping[frozenset, float], rid: str, level: str
-) -> JudgmentMatrix:
-    n = len(labels)
-    a = np.eye(n)
-    for i, j in _pairs(labels):
-        key = frozenset((i, j))
-        if key not in cells:
-            raise ValueError(f"respondent {rid!r}: missing comparison {i!r} vs {j!r} at level {level!r}")
-        v = cells[key]
-        # stored orientation is on the lexicographically smaller label
-        v_ij = v if i == min(i, j) else 1.0 / v
-        a[labels.index(i), labels.index(j)] = v_ij
-        a[labels.index(j), labels.index(i)] = 1.0 / v_ij
-    return JudgmentMatrix(tuple(labels), a)
-
-
-def load_judgments(path: str, hierarchy: Hierarchy = DEFAULT_HIERARCHY) -> tuple[RespondentJudgments, ...]:
+def load_judgments(path: str, hierarchy: Hierarchy = DEFAULT_HIERARCHY) -> JudgmentSet:
+    """Read a judgment CSV; the result is a sequence of per-respondent views."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"respondent_id", "level", "left_factor", "right_factor", "selection"}
-        if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
-            raise ValueError("judgment CSV must have columns " + ",".join(sorted(required)))
-        return parse_judgments(list(reader), hierarchy)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not set(_FIELDS).issubset(header):
+            raise ValueError("judgment CSV must have columns " + ",".join(sorted(_FIELDS)))
+        column = {name: k for k, name in enumerate(header)}  # the last of repeated names, as csv.DictReader
+        rows = [row for row in reader if row]
+    take = itemgetter(*(column[f] for f in _FIELDS))
+    # a short row reads None for the fields it lacks, as csv.DictReader's restval
+    pad = [None] * len(header)
+    return _judgment_set((take(row if len(row) >= len(header) else row + pad) for row in rows), hierarchy)
 
 
 def aggregate_geomean(matrices: Sequence[JudgmentMatrix]) -> JudgmentMatrix:
     """Element-wise geometric mean; keeps reciprocity exactly."""
     if not matrices:
         raise ValueError("nothing to aggregate")
-    labels = matrices[0].labels
-    for m in matrices[1:]:
-        if m.labels != labels:
+    if not isinstance(matrices, JudgmentStack):
+        labels = matrices[0].labels
+        if any(m.labels != labels for m in matrices[1:]):
             raise ValueError("all matrices must share the same labels")
-    logs = np.mean([np.log(m.values) for m in matrices], axis=0)
-    g = np.exp(logs)
+        matrices = JudgmentStack(labels, np.array([m.values for m in matrices]))
+    g = np.exp(np.log(matrices.values).mean(axis=0))
     g = np.sqrt(g / g.T)  # wash out round-off so a_ij * a_ji is exactly 1
     np.fill_diagonal(g, 1.0)
-    return JudgmentMatrix(labels, g)
+    return JudgmentMatrix(matrices.labels, g)
 
 
 @dataclass(frozen=True)
@@ -258,26 +347,35 @@ def normalized_weights(raw: Mapping[str, float], labels: Sequence[str] | None = 
     return WeightVector(tuple(labels), {k: v / total for k, v in vals.items()})
 
 
-def weights_eigen(m: JudgmentMatrix, tol: float = 1e-12, max_iter: int = 10000) -> tuple[WeightVector, float]:
-    """Principal-eigenvector priorities by power iteration.
+def weights_eigen_stack(
+    a: np.ndarray, tol: float = 1e-12, max_iter: int = 10000
+) -> tuple[np.ndarray, np.ndarray]:
+    """Principal-eigenvector priorities of an (m, n, n) stack of matrices, by power iteration.
 
-    Returns the normalized weight vector and the Rayleigh estimate of
-    the dominant eigenvalue (lambda_max >= n, equality iff consistent).
+    Returns the (m, n) normalized weights and the (m,) Rayleigh estimates
+    of the dominant eigenvalue (lambda_max >= n, equality iff consistent).
+    Each matrix stops once its own weights move by less than tol, or after
+    max_iter steps, so every matrix takes the steps it would take alone.
     """
-    a = m.values
-    n = m.n
-    w = np.full(n, 1.0 / n)
+    w = np.full(a.shape[:2], 1.0 / a.shape[1])
+    live = np.arange(len(a))
     for _ in range(max_iter):
-        v = a @ w
-        w_new = v / v.sum()
-        if float(np.max(np.abs(w_new - w))) < tol:
-            w = w_new
+        if not live.size:
             break
-        w = w_new
-    v = a @ w
-    lam = float(np.mean(v / w))
-    wv = WeightVector(m.labels, {k: float(w[i]) for i, k in enumerate(m.labels)})
-    return wv, lam
+        w_live = w[live]
+        v = np.matmul(a[live], w_live[..., None])[..., 0]
+        w_new = v / v.sum(axis=1, keepdims=True)
+        w[live] = w_new
+        live = live[~(np.abs(w_new - w_live).max(axis=1) < tol)]
+    v = np.matmul(a, w[..., None])[..., 0]
+    return w, (v / w).mean(axis=1)
+
+
+def weights_eigen(m: JudgmentMatrix, tol: float = 1e-12, max_iter: int = 10000) -> tuple[WeightVector, float]:
+    """Priorities and lambda_max of one matrix: the stack's power iteration on a stack of one."""
+    w, lam = weights_eigen_stack(m.values[None], tol, max_iter)
+    wv = WeightVector(m.labels, {k: float(w[0, i]) for i, k in enumerate(m.labels)})
+    return wv, float(lam[0])
 
 
 @dataclass(frozen=True)
@@ -289,19 +387,26 @@ class ConsistencyResult:
     passed: bool
 
 
-def consistency(m: JudgmentMatrix, lambda_max: float, cr_gate: float = 0.1) -> ConsistencyResult:
-    """Saaty consistency: CI = (lambda - n)/(n - 1), CR = CI / RI(n).
+def consistency_ratios(n: int, lambda_max: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """Saaty CI = (lambda - n)/(n - 1) and CR = CI / RI(n), elementwise.
 
-    Matrices of size 2 or smaller are consistent by construction and
-    get CR = 0. The check passes when CR < cr_gate.
+    CI is floored at 0. Matrices of size 2 or smaller are consistent by
+    construction and get CR = 0.
     """
-    n = m.n
     if n not in RANDOM_INDEX:
         raise ValueError(f"no random index for n = {n}")
-    ci = max((lambda_max - n) / (n - 1), 0.0) if n > 1 else 0.0
-    ri = RANDOM_INDEX[n]
-    cr = 0.0 if n <= 2 else ci / ri
-    return ConsistencyResult(n=n, lambda_max=lambda_max, ci=ci, cr=cr, passed=cr < cr_gate)
+    lam = np.asarray(lambda_max, dtype=float)
+    ci = np.maximum((lam - n) / (n - 1), 0.0) if n > 1 else np.zeros_like(lam)
+    cr = ci / RANDOM_INDEX[n] if n > 2 else np.zeros_like(lam)
+    return ci, cr
+
+
+def consistency(m: JudgmentMatrix, lambda_max: float, cr_gate: float = 0.1) -> ConsistencyResult:
+    """Saaty consistency of one matrix (see consistency_ratios); passes when CR < cr_gate."""
+    ci, cr = consistency_ratios(m.n, lambda_max)
+    return ConsistencyResult(
+        n=m.n, lambda_max=lambda_max, ci=float(ci), cr=float(cr), passed=bool(cr < cr_gate)
+    )
 
 
 def global_weights(

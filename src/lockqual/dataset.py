@@ -208,17 +208,12 @@ def _parse_rating(cell: str) -> tuple[int | None, str | None]:
     return value, None
 
 
-# exact spellings of every valid cell; anything else goes through _parse_rating
-_CODE_OF = {"": 0, "1": 1, "2": 2, "3": 3, "4": 4, "5": 5}
+# the exact spelling of each code's cell; any other cell goes through _parse_rating
 _CELL_OF = ("", "1", "2", "3", "4", "5")
 
 
 def _parse_codes(cells: Sequence[str]) -> tuple[bytes, str | None]:
     """Codes of one row's rating cells, or the first failing cell's reason."""
-    try:
-        return bytes(map(_CODE_OF.__getitem__, cells)), None
-    except KeyError:
-        pass
     codes = bytearray()
     for cell in cells:
         value, reason = _parse_rating(cell)
@@ -243,6 +238,17 @@ def _parse_delay(cell: str) -> tuple[float, str | None]:
     return delay, None
 
 
+_CODE_OF_DIGIT = bytes.maketrans(b"012345", bytes(range(6)))
+
+
+def _codes_of(lines: list[str]) -> bytes:
+    """Codes of rows written one digit per cell ("0" for blank) with cells joined by ","."""
+    return ",".join(lines).encode("ascii")[::2].translate(_CODE_OF_DIGIT)
+
+
+_ROWS_PER_DECODE = 1 << 12  # rows held as text before their codes are decoded
+
+
 def load_survey(path: str, catalog: VariableCatalog = DEFAULT_CATALOG) -> SurveyDataset:
     """Read and screen a survey CSV.
 
@@ -250,9 +256,17 @@ def load_survey(path: str, catalog: VariableCatalog = DEFAULT_CATALOG) -> Survey
     on the returned object's ``rejected`` tuple together with the
     1-based data row number and a reason. A row's first failing check
     names the reason; an id is taken only by an accepted row.
+
+    One pass of the csv reader keeps each accepted row's ratings as one
+    string of digits, decoded some thousand rows at a time. Only rows
+    whose rating cells are not all exact spellings ("", "1".."5") are
+    parsed cell by cell.
     """
     n_items = len(catalog)
     expected = _expected_header(n_items)
+    width = len(expected)
+    line_length = 2 * (n_items + 2) - 1
+    exact = frozenset(_CELL_OF).issuperset
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -266,6 +280,7 @@ def load_survey(path: str, catalog: VariableCatalog = DEFAULT_CATALOG) -> Survey
         ids: list[str] = []
         demo: list[list[str]] = [[] for _ in DEMOGRAPHICS]
         delays: list[float] = []
+        lines: list[str] = []  # accepted rows' ratings as digits, not yet decoded
         codes = bytearray()
         rejected: list[RejectedRow] = []
         seen: set[str] = set()
@@ -274,19 +289,19 @@ def load_survey(path: str, catalog: VariableCatalog = DEFAULT_CATALOG) -> Survey
             rid = row[0].strip() if row else ""
             if rid == "" and all(c.strip() == "" for c in row):
                 continue
-            if len(row) != len(expected):
-                rejected.append(RejectedRow(row_number, rid, "wrong number of fields"))
-                continue
-            if rid == "":
-                rejected.append(RejectedRow(row_number, rid, "missing respondent id"))
-                continue
-            if rid in seen:
-                rejected.append(RejectedRow(row_number, rid, "duplicate respondent id"))
-                continue
-            delay, reason = _parse_delay(row[6])
-            if reason is None:
-                row_codes, reason = _parse_codes(row[7:])
-                if reason is None and (row_codes[0] == 0 or row_codes[-1] == 0):
+            if len(row) != width:
+                reason = "wrong number of fields"
+            elif rid == "":
+                reason = "missing respondent id"
+            elif rid in seen:
+                reason = "duplicate respondent id"
+            else:
+                delay, reason = _parse_delay(row[6])
+                cells = row[7:]
+                if reason is None and not exact(cells):
+                    row_codes, reason = _parse_codes(cells)
+                    cells = [_CELL_OF[v] for v in row_codes]
+                if reason is None and (cells[0] == "" or cells[-1] == ""):
                     reason = "missing overall satisfaction"
             if reason is not None:
                 rejected.append(RejectedRow(row_number, rid, reason))
@@ -297,7 +312,14 @@ def load_survey(path: str, catalog: VariableCatalog = DEFAULT_CATALOG) -> Survey
                 value = cell.strip()
                 col.append(labels.setdefault(value, value))
             delays.append(delay)
-            codes.extend(row_codes)
+            line = ",".join(cells)
+            if len(line) != line_length:  # blank cells: a "0" in each
+                line = line.replace(",,", ",0,").replace(",,", ",0,")
+            lines.append(line)
+            if len(lines) == _ROWS_PER_DECODE:
+                codes += _codes_of(lines)
+                lines.clear()
+        codes += _codes_of(lines)
     return SurveyDataset(
         catalog,
         ids,

@@ -579,42 +579,37 @@ def ahp_section(
     if not experts:
         warnings.append("judgment file holds no respondents")
         return None
-    per_resp = []
-    keep = []
-    for e in experts:
-        _, lam = ahp_mod.weights_eigen(e.criteria)
-        crit_cons = ahp_mod.consistency(e.criteria, lam, cr_gate)
-        ok = crit_cons.passed  # 2x2 leaf matrices are consistent by construction
-        per_resp.append(
-            {
-                "id": e.respondent_id,
-                "criteria_cr": _jsonable(crit_cons.cr),
-                "consistent": ok,
-            }
-        )
-        if ok or not exclude_inconsistent:
-            keep.append(e)
-    n_fail = sum(1 for r in per_resp if not r["consistent"])
+    # each expert's lambda_max and CR over the whole criteria stack at once;
+    # 2x2 leaf matrices are consistent by construction
+    _, lam = ahp_mod.weights_eigen_stack(experts.criteria.values)
+    _, cr = ahp_mod.consistency_ratios(experts.criteria.n, lam)
+    ok = cr < cr_gate
+    per_resp = [
+        {"id": rid, "criteria_cr": _jsonable(c), "consistent": passed}
+        for rid, c, passed in zip(experts.respondent_ids, cr.tolist(), ok.tolist())
+    ]
+    n_fail = len(ok) - int(ok.sum())
+    keep = ok if exclude_inconsistent else np.ones_like(ok)
     if exclude_inconsistent and n_fail:
         warnings.append(f"{n_fail} respondent(s) over the consistency gate were excluded")
-    if not keep:
+    if not keep.any():
         warnings.append("no respondent passed the consistency gate; supplier weights skipped")
         return None
-    agg_crit = ahp_mod.aggregate_geomean([e.criteria for e in keep])
+    agg_crit = ahp_mod.aggregate_geomean(experts.criteria[keep])
     crit_wv, crit_lam = ahp_mod.weights_eigen(agg_crit)
     crit_cons = ahp_mod.consistency(agg_crit, crit_lam, cr_gate)
     gates.append(_check("ahp_criteria_cr", crit_cons.cr, cr_gate, "below"))
     leaf_wv: dict[str, ahp_mod.WeightVector] = {}
     local = {}
     for c in h.criteria:
-        agg = ahp_mod.aggregate_geomean([e.leaves[c] for e in keep])
+        agg = ahp_mod.aggregate_geomean(experts.leaves[c][keep])
         wv, _ = ahp_mod.weights_eigen(agg)
         leaf_wv[c] = wv
         local[c] = {k: _jsonable(v) for k, v in wv.weights.items()}
     sw = ahp_mod.global_weights(h, crit_wv, leaf_wv)
     return {
         "n_respondents": len(experts),
-        "n_included": len(keep),
+        "n_included": int(keep.sum()),
         "n_inconsistent": n_fail,
         "respondents": per_resp,
         "criteria_weights": {k: _jsonable(v) for k, v in crit_wv.weights.items()},
@@ -672,6 +667,8 @@ def probit_section(
         return None
     _, X = sample.matrix(items)
     y = sample.column(SATI_AFTER)[sample.complete(items)].astype(int)
+    items, X = _drop_constant(items, X, "questionnaire reduction", warnings)
+    X = np.ascontiguousarray(X)  # row-major, as the fits have always summed it
     names = tuple(catalog.abbreviation_of(i) for i in items)
     try:
         out = oprobit.backward_eliminate(

@@ -11,8 +11,8 @@ compares SQR against the post-trip overall satisfaction bookend.
 """
 from __future__ import annotations
 
-import csv
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Callable, Mapping, Sequence
@@ -256,19 +256,28 @@ def validation_summary(d: SurveyDataset, w: ScoreWeights) -> ValidationSummary:
     )
 
 
+# what makes csv.writer's default dialect quote a field
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
 def write_scores_csv(summary: ValidationSummary, w: ScoreWeights, path: str) -> None:
-    """Per-respondent scores: id, one LVR column per latent, SQR, error."""
+    """Per-respondent scores: id, one LVR column per latent, SQR, error.
+
+    The bytes are csv.writer's. Each line is one join of its fields, and
+    the lines are produced lazily, so no copy of the whole file is held.
+    """
     header = ["id"] + [f"lvr_{k + 1}" for k in range(len(w.latents))] + ["sqr", "error"]
     lvrs = summary.lvr[:, [summary.latents.index(name) for name in w.latents]]
+    ids = ('"' + r.replace('"', '""') + '"' if _NEEDS_QUOTES(r) else r for r in summary.ids)
+    columns = [
+        ids,
+        *(map(repr, col) for col in lvrs.T.tolist()),
+        map(repr, summary.sqr.tolist()),
+        map(repr, np.abs(summary.signed_error).tolist()),
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(
-            [rid, *map(repr, row), repr(s), repr(abs(e))]
-            for rid, row, s, e in zip(
-                summary.ids, lvrs.tolist(), summary.sqr.tolist(), summary.signed_error.tolist()
-            )
-        )
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line + "\r\n" for line in map(",".join, zip(*columns)))
 
 
 def entropy(values: Sequence[float]) -> float:

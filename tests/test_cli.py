@@ -102,7 +102,8 @@ def test_bias_names_mismatched_weight_documents(sem_doc, ahp_doc, tmp_path, caps
     assert "no weights for ['safe_security'" in capsys.readouterr().err
 
 
-def test_constant_item_is_dropped_by_the_stage_commands(tmp_path):
+def _constant_q5(tmp_path) -> Path:
+    """The fixture survey with every q5 rating set to 3."""
     rows = list(csv.reader(open(SURVEY, newline="", encoding="utf-8")))
     col = rows[0].index("q5")
     for r in rows[1:]:
@@ -110,6 +111,11 @@ def test_constant_item_is_dropped_by_the_stage_commands(tmp_path):
     path = tmp_path / "const5.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
+    return path
+
+
+def test_constant_item_is_dropped_by_the_stage_commands(tmp_path):
+    path = _constant_q5(tmp_path)
     rc, doc = _run_json(["reliability", "--input", str(path)], tmp_path / "r.json")
     assert rc == 0
     assert 5 not in doc["items"] and len(doc["items"]) == 31
@@ -122,6 +128,15 @@ def test_constant_item_is_dropped_by_the_stage_commands(tmp_path):
     assert rc == 0
     assert all(5 not in lat["indicators"] for lat in doc["model"]["latents"])
     jsonschema.validate(doc, _schema("sem"))
+
+
+def test_probit_command_drops_a_constant_item(tmp_path):
+    rc, doc = _run_json(["probit", "--input", str(_constant_q5(tmp_path))], tmp_path / "p.json")
+    assert rc == 0
+    jsonschema.validate(doc, _schema("probit"))
+    q5 = DEFAULT_CATALOG.abbreviation_of(5)
+    assert q5 not in doc["survivors"] and all(s["dropped"] != q5 for s in doc["steps"])
+    assert any(w.startswith("items [5] ") and w.endswith("left out of questionnaire reduction") for w in doc["warnings"])
 
 
 def test_bad_invocations_exit_1(tmp_path, capsys):
