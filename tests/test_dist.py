@@ -12,7 +12,9 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lockqual
-from lockqual import cli
+from lockqual import cli, oprobit
 from lockqual._dist import chi2_sf, expit, norm_cdf, norm_pdf, norm_ppf, norm_sf
 from lockqual.oprobit import _grad_hess_raw
 
@@ -209,3 +211,35 @@ def test_grad_hess_raw_equals_add_at_reference(point):
     assert _same(ll, ref_ll)
     assert _same(grad, ref_grad)
     assert _same(hess, ref_hess)
+
+
+@settings(max_examples=200, deadline=None)
+@given(probit_points(), st.sampled_from([1, 2, 3]))
+def test_grad_hess_raw_equals_add_at_reference_across_chunk_edges(point, chunk):
+    # the beta x kappa block carries its running sums from one chunk of
+    # terms into the next; with 1-3 terms a chunk every bin crosses edges
+    X, y, beta, kappa, c = point
+    with np.errstate(all="ignore"), mock.patch.object(oprobit, "_CHUNK_ROWS", chunk):
+        ll, grad, hess = _grad_hess_raw(X, y, beta, kappa, c)
+        ref_ll, ref_grad, ref_hess = ref_grad_hess_raw(X, y, beta, kappa, c)
+    assert _same(ll, ref_ll)
+    assert _same(grad, ref_grad)
+    assert _same(hess, ref_hess)
+
+
+def test_grad_hess_raw_memory_stays_within_a_few_designs():
+    # one bincount over every (row, column) term at once would hold their
+    # products and bin indices together, several times the design itself
+    rng = np.random.default_rng(5)
+    n, k, c = 20_000, 20, 5
+    X = rng.normal(size=(n, k))
+    y = rng.integers(1, c + 1, size=n)
+    beta = rng.normal(scale=0.2, size=k)
+    kappa = np.array([-1.5, -0.5, 0.5, 1.5])
+    tracemalloc.start()
+    try:
+        _grad_hess_raw(X, y, beta, kappa, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * X.nbytes

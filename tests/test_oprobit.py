@@ -10,7 +10,7 @@ import pytest
 import scipy.optimize
 import scipy.stats
 
-from lockqual import cli
+from lockqual import cli, synth
 from lockqual.oprobit import (
     EliminationResult,
     _grad_hess_raw,
@@ -24,6 +24,8 @@ from lockqual.oprobit import (
     predict_proba,
     write_questionnaire_csv,
 )
+from lockqual.catalog import SATI_AFTER
+from lockqual.pipeline import PipelineConfig, run_pipeline
 
 
 def _simulate(n, beta, kappa, seed):
@@ -336,16 +338,63 @@ def test_questionnaire_csv(tmp_path):
 
 def test_fits_that_reach_gtol_keep_their_iteration_counts(monkeypatch, capsys):
     # `lockqual probit` on the fixture: the 25-item refit takes 6 flat steps
-    # at the noise floor before it lands below gtol, and must still land there
-    iters = []
+    # at the noise floor before it lands below gtol, and must still land there.
+    # The elimination warm-starts its refits; refit each design it fits
+    # without `start` to pin the cold counts, and pin the warm ones too.
+    cold, warm = [], []
 
-    def recording_fit(*args, **kwargs):
-        model = fit(*args, **kwargs)
-        iters.append(model.n_iter)
+    def recording_fit(X, y, names=None, start=None, **kwargs):
+        model = fit(X, y, names, start=start, **kwargs)
+        warm.append(model.n_iter)
+        cold.append(fit(X, y, names, **kwargs).n_iter)
         return model
 
     monkeypatch.setattr("lockqual.oprobit.fit", recording_fit)
     survey = str(Path(__file__).resolve().parent.parent / "data" / "fixture_survey.csv")
     assert cli.main(["probit", "--input", survey]) == 0
     capsys.readouterr()
-    assert iters == [6, 6, 7, 6, 6, 6, 6, 11, 6, 7] + [6] * 14
+    assert cold == [6, 6, 7, 6, 6, 6, 6, 11, 6, 7] + [6] * 14
+    assert warm == [6, 2, 2, 2] + [3] * 7 + [4] + [3] * 12
+
+
+def test_report_elimination_refits_through_the_module_level_fit(monkeypatch, tmp_path):
+    # perfbench's oprobit.fit_calls and oprobit.fit_iters count the calls made
+    # through lockqual.oprobit.fit: every refit must go through it
+    fits = []
+
+    def recording_fit(*args, **kwargs):
+        model = fit(*args, **kwargs)
+        fits.append(model)
+        return model
+
+    monkeypatch.setattr("lockqual.oprobit.fit", recording_fit)
+    data = Path(__file__).resolve().parent.parent / "data"
+    cfg = PipelineConfig(
+        survey_path=str(data / "fixture_survey.csv"),
+        judgments_path=str(data / "fixture_judgments.csv"),
+        out_dir=str(tmp_path),
+    )
+    run_pipeline(cfg)
+    assert len(fits) == 22
+    assert all(m.converged for m in fits)
+    assert sum(m.n_iter for m in fits) <= 100
+
+
+@pytest.mark.parametrize("n, seed", [(150, 0), (200, 1), (300, 2), (300, 3)])
+def test_warm_started_elimination_matches_cold_refits(monkeypatch, n, seed):
+    # the questionnaire reduction of `lockqual probit`: the post-trip rating
+    # against the 32 rated items of a synthetic survey
+    survey = synth.gen_sem_survey(synth.default_sem_truth(n=n, seed=seed))
+    items = list(range(1, SATI_AFTER))
+    _, X = survey.matrix(items)
+    y = survey.column(SATI_AFTER).astype(int)
+    names = tuple(f"q{i}" for i in items)
+    warm = backward_eliminate(X, y, names)
+    monkeypatch.setattr("lockqual.oprobit.fit", lambda *a, start=None, **kw: fit(*a, **kw))
+    cold = backward_eliminate(X, y, names)
+    assert warm.survivors == cold.survivors
+    assert [s.dropped for s in warm.steps] == [s.dropped for s in cold.steps]
+    assert np.allclose([s.p_value for s in warm.steps], [s.p_value for s in cold.steps], rtol=1e-8, atol=0)
+    assert warm.final is not None and cold.final is not None
+    for attr in ("beta", "se", "p", "kappa"):
+        assert np.allclose(getattr(warm.final, attr), getattr(cold.final, attr), rtol=1e-8, atol=0), attr
