@@ -199,10 +199,12 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     d = load_survey(args.input, catalog)
     if args.groups:
         with open(args.groups, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict) or not raw:
+            groups = json.load(fh)
+        if not isinstance(groups, dict) or not groups:
             raise ValueError(f"{args.groups}: expected a JSON object of name -> item list")
-        groups = {str(k): [int(i) for i in v] for k, v in raw.items()}
+        for name, items in groups.items():
+            if not (isinstance(items, list) and all(type(i) is int for i in items)):
+                raise ValueError(f"--groups group {name!r}: expected a list of integer item indices")
         bad = sorted({i for v in groups.values() for i in v} - set(catalog.indices))
         if bad:
             raise ValueError(

@@ -14,6 +14,10 @@ import numpy as np
 
 __all__ = ["OptimResult", "minimize_qn"]
 
+_ARMIJO_C = 1e-4  # sufficient-decrease fraction of the predicted decrease
+_BACKTRACK = 0.5  # step factor per failed trial
+_MAX_HALVINGS = 60  # trials before the line search gives up
+
 
 @dataclass(frozen=True)
 class OptimResult:
@@ -31,9 +35,6 @@ def minimize_qn(
     x0: np.ndarray,
     gtol: float = 1e-6,
     max_iter: int = 500,
-    armijo_c: float = 1e-4,
-    backtrack: float = 0.5,
-    max_halvings: int = 60,
 ) -> OptimResult:
     x = np.asarray(x0, dtype=float).copy()
     f = fun(x)
@@ -62,13 +63,13 @@ def minimize_qn(
         step = 1.0
         f_new = None
         x_new = None
-        for _ in range(max_halvings):
+        for _ in range(_MAX_HALVINGS):
             cand = x + step * d
             fc = fun(cand)
-            if math.isfinite(fc) and fc <= f + armijo_c * step * slope:
+            if math.isfinite(fc) and fc <= f + _ARMIJO_C * step * slope:
                 f_new, x_new = fc, cand
                 break
-            step *= backtrack
+            step *= _BACKTRACK
         if f_new is None:
             message = "line search failed to find a decrease"
             break

@@ -135,12 +135,31 @@ class MeasurementModel:
 
     @classmethod
     def from_json(cls, text: str) -> "MeasurementModel":
+        """Read `to_json`'s document; a missing or malformed field is a ValueError naming it."""
         doc = json.loads(text)
-        latents = tuple(str(b["name"]) for b in doc["latents"])
-        indicators = {str(b["name"]): tuple(int(i) for i in b["indicators"]) for b in doc["latents"]}
-        paths = tuple((str(p["from"]), str(p["to"])) for p in doc.get("paths", []))
-        covs = tuple((str(a), str(b)) for a, b in doc.get("covariances", []))
-        return cls(latents, indicators, paths, covs)
+        blocks = doc.get("latents") if isinstance(doc, dict) else None
+        if not isinstance(blocks, list):
+            raise ValueError("model: 'latents' must be a list of {name, indicators} objects")
+        indicators: dict[str, tuple[int, ...]] = {}
+        for j, b in enumerate(blocks):
+            if not isinstance(b, dict) or "name" not in b:
+                raise ValueError(f"model: latents[{j}] has no 'name'")
+            inds = b.get("indicators")
+            if not (isinstance(inds, list) and all(type(i) is int for i in inds)):
+                raise ValueError(f"model: latents[{j}] 'indicators' must be a list of item indices")
+            indicators[str(b["name"])] = tuple(inds)
+        paths = doc.get("paths", [])
+        if not (isinstance(paths, list) and all(isinstance(p, dict) and "from" in p and "to" in p for p in paths)):
+            raise ValueError("model: 'paths' must be a list of {from, to} objects")
+        covs = doc.get("covariances", [])
+        if not (isinstance(covs, list) and all(isinstance(c, list) and len(c) == 2 for c in covs)):
+            raise ValueError("model: 'covariances' must be a list of [latent, latent] pairs")
+        return cls(
+            tuple(str(b["name"]) for b in blocks),
+            indicators,
+            tuple((str(p["from"]), str(p["to"])) for p in paths),
+            tuple((str(a), str(b)) for a, b in covs),
+        )
 
 
 def load_model(path: str) -> MeasurementModel:

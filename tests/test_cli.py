@@ -206,6 +206,32 @@ def test_unknown_index_in_custom_groups_is_named(tmp_path, capsys):
     assert "unknown item indices in --groups: 99, 200" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("items", [5, [1.7], [True], ["1"], None])
+def test_custom_group_that_is_not_a_list_of_integers_is_named(tmp_path, capsys, items):
+    path = tmp_path / "groups.json"
+    path.write_text(json.dumps({"g1": [1, 2], "odd": items}))
+    rc = cli.main(["entropy", "--input", SURVEY, "--groups", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: --groups group 'odd': expected a list of integer item indices" in err
+    assert "Traceback" not in err
+
+
+def test_model_file_without_latents_is_named(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text("{}")
+    assert cli.main(["sem", "--input", SURVEY, "--model", str(path)]) == 1
+    assert "error: model: 'latents' must be a list" in capsys.readouterr().err
+
+
+def test_model_latent_without_indicators_is_named(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"latents": [{"name": "a"}]}))
+    argv = ["report", "--input", SURVEY, "--model", str(path), "--out-dir", str(tmp_path / "o")]
+    assert cli.main(argv) == 1
+    assert "error: model: latents[0] 'indicators' must be a list" in capsys.readouterr().err
+
+
 def test_score_rejects_weight_doc_of_wrong_shape(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text(json.dumps({"hello": "world"}))

@@ -337,10 +337,11 @@ def test_questionnaire_csv(tmp_path):
 
 
 def test_fits_that_reach_gtol_keep_their_iteration_counts(monkeypatch, capsys):
-    # `lockqual probit` on the fixture: the 25-item refit takes 6 flat steps
-    # at the noise floor before it lands below gtol, and must still land there.
-    # The elimination warm-starts its refits; refit each design it fits
-    # without `start` to pin the cold counts, and pin the warm ones too.
+    # `lockqual probit` on the fixture: every fit lands below gtol within a
+    # few Newton steps, the 25-item refit too, although its last steps reach
+    # the noise floor of the log-likelihood sum. The elimination warm-starts
+    # its refits; refit each design it fits without `start` to pin the cold
+    # counts, and pin the warm ones too.
     cold, warm = [], []
 
     def recording_fit(X, y, names=None, start=None, **kwargs):
@@ -353,8 +354,32 @@ def test_fits_that_reach_gtol_keep_their_iteration_counts(monkeypatch, capsys):
     survey = str(Path(__file__).resolve().parent.parent / "data" / "fixture_survey.csv")
     assert cli.main(["probit", "--input", survey]) == 0
     capsys.readouterr()
-    assert cold == [6, 6, 7, 6, 6, 6, 6, 11, 6, 7] + [6] * 14
-    assert warm == [6, 2, 2, 2] + [3] * 7 + [4] + [3] * 12
+    assert cold == [6] * 24
+    assert warm == [6, 2, 2, 2] + [3] * 20
+
+
+def test_single_pass_refit_at_the_noise_floor_reaches_the_optimum(monkeypatch, capsys):
+    # `lockqual probit --single-pass` on the fixture: the warm refit of the 5
+    # survivors reaches the noise floor, where every Newton step rounds the
+    # log-likelihood down. It must still land on the optimum, as a cold fit
+    # polished to gtol=1e-13 finds it, and not stop where it first met the floor.
+    calls = []
+
+    def recording_fit(X, y, names=None, **kwargs):
+        model = fit(X, y, names, **kwargs)
+        calls.append((X, y, names, model))
+        return model
+
+    monkeypatch.setattr("lockqual.oprobit.fit", recording_fit)
+    survey = str(Path(__file__).resolve().parent.parent / "data" / "fixture_survey.csv")
+    assert cli.main(["probit", "--input", survey, "--single-pass"]) == 0
+    capsys.readouterr()
+    X, y, names, final = calls[-1]
+    assert final.converged and final.n_iter <= 6
+    polished = fit(X, y, names, gtol=1e-13)
+    assert polished.converged
+    assert np.allclose(final.beta, polished.beta, rtol=1e-12, atol=0)
+    assert np.allclose(final.p, polished.p, rtol=1e-12, atol=0)
 
 
 def test_report_elimination_refits_through_the_module_level_fit(monkeypatch, tmp_path):

@@ -255,9 +255,11 @@ def test_constant_item_is_dropped_not_fatal(tmp_path):
 
 
 def test_probit_refits_converge_at_the_noise_floor(tmp_path):
-    # with q5 constant, the 9-item refit stops improving at max|grad| 3.3e-6,
-    # above gtol: it converges because the objective cannot resolve more, and
-    # the elimination goes on past the 19 drops where it used to stop
+    # with q5 constant, the 9-item refit meets the noise floor: started cold,
+    # its Newton step at max|grad| 3.3e-6 rounds the log-likelihood down by
+    # 1e-13, inside the rounding error of the 450-term sum. The line search
+    # takes that step and the fit lands at max|grad| 5e-13, so the
+    # elimination goes on past the 19 drops where it once stopped.
     b = _run_with_constant_q5(tmp_path).bundle
     assert not any("converge" in w for w in b["warnings"])
     assert len(b["probit"]["steps"]) > 19

@@ -1,7 +1,9 @@
 """Covariance-structure machinery: algebra, gradient, fit, inference."""
 from __future__ import annotations
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +117,28 @@ def test_model_json_round_trip():
     assert again == m
     assert again.observed == (1, 2, 3, 4, 5, 6)
     assert again.marker_of("f2") == 4
+
+
+A_B = [{"name": "a", "indicators": [1, 2]}, {"name": "b", "indicators": [3, 4]}]
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ([], "'latents'"),
+        ({}, "'latents'"),
+        ({"latents": {"a": [1, 2]}}, "'latents'"),
+        ({"latents": [{"indicators": [1, 2]}]}, "latents[0] has no 'name'"),
+        ({"latents": [{"name": "a"}]}, "latents[0] 'indicators'"),
+        ({"latents": [A_B[0], {"name": "b", "indicators": [3, 4.5]}]}, "latents[1] 'indicators'"),
+        ({"latents": [{"name": "a", "indicators": [True, 2]}]}, "latents[0] 'indicators'"),
+        ({"latents": A_B, "paths": [{"from": "a"}]}, "'paths'"),
+        ({"latents": A_B, "covariances": [["a"]]}, "'covariances'"),
+    ],
+)
+def test_model_json_names_the_malformed_field(doc, field):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        MeasurementModel.from_json(json.dumps(doc))
 
 
 def test_gradient_matches_central_differences():
