@@ -119,26 +119,30 @@ def _prepare(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, _Design]:
 
 
 def _cell_probs(eta: np.ndarray, y: np.ndarray, kappa: np.ndarray):
-    """P(y_i) per row, floored at 1e-300, with the standardized cuts z_hi and z_lo.
+    """P(y_i) per row, floored at 1e-300, with the standardized cuts z = (z_hi, z_lo).
 
     Each row takes the branch that keeps the difference accurate: the
     upper tails Phi(-z_lo) - Phi(-z_hi) when z_lo > 0, the lower ones
     Phi(z_hi) - Phi(z_lo) otherwise. Flipping the signs of those rows
-    first evaluates each row's branch alone, in two passes of Phi.
+    first evaluates each row's branch alone, in two passes of Phi over
+    (n,) arrays: one pass over the stacked (2, n) cuts doubles the size
+    of Phi's temporaries, and makes the peak RSS of a warm process on
+    100k respondents vary by 16 MB with the input.
     """
     kext = np.concatenate(([-np.inf], kappa, [np.inf]))
-    z_hi = kext[y] - eta
-    z_lo = kext[y - 1] - eta
-    upper = z_lo > 0
-    sign = np.where(upper, -1.0, 1.0)
-    cdf_hi = norm_cdf(sign * z_hi)
-    cdf_lo = norm_cdf(sign * z_lo)
-    p = np.where(upper, cdf_lo - cdf_hi, cdf_hi - cdf_lo)
-    return np.maximum(p, 1e-300), z_hi, z_lo
+    z = np.empty((2, eta.shape[0]))
+    z_hi, z_lo = z
+    np.subtract(kext[y], eta, out=z_hi)
+    np.subtract(kext[y - 1], eta, out=z_lo)
+    sign = np.where(z_lo > 0, -1.0, 1.0)
+    cdf_hi = norm_cdf(z_hi * sign)
+    cdf_lo = norm_cdf(z_lo * sign)
+    p = (cdf_hi - cdf_lo) * sign
+    return np.maximum(p, 1e-300), z
 
 
 def _ll(eta: np.ndarray, y: np.ndarray, kappa: np.ndarray, c: int) -> float:
-    p, _, _ = _cell_probs(eta, y, kappa)
+    p, _ = _cell_probs(eta, y, kappa)
     return float(np.log(p).sum())
 
 
@@ -160,19 +164,20 @@ def _grad_hess_raw(
     kappa: np.ndarray,
     c: int,
     design: _Design | None = None,
+    cells: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Log-likelihood, gradient and Hessian in the raw (beta, kappa) space.
 
     `design` holds the arrays of y alone; it is built here when not given.
+    `cells` is `_cell_probs(X @ beta, y, kappa)`, when the caller has it.
     """
     d = _Design(y, c) if design is None else design
     n, k = X.shape
-    p, z_hi, z_lo = _cell_probs(X @ beta, y, kappa)
+    p, z = _cell_probs(X @ beta, y, kappa) if cells is None else cells
     ll = float(np.log(p).sum())
-    phi_hi = norm_pdf(z_hi)  # 0 at the infinite outer cuts
-    phi_lo = norm_pdf(z_lo)
-    zphi_hi = np.multiply(z_hi, phi_hi, out=np.zeros(n), where=np.isfinite(z_hi))
-    zphi_lo = np.multiply(z_lo, phi_lo, out=np.zeros(n), where=np.isfinite(z_lo))
+    phi = norm_pdf(z)  # 0 at the infinite outer cuts
+    phi_hi, phi_lo = phi
+    zphi_hi, zphi_lo = np.multiply(z, phi, out=np.zeros_like(z), where=np.isfinite(z))
     # gradients of P per observation: g_hi = phi_hi is d P / d kappa_{y},
     # g_lo = -phi_lo is d P / d kappa_{y-1}; the second derivatives of P are
     # s_ee = zphi_lo - zphi_hi, s_eh = zphi_hi, s_el = -zphi_lo,
@@ -398,11 +403,12 @@ def fit(
     noise = n * np.finfo(float).eps
     warnings: list[str] = []
     derivs = None  # _grad_hess_raw at t, until a step moves t
+    cells = None  # _cell_probs at t, from the line search that accepted it
     it = 0
     for it in range(1, max_iter + 1):
         beta = t[:k]
         a = t[k:]
-        derivs = _grad_hess_raw(X, yi, beta, _kappa_of(a), c, design)
+        derivs = _grad_hess_raw(X, yi, beta, _kappa_of(a), c, design, cells)
         ll, grad_raw, hess_raw = derivs
         g, h = _transform_grad_hess(a, grad_raw, hess_raw, k, c)
         if float(np.max(np.abs(g))) < gtol:
@@ -420,10 +426,11 @@ def fit(
         accepted = False
         for _ in range(60):
             cand = t + step * d
-            ll_new = _ll(X @ cand[:k], yi, _kappa_of(cand[k:]), c)
+            trial = _cell_probs(X @ cand[:k], yi, _kappa_of(cand[k:]))
+            ll_new = float(np.log(trial[0]).sum())
             # sufficient increase, less the rounding error of the n-term sum ll
             if math.isfinite(ll_new) and ll_new >= ll + 1e-4 * step * slope - noise * abs(ll):
-                t = cand
+                t, cells = cand, trial
                 derivs = None
                 accepted = True
                 break
@@ -434,7 +441,7 @@ def fit(
     beta = t[:k]
     kappa = _kappa_of(t[k:])
     if derivs is None:
-        derivs = _grad_hess_raw(X, yi, beta, kappa, c, design)
+        derivs = _grad_hess_raw(X, yi, beta, kappa, c, design, cells)
     ll, grad_raw, hess_raw = derivs
     if converged and ll > -1e-3:
         # every fitted probability is numerically 1: the likelihood has no

@@ -307,18 +307,17 @@ class SemEstimate:
         li = {name: j for j, name in enumerate(lat)}
         oi = {item: i for i, item in enumerate(obs)}
 
-        def tp(est: float, se: float) -> tuple[float | None, float | None]:
+        def t_value(est: float, se: float) -> float | None:
             if not math.isfinite(se) or se <= 0:
-                return None, None
-            t = est / se
-            return t, float(2.0 * norm_sf(abs(t)))
+                return None
+            return est / se
 
         for name in lat:
             for pos, item in enumerate(self.model.indicators[name]):
                 i, j = oi[item], li[name]
                 se = float(self.se_lam[i, j])
                 fixed = pos == 0
-                t, p = (None, None) if fixed else tp(float(self.lam[i, j]), se)
+                t = None if fixed else t_value(float(self.lam[i, j]), se)
                 rows.append(
                     {
                         "kind": "loading",
@@ -327,7 +326,7 @@ class SemEstimate:
                         "est": float(self.lam[i, j]),
                         "se": None if fixed else se,
                         "t": t,
-                        "p": p,
+                        "p": None,
                         "std": None if self.std_lam is None else float(self.std_lam[i, j]),
                         "smc": None if self.smc is None else float(self.smc[i]),
                         "fixed": fixed,
@@ -336,7 +335,7 @@ class SemEstimate:
         for src, dst in self.model.structural_paths:
             k, l = li[dst], li[src]
             se = float(self.se_beta[k, l])
-            t, p = tp(float(self.beta[k, l]), se)
+            t = t_value(float(self.beta[k, l]), se)
             rows.append(
                 {
                     "kind": "path",
@@ -345,7 +344,7 @@ class SemEstimate:
                     "est": float(self.beta[k, l]),
                     "se": se,
                     "t": t,
-                    "p": p,
+                    "p": None,
                     "std": None if self.std_beta is None else float(self.std_beta[k, l]),
                     "smc": None,
                     "fixed": False,
@@ -354,7 +353,7 @@ class SemEstimate:
         for a, b in self.model.latent_covariances:
             i, j = li[a], li[b]
             se = float(self.se_psi[i, j])
-            t, p = tp(float(self.psi[i, j]), se)
+            t = t_value(float(self.psi[i, j]), se)
             rows.append(
                 {
                     "kind": "covariance",
@@ -363,7 +362,7 @@ class SemEstimate:
                     "est": float(self.psi[i, j]),
                     "se": se,
                     "t": t,
-                    "p": p,
+                    "p": None,
                     "std": None if self.latent_corr is None else float(self.latent_corr[i, j]),
                     "smc": None,
                     "fixed": False,
@@ -372,7 +371,7 @@ class SemEstimate:
         for name in lat:
             j = li[name]
             se = float(self.se_psi[j, j])
-            t, p = tp(float(self.psi[j, j]), se)
+            t = t_value(float(self.psi[j, j]), se)
             rows.append(
                 {
                     "kind": "variance",
@@ -381,7 +380,7 @@ class SemEstimate:
                     "est": float(self.psi[j, j]),
                     "se": se,
                     "t": t,
-                    "p": p,
+                    "p": None,
                     "std": None,
                     "smc": None,
                     "fixed": False,
@@ -390,7 +389,7 @@ class SemEstimate:
         for item in obs:
             i = oi[item]
             se = float(self.se_theta[i])
-            t, p = tp(float(self.theta[i]), se)
+            t = t_value(float(self.theta[i]), se)
             rows.append(
                 {
                     "kind": "residual",
@@ -399,12 +398,17 @@ class SemEstimate:
                     "est": float(self.theta[i]),
                     "se": se,
                     "t": t,
-                    "p": p,
+                    "p": None,
                     "std": None,
                     "smc": None if self.smc is None else float(self.smc[i]),
                     "fixed": False,
                 }
             )
+        # two-sided normal p-values of every t, in one call of the kernel
+        tested = [row for row in rows if row["t"] is not None]
+        p_values = 2.0 * norm_sf(np.abs([row["t"] for row in tested], dtype=float))
+        for row, p in zip(tested, p_values.tolist()):
+            row["p"] = p
         return rows
 
 
@@ -426,10 +430,6 @@ def _make_objective(pmap: _ParamMap, S: np.ndarray):
     Variances are log-parameterized in the packed space, so the chain
     rule multiplies their gradient entries by the variance itself.
     """
-    # imported here rather than at module top, so that `import lockqual`
-    # does not load SciPy (see _dist.py)
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
-
     p = pmap.p
     _, logdet_s = np.linalg.slogdet(S)
 
@@ -442,15 +442,15 @@ def _make_objective(pmap: _ParamMap, S: np.ndarray):
         if not np.all(np.isfinite(sig)):
             return math.inf
         try:
-            cf = cho_factor(sig, lower=True, check_finite=False)
-        except LinAlgError:
+            low = np.linalg.cholesky(sig)
+        except np.linalg.LinAlgError:
             return math.inf
-        diag = np.diag(cf[0])
+        diag = low.diagonal()
         if diag.min() <= 1e-8 * diag.max():
             # numerically singular; solve results would be meaningless
             return math.inf
         logdet = 2.0 * float(np.sum(np.log(diag)))
-        tr = float(np.trace(cho_solve(cf, S, check_finite=False)))
+        tr = float(np.trace(np.linalg.solve(sig, S)))
         f = logdet + tr - logdet_s - p
         # the discrepancy is nonnegative by construction, so anything
         # clearly below zero is lost-precision garbage, not progress

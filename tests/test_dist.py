@@ -1,23 +1,32 @@
-"""The scipy.special kernels against scipy.stats, float for float.
+"""The kernels in _dist.py against SciPy and mpmath, to stated error bounds.
 
-lockqual computes normal and chi-square values with the scipy.special
-ufuncs that scipy.stats calls underneath, and sums the ordered-probit
-derivatives per cutpoint with np.bincount. The references below are the
-scipy.stats calls and the np.add.at scatters those replaced; results
-must match them exactly, not approximately. Subprocess tests guard which
-SciPy modules `import lockqual` and the kernel-free subcommands load.
+lockqual computes normal, logistic and chi-square values with its own
+NumPy and standard-library kernels. SciPy, the implementation they
+replaced, and mpmath at 40 digits, the exact value, are the references.
+Each kernel must stay within a stated relative error of both, on dense
+grids that reach the tails, and give exactly what SciPy gives at +-inf,
+NaN and -0.0, with SciPy's return type. The bounds against SciPy are
+wider than those against mpmath where SciPy's own error is the larger:
+ndtr's beyond |x| = 7 and chdtrc's in its tails.
+The ordered-probit derivatives, summed per cutpoint with np.bincount,
+must equal the np.add.at scatters they replaced, float for float, with
+Phi and phi taken from lockqual's kernels on both sides.
 """
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,8 +37,13 @@ from lockqual import cli, oprobit
 from lockqual._dist import chi2_sf, expit, norm_cdf, norm_pdf, norm_ppf, norm_sf
 from lockqual.oprobit import _grad_hess_raw
 
+mpmath.mp.dps = 40
+EPS = np.finfo(float).eps
+
 POINTS = [-np.inf, -40.0, -1e-300, -0.0, 0.0, 1e-300, 1.0, 8.5, 40.0, np.inf, np.nan]
 PROBABILITIES = POINTS + [1e-12, 0.2, 0.5, 0.975, 1.0 - 1e-12]
+# where a kernel's value is exactly representable, it must equal SciPy's
+EXACT = [-np.inf, -0.0, 0.0, np.inf, np.nan]
 
 
 def _same(got, want) -> bool:
@@ -37,31 +51,152 @@ def _same(got, want) -> bool:
     return got.shape == want.shape and bool(np.array_equal(got, want, equal_nan=True))
 
 
+def _rel(got, want) -> np.ndarray:
+    """|got - want| / |want|, 0 where both are equal (zeros, infinities, NaN)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    same = (got == want) | (np.isnan(got) & np.isnan(want))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(same, 0.0, np.abs(got - want) / np.abs(want))
+
+
+def _exact_rel(got, exact) -> np.ndarray:
+    """Relative errors of floats against mpmath values."""
+    return np.array([float(abs(mpmath.mpf(float(g)) - e) / abs(e)) for g, e in zip(got, exact)])
+
+
 @pytest.mark.parametrize(
-    "ours, ref, points",
+    "ours, ref, points, bound",
     [
-        (norm_cdf, scipy.stats.norm.cdf, POINTS),
-        (norm_sf, scipy.stats.norm.sf, POINTS),
-        (norm_pdf, scipy.stats.norm.pdf, POINTS),
-        (norm_ppf, scipy.stats.norm.ppf, PROBABILITIES),
-        (expit, scipy.stats.logistic.cdf, POINTS),
+        (norm_cdf, scipy.stats.norm.cdf, POINTS, 1e-14),
+        (norm_sf, scipy.stats.norm.sf, POINTS, 1e-14),
+        (norm_pdf, scipy.stats.norm.pdf, POINTS, 0.0),
+        (norm_ppf, scipy.stats.norm.ppf, PROBABILITIES, 2e-15),
+        (expit, scipy.stats.logistic.cdf, POINTS, 1e-15),
     ],
     ids=["cdf", "sf", "pdf", "ppf", "expit"],
 )
-def test_normal_kernels_equal_scipy_stats(ours, ref, points):
+def test_normal_kernels_equal_scipy_stats(ours, ref, points, bound):
+    # equal to the stated relative error, exactly at the special points, with
+    # scipy.stats' shape and scalar type, for arrays and 0-d inputs alike;
+    # the largest difference is 7.2e-15, at Phi(-8.5)
     x = np.array(points)
-    assert _same(ours(x), ref(x))
-    for v in points:  # the scalar path sem.py and fit() take
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ours(x)
+        assert got.shape == x.shape
+        assert _rel(got, ref(x)).max() <= bound
+        for v in points:
+            one = ours(v)
+            assert type(one) is type(ref(v)), v
+            assert _rel(one, ref(v)) <= bound, v
+    special = np.array(EXACT)
+    assert _same(ours(special), ref(special))
+    for v in special:
         assert _same(ours(v), ref(v)), v
 
 
 @pytest.mark.parametrize("df", [1, 3, 496])
 def test_chi2_sf_equals_scipy_stats(df):
-    x = np.array(POINTS)
-    assert _same(chi2_sf(x, df), scipy.stats.chi2.sf(x, df))
+    # equal to 1e-13 relative (measured: 1.0e-14, at x = 1 on one degree of
+    # freedom); exactly 1 for x <= 0 (chdtrc alone would give NaN there)
+    # and 0 at inf
     for v in POINTS:
-        assert _same(chi2_sf(v, df), scipy.stats.chi2.sf(v, df)), v
-    assert chi2_sf(-1.0, df) == 1.0  # chdtrc alone would give NaN here
+        got, want = chi2_sf(v, df), float(scipy.stats.chi2.sf(v, df))
+        assert type(got) is float
+        if math.isnan(v) or v <= 0 or math.isinf(v):
+            assert _same(got, want), v
+        else:
+            assert _rel(got, want) <= 1e-13, v
+    assert chi2_sf(-1.0, df) == 1.0
+    assert chi2_sf(5e-324, df) == 1.0  # halves to 0
+
+
+def test_chi2_sf_rejects_degrees_of_freedom_that_are_not_positive():
+    with pytest.raises(ValueError):
+        chi2_sf(2.0, 0)
+
+
+def test_norm_cdf_and_sf_relative_error_over_the_dense_grid():
+    # |x| <= 38 in steps of 0.01, finer near 0 and off the grid's decimals,
+    # wherever Phi >= 1e-300: 1.5e-15 from the exact value (measured
+    # 1.2e-15 on a denser grid), and each 0-d input gives the bits it gets
+    # inside the array. Against SciPy, 2e-14 on |x| <= 8 and 3e-13 beyond
+    # (measured 1.1e-14 and 2.4e-13): ndtr rounds x / sqrt(2) and its square
+    # before its exp, which puts it 1.1e-14 from the exact value near x = -7.9.
+    grid = np.concatenate([np.linspace(-38, 38, 7601), np.linspace(-1e-3, 1e-3, 201), np.linspace(-6, 6, 601) + 3e-3])
+    exact_all = [mpmath.ncdf(mpmath.mpf(float(v))) for v in grid]
+    inside = np.array([e >= 1e-300 for e in exact_all])
+    exact = [e for e, keep in zip(exact_all, inside) if keep]
+    x = grid[inside]
+    cdf = norm_cdf(x)
+    assert _exact_rel(cdf, exact).max() <= 1.5e-15
+    assert _same(norm_sf(-x), cdf)
+    assert _same(np.array([norm_cdf(float(v)) for v in x]), cdf)
+    diff = _rel(cdf, scipy.special.ndtr(x))
+    assert diff[np.abs(x) <= 8].max() <= 2e-14
+    assert diff.max() <= 3e-13
+
+
+def test_norm_kernels_below_the_normal_range_and_on_every_shape():
+    # under 1e-300, down through the subnormals, each value is within 2e-15
+    # of the exact one or within the spacing of the subnormals
+    x = np.linspace(-38.6, -37, 81)
+    exact = np.array([float(mpmath.ncdf(mpmath.mpf(float(v)))) for v in x])
+    assert np.all(np.abs(norm_cdf(x) - exact) <= 2e-15 * exact + 5e-324)
+    z = np.linspace(-5, 5, 24).reshape(2, 3, 4)
+    assert _same(norm_cdf(z), norm_cdf(z.ravel()).reshape(z.shape))
+    assert norm_cdf(np.empty((0, 3))).shape == (0, 3)
+    assert _same(norm_cdf([0.0, -1.0]), norm_cdf(np.array([0.0, -1.0])))
+
+
+def test_norm_ppf_relative_error_across_both_tails():
+    # AS241: 2e-15 of SciPy's ndtri (measured 6.9e-16), and 2e-15 of the
+    # exact quantile, found by mpmath on log Phi, on every 37th probability
+    p = np.concatenate([10.0 ** -np.linspace(1, 300, 300), np.linspace(1e-3, 1 - 1e-3, 999), 1 - 10.0 ** -np.linspace(1, 15, 60)])
+    got = norm_ppf(p)
+    assert _rel(got, scipy.special.ndtri(p)).max() <= 2e-15
+    exact = [
+        mpmath.findroot(lambda t: mpmath.log(mpmath.ncdf(t)) - mpmath.log(mpmath.mpf(float(q))), float(g))
+        for q, g in zip(p[::37], got[::37])
+    ]
+    assert _exact_rel(got[::37], exact).max() <= 2e-15
+
+
+def test_expit_relative_error_where_exp_would_overflow():
+    x = np.concatenate([np.linspace(-750, 750, 3001), np.linspace(-40, 40, 4001)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expit(x)
+    ref = scipy.special.expit(x)
+    assert _rel(got, ref)[ref > 1e-300].max() <= 1e-15
+    assert np.all((got >= 0) & (got <= 1))
+
+
+@pytest.mark.parametrize("df", [1, 2, 5, 19, 20, 21, 100, 496, 1000])
+def test_chi2_sf_relative_error_over_the_body_and_the_tail(df):
+    # 16 eps (1 + |log Q|) of the exact value (measured: 8.4), and 1e-14
+    # where Q >= 1e-5 (measured: 6.1e-15); exp of a double rounds log Q
+    # itself. Against SciPy's chdtrc, which reaches 49 eps (1 + |log Q|):
+    # 1e-13 where Q >= 1e-5 and 1e-12 below (measured: 4.3e-14 and 6.8e-13)
+    x = np.unique(np.concatenate([np.linspace(0.01, 3 * df + 60, 160), df * np.linspace(0.5, 1.5, 41), np.linspace(df, 1500, 60)]))
+    exact = [mpmath.gammainc(df / 2, mpmath.mpf(float(v)) / 2, mpmath.inf, regularized=True) for v in x]
+    keep = np.array([e >= 1e-300 for e in exact])
+    got = np.array([chi2_sf(v, df) for v in x[keep]])
+    exact = [e for e, k in zip(exact, keep) if k]
+    q = np.array([float(e) for e in exact])
+    err = _exact_rel(got, exact)
+    assert np.all(err <= 16 * EPS * (1 - np.log(q)))
+    assert err[q >= 1e-5].max() <= 1e-14
+    diff = _rel(got, scipy.special.chdtrc(df, x[keep]))
+    assert diff[q >= 1e-5].max() <= 1e-13
+    assert diff.max() <= 1e-12
+
+
+def test_bartlett_chi_square_of_the_fixture_underflows_to_zero():
+    # the pinned bartlett_p of the fixture is 0.0: its chi-square on 496
+    # degrees of freedom lies beyond the smallest double
+    assert chi2_sf(20000.0, 496) == 0.0
+    assert chi2_sf(1e300, 3) == 0.0
 
 
 def test_import_loads_neither_scipy_stats_nor_optimize():
@@ -76,7 +211,7 @@ def test_import_loads_neither_scipy_stats_nor_optimize():
 
 
 # scipy.special and scipy.linalg load scipy's array-API shim, about 0.3 s of
-# a fresh process; only the kernels in _dist.py and the SEM objective import them.
+# a fresh process; lockqual's own kernels stand in for both.
 SCIPY_LOADED = "[m for m in ('scipy.special', 'scipy.linalg', 'scipy._lib._array_api') if m in sys.modules]"
 
 
@@ -118,21 +253,22 @@ def test_subcommands_without_kernels_load_neither_scipy_special_nor_linalg(tmp_p
 
 
 # ---------------------------------------------------------------------------
-# ordered-probit derivatives: the np.add.at implementation they replaced
+# ordered-probit derivatives: the np.add.at implementation they replaced, with
+# Phi and phi from lockqual's own kernels, whose values depend on their
+# argument alone, so that the cell probabilities and sums are under test
 
 
 def ref_grad_hess_raw(X, y, beta, kappa, c):
-    _norm = scipy.stats.norm
     n, k = X.shape
     eta = X @ beta
     kext = np.concatenate(([-np.inf], kappa, [np.inf]))
     z_hi = kext[y] - eta
     z_lo = kext[y - 1] - eta
-    p = np.where(z_lo > 0, _norm.sf(z_lo) - _norm.sf(z_hi), _norm.cdf(z_hi) - _norm.cdf(z_lo))
+    p = np.where(z_lo > 0, norm_sf(z_lo) - norm_sf(z_hi), norm_cdf(z_hi) - norm_cdf(z_lo))
     p = np.maximum(p, 1e-300)
     ll = float(np.log(p).sum())
-    phi_hi = np.where(np.isfinite(z_hi), _norm.pdf(z_hi), 0.0)
-    phi_lo = np.where(np.isfinite(z_lo), _norm.pdf(z_lo), 0.0)
+    phi_hi = np.where(np.isfinite(z_hi), norm_pdf(z_hi), 0.0)
+    phi_lo = np.where(np.isfinite(z_lo), norm_pdf(z_lo), 0.0)
     zphi_hi = np.zeros_like(phi_hi)
     zphi_lo = np.zeros_like(phi_lo)
     fin_hi = np.isfinite(z_hi)

@@ -10,7 +10,7 @@ import pytest
 import scipy.optimize
 import scipy.stats
 
-from lockqual import cli, synth
+from lockqual import cli, oprobit, synth
 from lockqual.oprobit import (
     EliminationResult,
     _grad_hess_raw,
@@ -423,3 +423,37 @@ def test_warm_started_elimination_matches_cold_refits(monkeypatch, n, seed):
     assert warm.final is not None and cold.final is not None
     for attr in ("beta", "se", "p", "kappa"):
         assert np.allclose(getattr(warm.final, attr), getattr(cold.final, attr), rtol=1e-8, atol=0), attr
+
+
+@pytest.mark.parametrize("n, seed", [(150, 0), (300, 2)])
+def test_carried_cell_probabilities_change_no_bit_of_the_fits(monkeypatch, n, seed):
+    # fit() hands the cell probabilities of the point its line search accepted
+    # to the next derivative evaluation, which computed them again before
+    survey = synth.gen_sem_survey(synth.default_sem_truth(n=n, seed=seed))
+    items = list(range(1, SATI_AFTER))
+    _, X = survey.matrix(items)
+    y = survey.column(SATI_AFTER).astype(int)
+    names = tuple(f"q{i}" for i in items)
+    calls = []
+    cell_probs = oprobit._cell_probs
+
+    def counting_cell_probs(*args):
+        calls.append(1)
+        return cell_probs(*args)
+
+    def recomputing_grad_hess_raw(X, y, beta, kappa, c, design=None, cells=None):
+        return _grad_hess_raw(X, y, beta, kappa, c, design)
+
+    monkeypatch.setattr("lockqual.oprobit._cell_probs", counting_cell_probs)
+    carried = backward_eliminate(X, y, names)
+    n_carried = len(calls)
+    calls.clear()
+    monkeypatch.setattr("lockqual.oprobit._grad_hess_raw", recomputing_grad_hess_raw)
+    recomputed = backward_eliminate(X, y, names)
+    assert n_carried < len(calls)
+    assert carried.survivors == recomputed.survivors
+    assert [(s.dropped, s.p_value) for s in carried.steps] == [(s.dropped, s.p_value) for s in recomputed.steps]
+    for a, b in ((carried.initial, recomputed.initial), (carried.final, recomputed.final)):
+        assert (a.n_iter, a.loglik, a.converged) == (b.n_iter, b.loglik, b.converged)
+        for attr in ("beta", "se", "p", "kappa", "cov"):
+            assert np.array_equal(getattr(a, attr), getattr(b, attr), equal_nan=True), attr
