@@ -11,6 +11,7 @@ compared against the demand-side standardized weights.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -282,13 +283,20 @@ def parse_judgments(
 
 def load_judgments(path: str, hierarchy: Hierarchy = DEFAULT_HIERARCHY) -> JudgmentSet:
     """Read a judgment CSV; the result is a sequence of per-respondent views."""
+    rows: list[list[str]] = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not set(_FIELDS).issubset(header):
-            raise ValueError("judgment CSV must have columns " + ",".join(sorted(_FIELDS)))
-        column = {name: k for k, name in enumerate(header)}  # the last of repeated names, as csv.DictReader
-        rows = [row for row in reader if row]
+        header = None
+        try:
+            header = next(reader, None)
+            if header is None or not set(_FIELDS).issubset(header):
+                raise ValueError("judgment CSV must have columns " + ",".join(sorted(_FIELDS)))
+            for row in reader:
+                if row:
+                    rows.append(row)
+        except csv.Error as exc:
+            raise ValueError(f"row {len(rows) + 1}: {exc}" if header else f"header: {exc}") from None
+    column = {name: k for k, name in enumerate(header)}  # the last of repeated names, as csv.DictReader
     take = itemgetter(*(column[f] for f in _FIELDS))
     # a short row reads None for the fields it lacks, as csv.DictReader's restval
     pad = [None] * len(header)
@@ -321,8 +329,8 @@ class WeightVector:
         if set(self.labels) != set(self.weights):
             raise ValueError("labels and weights must agree")
         vals = [self.weights[k] for k in self.labels]
-        if any(v <= 0 for v in vals):
-            raise ValueError("weights must be positive")
+        if not all(0 < v < math.inf for v in vals):
+            raise ValueError("weights must be positive and finite")
         if abs(sum(vals) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
 
@@ -333,15 +341,18 @@ class WeightVector:
 
 
 def normalized_weights(raw: Mapping[str, float], labels: Sequence[str] | None = None) -> WeightVector:
-    """Normalize positive raw weights (for example standardized path weights)."""
+    """Normalize positive, finite raw weights (for example standardized path weights)."""
     if labels is None:
         labels = tuple(raw)
     missing = [k for k in labels if k not in raw]
     if missing:
         raise ValueError(f"no weights for {missing}")
     vals = {k: float(raw[k]) for k in labels}
-    if any(v <= 0 for v in vals.values()):
-        bad = [k for k, v in vals.items() if v <= 0]
+    bad = [k for k, v in vals.items() if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"non-finite weights for {bad}")
+    bad = [k for k, v in vals.items() if v <= 0]
+    if bad:
         raise ValueError(f"nonpositive weights for {bad}")
     total = sum(vals.values())
     return WeightVector(tuple(labels), {k: v / total for k, v in vals.items()})

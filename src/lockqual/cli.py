@@ -165,7 +165,8 @@ def _load_weight_doc(path: str) -> Mapping[str, float]:
         if isinstance(inner, dict):
             doc = inner
             break
-    if not doc or not all(isinstance(v, (int, float)) for v in doc.values()):
+    # JSON true and false load as bool, which is an int
+    if not doc or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc.values()):
         raise ValueError(f"{path}: no usable name -> weight mapping found")
     return {str(k): float(v) for k, v in doc.items()}
 

@@ -11,12 +11,22 @@ scale; an empty cell is a missing rating. delay_hours may be empty.
 A screened survey is held column by column (see SurveyDataset): one
 int8 code array for all ratings, a float delay array and one list per
 text field, so every summary is a numpy reduction over a column.
+
+load_survey reads the file in blocks of whole lines and screens each
+block with NumPy over the byte positions of its line ends and commas;
+only rows that fail a column screen are screened one by one. The first
+block that csv.reader might split otherwise (a quote, a NUL, a CR not
+followed by LF, a line longer than the csv field size limit) hands the
+rest of the file to csv.reader.
 """
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
@@ -210,10 +220,17 @@ def _parse_rating(cell: str) -> tuple[int | None, str | None]:
 
 # the exact spelling of each code's cell; any other cell goes through _parse_rating
 _CELL_OF = ("", "1", "2", "3", "4", "5")
+_EXACT = frozenset(_CELL_OF).issuperset
+_CODE_OF_DIGIT = bytes.maketrans(b"012345", bytes(range(6)))
 
 
 def _parse_codes(cells: Sequence[str]) -> tuple[bytes, str | None]:
     """Codes of one row's rating cells, or the first failing cell's reason."""
+    if _EXACT(cells):
+        line = ",".join(cells)
+        if len(line) != 2 * len(cells) - 1:  # blank cells: a "0" in each
+            line = ("," + line + ",").replace(",,", ",0,").replace(",,", ",0,")[1:-1]
+        return line.encode("ascii")[::2].translate(_CODE_OF_DIGIT), None
     codes = bytearray()
     for cell in cells:
         value, reason = _parse_rating(cell)
@@ -238,15 +255,223 @@ def _parse_delay(cell: str) -> tuple[float, str | None]:
     return delay, None
 
 
-_CODE_OF_DIGIT = bytes.maketrans(b"012345", bytes(range(6)))
+def _check_header(header: list[str], expected: list[str]) -> None:
+    if [h.strip() for h in header] != expected:
+        raise SurveyFormatError("unexpected header; want " + ",".join(expected[:8]) + ",...," + expected[-1])
 
 
-def _codes_of(lines: list[str]) -> bytes:
-    """Codes of rows written one digit per cell ("0" for blank) with cells joined by ","."""
-    return ",".join(lines).encode("ascii")[::2].translate(_CODE_OF_DIGIT)
+_BLOCK_BYTES = 1 << 18  # survey bytes screened per NumPy pass
 
 
-_ROWS_PER_DECODE = 1 << 12  # rows held as text before their codes are decoded
+def _delays_of(cells: list[str], blank: np.ndarray) -> np.ndarray:
+    """float() of each delay cell; NaN where it is blank (a cell "nan" reads NaN too) or no number."""
+    for k in np.flatnonzero(blank).tolist():
+        cells[k] = "nan"
+    try:
+        return np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        return np.array([_parse_delay(c)[0] for c in cells])
+
+
+class _Reader:
+    """Accepted columns and rejected rows of one survey, filled in row order."""
+
+    def __init__(self, catalog: VariableCatalog) -> None:
+        self.expected = _expected_header(len(catalog))
+        self.header = False  # has the header been read?
+        self.rows = 0  # data rows read so far
+        self.ids: list[str] = []
+        self.demo = array("q")  # the number of each row's demographic cells in self.combos
+        self.delays = array("d")
+        self.codes = bytearray()
+        self.rejected: list[RejectedRow] = []
+        self.seen: set[str] = set()
+        self.labels: dict[str, str] = {}  # one string object per distinct demographic value
+        self.combos: list[tuple[str, ...]] = []  # distinct demographic cells of a row
+        # their numbers, keyed by the tuple or, on the block path, by "a,b,c,d,e"
+        self.combo: dict[tuple[str, ...] | str, int] = {}
+
+    def row(self, row_number: int, row: list[str]) -> None:
+        """Screen one row as csv.reader splits it."""
+        rid = row[0].strip() if row else ""
+        if rid == "" and all(c.strip() == "" for c in row):
+            return
+        if len(row) != len(self.expected):
+            reason = "wrong number of fields"
+        elif rid == "":
+            reason = "missing respondent id"
+        elif rid in self.seen:
+            reason = "duplicate respondent id"
+        else:
+            delay, reason = _parse_delay(row[6])
+            if reason is None:
+                codes, reason = _parse_codes(row[7:])
+                if reason is None and not (codes[0] and codes[-1]):
+                    reason = "missing overall satisfaction"
+        if reason is not None:
+            self.rejected.append(RejectedRow(row_number, rid, reason))
+            return
+        self.seen.add(rid)
+        self.ids.append(rid)
+        values = tuple(map(str.strip, row[1:6]))
+        number = self.combo.get(values)
+        self.demo.append(self._new_combo(values, values) if number is None else number)
+        self.delays.append(delay)
+        self.codes += codes
+
+    def csv_rows(self, fh) -> None:
+        """Screen the rest of a binary file, from its position, through csv.reader."""
+        n = self.rows
+        with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+            rows = csv.reader(text)
+            try:
+                if not self.header:
+                    header = next(rows, None)
+                    if header is None:
+                        raise SurveyFormatError("empty survey file")
+                    _check_header(header, self.expected)
+                    self.header = True
+                take = self.row
+                for n, row in enumerate(rows, n + 1):
+                    take(n, row)
+            except csv.Error as exc:
+                raise SurveyFormatError(f"row {n + 1}: {exc}" if self.header else f"header: {exc}") from None
+
+    def block(self, buf: bytes, limit: int) -> bool:
+        """Screen whole lines, each ending in "\n", by NumPy over their byte positions.
+
+        Rows that pass every column screen are taken as runs of arrays; any
+        other row goes through row(), in row order. Returns False, having
+        read nothing, when csv.reader might not split each line at its
+        commas: the block holds a quote, a NUL or a CR not followed by LF,
+        or a line longer than limit.
+        """
+        if b'"' in buf or b"\0" in buf:
+            return False
+        a = np.frombuffer(buf, dtype=np.uint8)
+        nl = np.flatnonzero(a == 10)
+        crlf = a[nl - 1] == 13
+        if np.count_nonzero(crlf) != np.count_nonzero(a == 13) or np.diff(nl, prepend=-1).max() > limit:
+            return False
+        if not self.header:
+            self.header = True
+            _check_header(buf[: nl[0] - crlf[0]].decode("utf-8").split(","), self.expected)
+            head = nl[0] + 1
+            a, buf, nl, crlf = a[head:], buf[head:], nl[1:] - head, crlf[1:]
+        n_lines = nl.size
+        if n_lines == 0:
+            return True
+        starts = np.concatenate(([0], nl[:-1] + 1))
+        ends = nl - crlf
+        commas = np.flatnonzero(a == 44)
+        n_commas = len(self.expected) - 1
+        upto = np.searchsorted(commas, nl)  # commas before each line end
+        per_line = np.diff(upto, prepend=0)
+        is_good = per_line == n_commas  # a line of the right width
+        good = np.flatnonzero(is_good)
+        if good.size == n_lines:
+            c = commas.reshape(n_lines, n_commas)
+        else:
+            c = commas[(upto - per_line)[good, None] + np.arange(n_commas)]
+        ls, le = starts[good], ends[good]
+
+        # ratings: each cell empty or one digit 1..5, and both bookends given.
+        # A digit 1..5 first in every non-empty cell, and as many such digits
+        # as the cells hold bytes, mean every non-empty cell is one digit.
+        first = a[1:].take(c[:, 6:])  # the byte after each comma
+        digit = (first - np.uint8(ord("1"))) < 5
+        fast = np.count_nonzero(digit, axis=1) == le - c[:, 6] - digit.shape[1]
+        fast &= digit[:, 0] & digit[:, -1]
+        codes = ((first - np.uint8(ord("0"))) * digit).view(np.int8)
+        # the commas after the id, the demographics and the delay; the
+        # others are let go, since they are most of the block's memory
+        id_end, demo_end, delay_end = c[:, [0, 5, 6]].T
+        del commas, c
+        fast &= id_end > ls
+        # the id, demographic and delay cells of each row as one string, with
+        # "\n" after the id, after the demographics (still joined by ",")
+        # and after the delay
+        spans = np.column_stack((ls, delay_end + 1)).ravel()
+        inside = np.zeros(spans.size + 1, dtype=bool)
+        inside[1::2] = True
+        text = a[np.repeat(inside, np.diff(spans, prepend=0, append=a.size))]
+        row_ends = np.cumsum(delay_end + 1 - ls)
+        # whitespace, a control or a non-ASCII byte
+        strippable = np.flatnonzero((text - np.uint8(33)) > 126 - 33)
+        if strippable.size:  # fields whose edges str.strip would change
+            edge = (text[strippable - 1] == 44) | (text[strippable + 1] == 44)
+            fast[np.searchsorted(row_ends, strippable[edge], side="right")] = False
+        text[np.stack((id_end, demo_end, delay_end)) + (row_ends - delay_end - 1)] = 10
+        cells = text.tobytes().decode("utf-8").split("\n")
+        ids = cells[0:-1:3]
+        blank = delay_end == demo_end + 1
+        delays = _delays_of(cells[2::3], blank)
+        with np.errstate(invalid="ignore"):
+            fast &= np.isfinite(delays) & (delays >= 0) | blank
+        # an id is taken only by an accepted row, so a row screened here
+        # must hold the first occurrence of its id and one not taken before
+        for k in np.flatnonzero(~fast).tolist():
+            ids[k] = ids[k].strip()
+        if len(set(ids)) < len(ids):
+            at = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))  # id -> its first row
+            once = np.zeros(len(ids), dtype=bool)
+            once[np.fromiter(at.values(), dtype=np.intp, count=len(at))] = True
+            fast &= once
+        if not self.seen.isdisjoint(ids):
+            fast &= ~np.fromiter(map(self.seen.__contains__, ids), dtype=bool, count=len(ids))
+
+        demo = self._combos(cells[1::3])
+        slow = np.ones(n_lines, dtype=bool)
+        slow[good[fast]] = False
+        slow = np.flatnonzero(slow)
+        taken = 0  # good lines taken so far
+        for line, upto_good, line_is_good in zip(
+            slow.tolist(), np.searchsorted(good, slow).tolist(), is_good[slow].tolist()
+        ):
+            self._run(ids, demo, delays, codes, taken, upto_good)
+            self.row(self.rows + line + 1, buf[starts[line] : ends[line]].decode("utf-8").split(","))
+            taken = upto_good + line_is_good
+        self._run(ids, demo, delays, codes, taken, good.size)
+        self.rows += n_lines
+        return True
+
+    def _new_combo(self, key: tuple[str, ...] | str, values: Sequence[str]) -> int:
+        """Number one row's demographic cells, values, not seen before in self.combos."""
+        number = self.combo[key] = len(self.combos)
+        self.combos.append(tuple(self.labels.setdefault(v, v) for v in values))
+        return number
+
+    def _combos(self, joined: list[str]) -> np.ndarray:
+        """The numbers of rows' demographic cells given joined by ","."""
+        try:
+            return np.fromiter(map(self.combo.__getitem__, joined), dtype=np.int64, count=len(joined))
+        except KeyError:
+            for key in set(joined).difference(self.combo):
+                self._new_combo(key, key.split(","))
+            return np.fromiter(map(self.combo.__getitem__, joined), dtype=np.int64, count=len(joined))
+
+    def _run(self, ids, demo, delays, codes, i: int, j: int) -> None:
+        """Take the screened rows i..j-1 of a block."""
+        if i < j:
+            self.ids += ids[i:j]
+            self.seen.update(ids[i:j])
+            self.demo.frombytes(demo[i:j].tobytes())
+            self.delays.frombytes(delays[i:j].tobytes())
+            self.codes += codes[i:j].tobytes()
+
+    def dataset(self, catalog: VariableCatalog) -> SurveyDataset:
+        number = np.frombuffer(self.demo, dtype=np.int64)
+        return SurveyDataset(
+            catalog,
+            self.ids,
+            np.frombuffer(self.codes, dtype=np.int8).reshape(len(self.ids), len(catalog) + 2),
+            np.frombuffer(self.delays, dtype=float),
+            {
+                name: np.array([combo[k] for combo in self.combos], dtype=object)[number].tolist()
+                for k, name in enumerate(DEMOGRAPHICS)
+            },
+            tuple(self.rejected),
+        )
 
 
 def load_survey(path: str, catalog: VariableCatalog = DEFAULT_CATALOG) -> SurveyDataset:
@@ -257,77 +482,42 @@ def load_survey(path: str, catalog: VariableCatalog = DEFAULT_CATALOG) -> Survey
     1-based data row number and a reason. A row's first failing check
     names the reason; an id is taken only by an accepted row.
 
-    One pass of the csv reader keeps each accepted row's ratings as one
-    string of digits, decoded some thousand rows at a time. Only rows
-    whose rating cells are not all exact spellings ("", "1".."5") are
-    parsed cell by cell.
+    The file is read in blocks of whole lines. Each block is screened by
+    NumPy over the byte positions of its line ends and commas: rating
+    cells are decoded from their lengths and first bytes, and the id,
+    demographic and delay cells are decoded as one string. A row that
+    fails any of these screens (a wrong width, a cell that is not an
+    exact spelling, a text field with an edge str.strip would change, a
+    delay that is not a finite number >= 0, an id seen before) is
+    screened on its own, in row order. The first block that holds a
+    quote, a CR not followed by LF, a NUL or a line longer than
+    csv.field_size_limit() hands the rest of the file to csv.reader, row
+    by row; a csv error there is a SurveyFormatError naming the row.
     """
-    n_items = len(catalog)
-    expected = _expected_header(n_items)
-    width = len(expected)
-    line_length = 2 * (n_items + 2) - 1
-    exact = frozenset(_CELL_OF).issuperset
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SurveyFormatError("empty survey file") from None
-        if [h.strip() for h in header] != expected:
-            raise SurveyFormatError(
-                "unexpected header; want " + ",".join(expected[:8]) + ",...," + expected[-1]
-            )
-        ids: list[str] = []
-        demo: list[list[str]] = [[] for _ in DEMOGRAPHICS]
-        delays: list[float] = []
-        lines: list[str] = []  # accepted rows' ratings as digits, not yet decoded
-        codes = bytearray()
-        rejected: list[RejectedRow] = []
-        seen: set[str] = set()
-        labels: dict[str, str] = {}  # one string object per distinct demographic value
-        for row_number, row in enumerate(reader, start=1):
-            rid = row[0].strip() if row else ""
-            if rid == "" and all(c.strip() == "" for c in row):
+    reader = _Reader(catalog)
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        offset = len(codecs.BOM_UTF8) if fh.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8 else 0
+        fh.seek(offset)
+        carry = b""
+        while True:
+            chunk = fh.read(_BLOCK_BYTES)
+            buf = carry + chunk
+            cut = buf.rfind(b"\n") + 1 if chunk else len(buf)
+            if chunk and cut == 0 and len(buf) <= limit:  # a line longer than one read
+                carry = buf
                 continue
-            if len(row) != width:
-                reason = "wrong number of fields"
-            elif rid == "":
-                reason = "missing respondent id"
-            elif rid in seen:
-                reason = "duplicate respondent id"
-            else:
-                delay, reason = _parse_delay(row[6])
-                cells = row[7:]
-                if reason is None and not exact(cells):
-                    row_codes, reason = _parse_codes(cells)
-                    cells = [_CELL_OF[v] for v in row_codes]
-                if reason is None and (cells[0] == "" or cells[-1] == ""):
-                    reason = "missing overall satisfaction"
-            if reason is not None:
-                rejected.append(RejectedRow(row_number, rid, reason))
-                continue
-            seen.add(rid)
-            ids.append(rid)
-            for col, cell in zip(demo, row[1:6]):
-                value = cell.strip()
-                col.append(labels.setdefault(value, value))
-            delays.append(delay)
-            line = ",".join(cells)
-            if len(line) != line_length:  # blank cells: a "0" in each
-                line = line.replace(",,", ",0,").replace(",,", ",0,")
-            lines.append(line)
-            if len(lines) == _ROWS_PER_DECODE:
-                codes += _codes_of(lines)
-                lines.clear()
-        codes += _codes_of(lines)
-    return SurveyDataset(
-        catalog,
-        ids,
-        np.frombuffer(codes, dtype=np.int8).reshape(len(ids), n_items + 2),
-        np.array(delays, dtype=float),
-        dict(zip(DEMOGRAPHICS, demo)),
-        tuple(rejected),
-    )
+            block, carry = buf[:cut], buf[cut:]
+            if block and not block.endswith(b"\n"):  # the last line, without its line end
+                block += b"\n"
+            # at the end of the file the block is empty, and csv.reader reads
+            # what is left: nothing, or an empty file's missing header
+            if not block or not reader.block(block, limit):
+                fh.seek(offset)
+                reader.csv_rows(fh)
+                break
+            offset += cut
+    return reader.dataset(catalog)
 
 
 def write_survey(d: SurveyDataset, path: str) -> None:

@@ -472,7 +472,7 @@ def sem_section(
     """Structural-model fit, its fit-index gates and the score weights.
 
     The weights are null when they cannot be drawn from the estimate or
-    any of them is nonpositive. The estimate comes back as well.
+    any of them is nonpositive or non-finite. The estimate comes back as well.
     """
     if model is None:
         return None, None
@@ -486,7 +486,8 @@ def sem_section(
         weights = None
     if weights is not None and weights.nonpositive:
         warnings.append(
-            "nonpositive standardized weights, scoring skipped: " + ", ".join(weights.nonpositive)
+            "nonpositive or non-finite standardized weights, scoring skipped: "
+            + ", ".join(weights.nonpositive)
         )
         weights = None
     doc["score_weights"] = weights.to_jsonable() if weights is not None else None

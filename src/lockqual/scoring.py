@@ -42,6 +42,15 @@ __all__ = [
 ]
 
 
+def _weight_fault(w: float) -> str | None:
+    """Why a score cannot use weight w, or None when it can."""
+    if not math.isfinite(w):
+        return "non-finite"
+    if w <= 0:
+        return "nonpositive"
+    return None
+
+
 @dataclass(frozen=True)
 class ScoreWeights:
     """Standardized weights used by the two-stage score.
@@ -49,7 +58,8 @@ class ScoreWeights:
     latents       : latent order used in reports and score CSVs.
     item_weights  : latent -> {observed item index -> weight}.
     latent_weights: latent -> structural weight.
-    nonpositive   : labels of any weight <= 0 (scores refuse to use them).
+    nonpositive   : labels of any weight that is not a finite number > 0
+                    (scores refuse to use them).
     """
 
     latents: tuple[str, ...]
@@ -62,10 +72,10 @@ class ScoreWeights:
         for name in self.latents:
             if name not in self.item_weights or name not in self.latent_weights:
                 raise ValueError(f"weights missing for latent {name!r}")
-            if self.latent_weights[name] <= 0:
+            if _weight_fault(self.latent_weights[name]):
                 flagged.append(f"latent:{name}")
             for item, w in self.item_weights[name].items():
-                if w <= 0:
+                if _weight_fault(w):
                     flagged.append(f"item:{name}:{item}")
         object.__setattr__(self, "nonpositive", tuple(flagged))
 
@@ -122,8 +132,9 @@ def _lvr_rows(column: Callable[[int], np.ndarray], w: ScoreWeights, latent: str)
     if not items:
         raise ValueError(f"latent {latent!r} has no item weights")
     for item, weight in items.items():
-        if weight <= 0:
-            raise ValueError(f"nonpositive weight for item {item} of {latent!r}")
+        fault = _weight_fault(weight)
+        if fault:
+            raise ValueError(f"{fault} weight for item {item} of {latent!r}")
     num: np.ndarray | float = 0.0
     den = 0.0
     rated: np.ndarray | bool = True
@@ -169,8 +180,9 @@ def sqr(lvr_values: Mapping[str, float], w: ScoreWeights) -> float:
     den = 0.0
     for name in w.latents:
         weight = w.latent_weights[name]
-        if weight <= 0:
-            raise ValueError(f"nonpositive weight for latent {name!r}")
+        fault = _weight_fault(weight)
+        if fault:
+            raise ValueError(f"{fault} weight for latent {name!r}")
         num = num + lvr_values[name] * weight
         den += weight
     if den == 0:
@@ -263,15 +275,22 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]').search
 def write_scores_csv(summary: ValidationSummary, w: ScoreWeights, path: str) -> None:
     """Per-respondent scores: id, one LVR column per latent, SQR, error.
 
-    The bytes are csv.writer's. Each line is one join of its fields, and
-    the lines are produced lazily, so no copy of the whole file is held.
+    The bytes are csv.writer's. An LVR is a weighted mean of a few ratings,
+    so few LVR values are distinct: each distinct bit pattern is formatted
+    once and looked up. Each line is one join of its fields, and the lines
+    are produced lazily, so no copy of the whole file is held.
     """
     header = ["id"] + [f"lvr_{k + 1}" for k in range(len(w.latents))] + ["sqr", "error"]
     lvrs = summary.lvr[:, [summary.latents.index(name) for name in w.latents]]
-    ids = ('"' + r.replace('"', '""') + '"' if _NEEDS_QUOTES(r) else r for r in summary.ids)
+    bits, where = np.unique(lvrs.view(np.int64), return_inverse=True)
+    lvr_text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    lvr_text = lvr_text[where.reshape(lvrs.shape)]
+    ids = summary.ids
+    if _NEEDS_QUOTES("".join(ids)):
+        ids = ['"' + r.replace('"', '""') + '"' if _NEEDS_QUOTES(r) else r for r in ids]
     columns = [
         ids,
-        *(map(repr, col) for col in lvrs.T.tolist()),
+        *lvr_text.T.tolist(),
         map(repr, summary.sqr.tolist()),
         map(repr, np.abs(summary.signed_error).tolist()),
     ]

@@ -222,6 +222,14 @@ def test_normalized_weights():
         normalized_weights({"x": 1.0, "y": 0.0})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_normalized_weights_names_non_finite_weights(bad):
+    with pytest.raises(ValueError, match=r"non-finite weights for \['y'\]"):
+        normalized_weights({"x": 1.0, "y": bad})
+    with pytest.raises(ValueError, match="positive and finite"):
+        WeightVector(("x", "y"), {"x": 1.0, "y": bad})
+
+
 def _rows_for(rid: str, picks: dict[tuple[str, str, str], str]) -> list[dict[str, str]]:
     rows = []
     for (level, left, right), sel in picks.items():

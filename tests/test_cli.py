@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -230,6 +231,72 @@ def test_model_latent_without_indicators_is_named(tmp_path, capsys):
     argv = ["report", "--input", SURVEY, "--model", str(path), "--out-dir", str(tmp_path / "o")]
     assert cli.main(argv) == 1
     assert "error: model: latents[0] 'indicators' must be a list" in capsys.readouterr().err
+
+
+def _with_weight(doc_path: Path, out: Path, value) -> Path:
+    """A copy of a sem.json or flat weight document with its first latent weight set to value."""
+    doc = json.loads(doc_path.read_text("utf-8"))
+    weights = doc["score_weights"]["latent_weights"] if "score_weights" in doc else doc
+    weights[next(iter(weights))] = value
+    out.write_text(json.dumps(doc), encoding="utf-8")  # NaN and Infinity as json.dumps writes them
+    return out
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_score_names_a_non_finite_latent_weight(sem_doc, tmp_path, capsys, value):
+    weights = _with_weight(sem_doc[0], tmp_path / "w.json", value)
+    assert cli.main(["score", "--input", SURVEY, "--weights", str(weights)]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite weight for latent" in err and "missing ratings" not in err
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+def test_bias_refuses_a_non_finite_demand_weight(sem_doc, ahp_doc, tmp_path, capsys, value):
+    ow = _with_weight(sem_doc[0], tmp_path / "ow.json", value)
+    assert cli.main(["bias", "--ow", str(ow), "--sw", str(ahp_doc[0])]) == 1
+    assert "error: non-finite weights for [" in capsys.readouterr().err
+
+
+def test_bias_refuses_a_boolean_weight(sem_doc, ahp_doc, tmp_path, capsys):
+    ow = _with_weight(sem_doc[0], tmp_path / "ow.json", True)
+    assert cli.main(["bias", "--ow", str(ow), "--sw", str(ahp_doc[0])]) == 1
+    assert "no usable name -> weight mapping" in capsys.readouterr().err
+
+
+LONG_FIELD = "x" * (csv.field_size_limit() + 1)
+
+
+def _survey_with_long_field(tmp_path) -> Path:
+    lines = Path(SURVEY).read_text("utf-8").splitlines(keepends=True)
+    cells = lines[3].split(",")
+    cells[2] = LONG_FIELD
+    lines[3] = ",".join(cells)
+    path = tmp_path / "long.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+def test_over_long_survey_field_exits_1_naming_the_row(tmp_path, capsys):
+    path = _survey_with_long_field(tmp_path)
+    want = f"error: row 3: field larger than field limit ({csv.field_size_limit()})"
+    for argv in (
+        ["validate", "--input", str(path)],
+        ["report", "--input", str(path), "--judgments", JUDGMENTS, "--out-dir", str(tmp_path / "r")],
+    ):
+        assert cli.main(argv) == 1
+        assert want in capsys.readouterr().err
+
+
+def test_over_long_judgment_field_exits_1_naming_the_row(tmp_path, capsys):
+    lines = Path(JUDGMENTS).read_text("utf-8").splitlines(keepends=True)
+    cells = lines[2].split(",")
+    cells[0] = LONG_FIELD
+    lines[2] = ",".join(cells)
+    path = tmp_path / "long.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert cli.main(["ahp", "--judgments", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"row 2: field larger than field limit ({csv.field_size_limit()})" in err
 
 
 def test_score_rejects_weight_doc_of_wrong_shape(tmp_path, capsys):

@@ -3,7 +3,9 @@
 The references below are the survey reader, judgment parser, power
 iteration and score writer as they were before the three CSV edges became
 columnar. The rewritten code must give the same arrays, the same rejected
-rows, the same first error and the same bytes.
+rows, the same first error and the same bytes. The survey reader is also
+run with its block size patched small, so rows, quotes and line ends fall
+on block edges.
 """
 from __future__ import annotations
 
@@ -276,25 +278,85 @@ def _write(rows, path) -> str:
     return str(path)
 
 
-def _assert_same_survey(path: str) -> None:
-    ids, codes, delays, demo, rejected = ref_load_survey(path)
-    d = load_survey(path)
-    assert d.respondent_ids == ids
-    assert d.codes.dtype == np.int8 and np.array_equal(d.codes, codes)
-    assert np.array_equal(d.delay_hours, delays, equal_nan=True)
-    assert np.array_equal(np.signbit(d.delay_hours), np.signbit(delays))
-    assert dict(d.demographics) == demo
-    assert d.rejected == rejected
+def _first_error_of(fn, path):
+    try:
+        return fn(path), None
+    except ValueError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _assert_same_survey(path: str, block_sizes=(1 << 18,)) -> None:
+    want, want_err = _first_error_of(ref_load_survey, path)
+    for size in block_sizes:
+        with mock.patch.object(dataset, "_BLOCK_BYTES", size):
+            d, err = _first_error_of(load_survey, path)
+        if want_err is not None:
+            assert err == want_err, size
+            continue
+        ids, codes, delays, demo, rejected = want
+        assert err is None, (size, err)
+        assert d.respondent_ids == ids, size
+        assert d.codes.dtype == np.int8 and np.array_equal(d.codes, codes), size
+        assert np.array_equal(d.delay_hours, delays, equal_nan=True), size
+        assert np.array_equal(np.signbit(d.delay_hours), np.signbit(delays)), size
+        assert dict(d.demographics) == demo, size
+        assert d.rejected == rejected, size
 
 
 @settings(max_examples=150, deadline=None)
 @given(rows=st.lists(survey_rows(), max_size=12))
 def test_load_survey_matches_the_row_by_row_reader(rows, tmp_path_factory):
     path = _write(rows, tmp_path_factory.mktemp("survey") / "s.csv")
-    _assert_same_survey(path)
-    # rows decoded a few at a time
-    with mock.patch.object(dataset, "_ROWS_PER_DECODE", 2):
-        _assert_same_survey(path)
+    # whole file in one block, and blocks of a few bytes or rows
+    _assert_same_survey(path, (1 << 18, 7, 300))
+
+
+# cells that csv.writer leaves unquoted, so the file stays on the block path
+# up to any NUL. A row is plain but for at most two odd text cells (edges
+# str.strip removes, digits int() and float() read, bad delays) and two odd
+# rating cells, which make it take the per-row screen.
+PLAIN_ENDS = ["\r\n", "\n"]
+plain_ids = st.integers(0, 60).map("r{}".format)  # they repeat now and then
+plain_text = st.sampled_from(["dry_bulk", "", "dry bulk", "a航b"])
+plain_delays = st.sampled_from(["", "1.5", "0", "-0.0", "1e3", "12", ".5", "5.", "1_0"])
+odd_ids = st.sampled_from([" r1", "r1 ", "\u00a0r2", "é", "航", "x y", "\x1c", ""])
+odd_text = st.sampled_from([" male ", "é", "\tx", "航运", "x\u2003"])
+odd_delays = st.sampled_from([" 2 ", "-1", "inf", "nan", "soon", "٣", "1e999"])
+odd_ratings = st.sampled_from([" 3", "03", "+3", "3 ", " ", "7", "0", "3.0", "x", "-1", "33", "١", "é"])
+
+
+@st.composite
+def plain_rows(draw):
+    kind = draw(st.sampled_from(["row"] * 8 + ["blank", "wrong_width"]))
+    if kind == "blank":
+        return [""] * draw(st.sampled_from([1, len(HEADER)]))
+    row = [draw(plain_ids), *(draw(plain_text) for _ in DEMOGRAPHICS), draw(plain_delays)]
+    row += draw(st.lists(st.sampled_from(EXACT), min_size=34, max_size=34))
+    for k in draw(st.lists(st.integers(0, 6), max_size=2)):
+        row[k] = draw(odd_ids if k == 0 else odd_delays if k == 6 else odd_text)
+    for k in draw(st.lists(st.integers(7, 40), max_size=2)):
+        row[k] = draw(odd_ratings)
+    if kind == "wrong_width":
+        row = row[:-1] if draw(st.booleans()) else row + ["3"]
+    return row
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(plain_rows(), max_size=30),
+    end=st.sampled_from(PLAIN_ENDS),
+    final_end=st.booleans(),
+    nul=st.booleans(),
+    block=st.sampled_from([1, 7, 64, 150, 400, 1 << 18]),
+)
+def test_load_survey_matches_the_reference_on_unquoted_files(rows, end, final_end, nul, block, tmp_path_factory):
+    lines = [",".join(HEADER)] + [",".join(r) for r in rows]
+    if nul and len(lines) > 1:
+        lines[len(lines) // 2] += "\0"
+    text = end.join(lines) + (end if final_end else "")
+    path = tmp_path_factory.mktemp("plain") / "s.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_same_survey(str(path), (block,))
 
 
 def test_load_survey_matches_on_the_named_cases(tmp_path):
@@ -322,8 +384,106 @@ def test_load_survey_matches_on_the_named_cases(tmp_path):
         [""] * len(HEADER),
     ]
     path = _write(rows, tmp_path / "s.csv")
-    _assert_same_survey(path)
+    _assert_same_survey(path, (1 << 18, 7, 200))
     assert [r.respondent_id for r in load_survey(path).rejected] == ["b1", "b2", "b3", "c2", "d1", "d2"]
+
+
+BASE = ["31-45", "male", "5-10y", "dry_bulk", "500-1000t", "1.5"]
+
+
+def _plain_row(rid: str, *, q5: str = "3", gender: str = "male") -> str:
+    return ",".join([rid, BASE[0], gender, *BASE[2:], *(["3"] * 5), q5, *(["3"] * 28)])
+
+
+def _write_lines(path, lines, end="\r\n") -> str:
+    path.write_bytes((end.join([",".join(HEADER), *lines]) + end).encode("utf-8"))
+    return str(path)
+
+
+# block sizes from a few rows down to less than one line, so that every
+# row and line end falls on a block edge for one of them
+EDGE_SIZES = tuple(range(40, 520, 17))
+
+
+@pytest.mark.parametrize("where", [1, 20, 39])
+def test_a_quote_hands_the_rest_of_the_file_to_csv(tmp_path, where):
+    lines = [_plain_row(f"r{k:02d}", q5="9" if k % 7 == 0 else "3") for k in range(40)]
+    # a quoted demographic cell holding a comma and a line end
+    lines[where] = _plain_row(f"r{where:02d}", gender='"fe,\nmale"')
+    path = _write_lines(tmp_path / "q.csv", lines)
+    _assert_same_survey(path, EDGE_SIZES)
+    d = load_survey(path)
+    assert d.demographics["gender"].count("fe,\nmale") == 1
+    assert [r.row_number for r in d.rejected] == [k + 1 for k in range(0, 40, 7) if k != where]
+
+
+def test_a_rejected_first_occurrence_leaves_its_id_free_in_the_next_block(tmp_path):
+    # r05 is rejected (q5 out of range), then accepted; r09 is accepted,
+    # then rejected as a duplicate; the defects fall on every block edge
+    lines = [_plain_row(f"r{k:02d}") for k in range(30)]
+    lines[5] = _plain_row("r05", q5="6")
+    lines[6] = _plain_row("r05")
+    lines[10] = _plain_row("r09")
+    lines[11] = _plain_row(" r09 ")
+    path = _write_lines(tmp_path / "d.csv", lines)
+    _assert_same_survey(path, EDGE_SIZES)
+    d = load_survey(path)
+    assert d.respondent_ids.count("r05") == 1 and d.respondent_ids.count("r09") == 1
+    assert [(r.row_number, r.respondent_id, r.reason) for r in d.rejected] == [
+        (6, "r05", "rating out of range"),
+        (11, "r09", "duplicate respondent id"),
+        (12, "r09", "duplicate respondent id"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "end, final",
+    [("\n", True), ("\n", False), ("\r\n", False), ("\r", True), ("\r", False)],
+)
+def test_line_ends_and_a_missing_final_line_end(tmp_path, end, final):
+    lines = [_plain_row(f"r{k:02d}", q5="0" if k == 4 else "3") for k in range(12)]
+    text = end.join([",".join(HEADER), *lines]) + (end if final else "")
+    path = tmp_path / "e.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_same_survey(str(path), EDGE_SIZES)
+    assert load_survey(str(path)).n == 11
+
+
+def test_a_lone_cr_inside_the_file(tmp_path):
+    lines = [_plain_row(f"r{k:02d}") for k in range(12)]
+    lines[6] = lines[6] + "\r" + _plain_row("lone")  # one CR ends a row as csv reads it
+    path = _write_lines(tmp_path / "cr.csv", lines)
+    _assert_same_survey(path, EDGE_SIZES)
+    assert "lone" in load_survey(path).respondent_ids
+
+
+def test_non_ascii_text_and_nul(tmp_path):
+    lines = [_plain_row(f"r{k:02d}") for k in range(12)]
+    lines[2] = _plain_row("航运", gender="女")
+    lines[3] = _plain_row("\u00a0r03", gender="male\u2003")  # edges str.strip removes
+    lines[4] = _plain_row("é", q5="٣")  # a digit int() reads
+    lines[8] = _plain_row("nul\0id")
+    path = _write_lines(tmp_path / "u.csv", lines)
+    _assert_same_survey(path, EDGE_SIZES)
+    d = load_survey(path)
+    assert {"航运", "r03", "é"} <= set(d.respondent_ids)
+    assert d.codes[d.respondent_ids.index("é"), 5] == 3
+
+
+def test_an_over_long_line_names_its_row_on_every_path(tmp_path):
+    limit = csv.field_size_limit()
+    lines = [_plain_row(f"r{k:02d}") for k in range(6)]
+    lines[4] = _plain_row("long", gender="x" * (limit + 1))
+    path = _write_lines(tmp_path / "long.csv", lines)
+    for size in (7, 300, 1 << 18):
+        with mock.patch.object(dataset, "_BLOCK_BYTES", size):
+            with pytest.raises(SurveyFormatError, match=rf"^row 5: field larger than field limit \({limit}\)$"):
+                load_survey(path)
+    # a long line whose fields are all within the limit is read as csv reads it
+    lines[4] = ",".join(["long", *BASE[:1], "x" * (limit // 2), "y" * (limit // 2), *BASE[3:], *(["3"] * 34)])
+    path = _write_lines(tmp_path / "long2.csv", lines)
+    _assert_same_survey(path, (7, 300, 1 << 18))
+    assert "long" in load_survey(path).respondent_ids
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +695,34 @@ def test_write_scores_csv_writes_the_csv_writer_bytes(ids, data, tmp_path_factor
         share_within_10pct=0.0,
     )
     w = ScoreWeights(("A", "B"), {"A": {1: 1.0}, "B": {2: 1.0}}, {"A": 1.0, "B": 1.0})
+    out = tmp_path_factory.mktemp("scores")
+    ref_write_scores_csv(summary, w, str(out / "ref.csv"))
+    write_scores_csv(summary, w, str(out / "new.csv"))
+    assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+# LVRs repeat: the writer formats each distinct bit pattern once
+REPEATED = [3.0, 3.5, 10 / 3, -0.0, 0.0, math.nan, -math.nan, math.inf, 1e-300, 5e-324]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=st.lists(ids_st, max_size=30), data=st.data())
+def test_write_scores_csv_with_repeated_lvrs_and_quoted_ids(ids, data, tmp_path_factory):
+    n = len(ids)
+    lvr = np.array(data.draw(st.lists(st.sampled_from(REPEATED), min_size=3 * n, max_size=3 * n)), dtype=float)
+    summary = ValidationSummary(
+        ids=tuple(ids),
+        latents=("C", "A", "B"),
+        lvr=lvr.reshape(n, 3),
+        sqr=np.array(data.draw(st.lists(st.sampled_from(REPEATED), min_size=n, max_size=n)), dtype=float),
+        actual=np.ones(n),
+        signed_error=np.array(data.draw(st.lists(score, min_size=n, max_size=n)), dtype=float),
+        n_scored=n,
+        n_skipped=0,
+        mean_error=0.0,
+        share_within_10pct=0.0,
+    )
+    w = ScoreWeights(("A", "B", "C"), {"A": {1: 1.0}, "B": {2: 1.0}, "C": {3: 1.0}}, {"A": 1.0, "B": 1.0, "C": 1.0})
     out = tmp_path_factory.mktemp("scores")
     ref_write_scores_csv(summary, w, str(out / "ref.csv"))
     write_scores_csv(summary, w, str(out / "new.csv"))

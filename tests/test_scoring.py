@@ -102,6 +102,20 @@ def test_nonpositive_weights_flagged_and_refused():
         lvr(_resp("r", {1: 3, 2: 3}), w, "a")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weights_flagged_and_refused_by_name(bad):
+    on_item = ScoreWeights(("a",), {"a": {1: 0.8, 2: bad}}, {"a": 0.5})
+    assert on_item.nonpositive == ("item:a:2",)
+    with pytest.raises(ValueError, match="non-finite weight for item 2 of 'a'"):
+        lvr(_resp("r", {1: 3, 2: 3}), on_item, "a")
+    on_latent = ScoreWeights(("a", "b"), {"a": {1: 0.8}, "b": {2: 0.6}}, {"a": 0.5, "b": bad})
+    assert on_latent.nonpositive == ("latent:b",)
+    with pytest.raises(ValueError, match="non-finite weight for latent 'b'"):
+        sqr({"a": 3.0, "b": 3.0}, on_latent)
+    with pytest.raises(ValueError, match="non-finite weight for latent 'b'"):
+        score_respondent(_resp("r", {1: 3, 2: 3}), on_latent)
+
+
 def test_weights_round_trip_json():
     w = _weights()
     again = ScoreWeights.from_jsonable(w.to_jsonable())
