@@ -34,6 +34,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .catalog import DEFAULT_CATALOG, SATI_AFTER, SATI_BEFORE, VariableCatalog
+from .moments import Moments
 
 
 class SurveyFormatError(ValueError):
@@ -192,6 +193,13 @@ class SurveyDataset:
         keep = self.complete(indices)
         X = self.codes[np.ix_(keep, [self._col(i) for i in indices])].astype(float)
         return list(compress(self.respondent_ids, keep.tolist())), X
+
+    def moments(self, indices: Sequence[int]) -> Moments:
+        """n, column sums and cross products of the ratings over the complete rows.
+
+        The same rows as `matrix(indices)`, without building it.
+        """
+        return Moments.of_codes(self.codes, [self._col(i) for i in indices])
 
     def _take(self, rows: np.ndarray) -> "SurveyDataset":
         """The rows where the boolean mask is set, in their original order."""

@@ -3,7 +3,8 @@
 Extraction is principal components of the correlation matrix with the
 Kaiser criterion (eigenvalue strictly greater than 1). Rotation is
 varimax with Kaiser row normalization. Pruning assigns each retained
-item to its dominant rotated factor and drops weak or ambiguous items.
+item to its dominant rotated factor and drops weak or ambiguous items;
+its per-factor alphas read the complete rows' `Moments`.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .moments import Moments, as_moments
 from .psychometrics import cronbach_alpha
 
 __all__ = ["LoadingMatrix", "DroppedItem", "FactorAssignment", "extract_pca", "rotate_varimax", "prune"]
@@ -180,7 +182,7 @@ class FactorAssignment:
 
 def prune(
     L: LoadingMatrix,
-    data: np.ndarray | None = None,
+    data: np.ndarray | Moments | None = None,
     threshold: float = 0.5,
     cross_margin: float = 0.2,
 ) -> FactorAssignment:
@@ -190,14 +192,14 @@ def prune(
     absolute loading falls below `threshold`, and with reason
     "cross-loading" when the gap between its two largest absolute
     loadings is below `cross_margin`. Ties go to the lower factor
-    index. `data` (n x p, columns matching L.items) enables per-factor
-    Cronbach alphas.
+    index. `data` (n x p, columns matching L.items), or its moments,
+    enables per-factor Cronbach alphas.
     """
     A = np.abs(np.asarray(L.loadings, dtype=float))
     p, m = A.shape
     if data is not None:
-        data = np.asarray(data, dtype=float)
-        if data.ndim != 2 or data.shape[1] != p:
+        data = as_moments(data)
+        if data.k != p:
             raise ValueError("data columns must match L.items")
     retained: list[int] = []
     dropped: list[DroppedItem] = []
@@ -231,7 +233,7 @@ def prune(
         for j, members in factor_items.items():
             if len(members) >= 2:
                 cols = [col_of[it] for it in members]
-                per_factor_alpha[j] = cronbach_alpha(data[:, cols])
+                per_factor_alpha[j] = cronbach_alpha(data.take(cols))
     return FactorAssignment(
         retained_items=tuple(retained),
         dropped_items=tuple(dropped),

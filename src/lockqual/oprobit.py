@@ -14,9 +14,12 @@ observed information at the optimum in the raw (beta, kappa) space.
 
 Much of each Newton step depends on y alone: which rows have a finite
 upper or lower cut, the cutpoint of each such term, and the null model.
-A `_Design` holds those arrays. `backward_eliminate` validates its
-inputs, checks the full design matrix for collinearity and builds the
-`_Design` once; every re-fit on a subset of the columns reuses it, and
+A `_Design` holds those arrays. Sums over rows that carry a column of
+X are BLAS products: the Hessian's beta x kappa block is one product of
+X with an (n, C - 1) W that holds each row's weights at its upper and
+lower cut in the columns of those cuts. `backward_eliminate` validates
+its inputs, checks the full design matrix for collinearity and builds
+the `_Design` once; every re-fit on a subset of the columns reuses it, and
 starts from the previous solution, moved to where it predicts the
 optimum without the dropped coefficients.
 """
@@ -146,17 +149,6 @@ def _ll(eta: np.ndarray, y: np.ndarray, kappa: np.ndarray, c: int) -> float:
     return float(np.log(p).sum())
 
 
-# Cut terms (rows of X) per bincount in the beta x kappa block of
-# _grad_hess_raw. One bincount over all of them would hold the products and
-# bin indices of up to 2n x k terms at once, 16 * 2n * k bytes: 47 MB for the
-# n = 74,000, k = 20 fit of the survey_100k benchmark, whose X is 12 MB.
-# Chunks of 8,192 rows still take a fixture-sized design whole, and raised the
-# peak RSS of `lockqual probit` on the fixture by 0.7 MB and of `lockqual
-# report` by 0.3 MB against k per-column bincounts; with 256 neither rose, and
-# the time per call is the same for both sizes at 450 x 29 and 74,000 x 20.
-_CHUNK_ROWS = 256
-
-
 def _grad_hess_raw(
     X: np.ndarray,
     y: np.ndarray,
@@ -201,29 +193,15 @@ def _grad_hess_raw(
     grad[k:] = per_cut(phi_hi / p, g_lo / p)
     hess = np.zeros((k + c - 1, k + c - 1))
     hess[:k, :k] = X.T @ (X * h(-zphi_hi + zphi_lo, g_eta, g_eta)[:, None])
-    # beta x kappa: one bincount over the (column, cut) bins, fed _CHUNK_ROWS
-    # terms at a time with the running sums in front, so that each bin adds
-    # its terms in the order a bincount per column would
-    w = np.concatenate((h(zphi_hi, g_eta, phi_hi)[hi_ok], h(-zphi_lo, g_eta, g_lo)[lo_ok]))
-    nbins = k * (c - 1)
-    size = nbins + min(d.rows.size, _CHUNK_ROWS) * k
-    idx = np.empty(size, dtype=np.intp)
-    wts = np.empty(size)
-    idx[:nbins] = np.arange(nbins)
-    col_bin = np.arange(k) * (c - 1)
-    hbk = np.zeros(nbins)
-    for s in range(0, d.rows.size, _CHUNK_ROWS):
-        rows = d.rows[s : s + _CHUNK_ROWS]
-        end = nbins + rows.size * k
-        wts[:nbins] = hbk
-        # X[rows], not np.take: the re-fits' X[:, cols] is not C-contiguous,
-        # and np.take(axis=0) copies such an X whole on every call
-        np.multiply(X[rows], w[s : s + _CHUNK_ROWS, None], out=wts[nbins:end].reshape(rows.size, k))
-        np.add(d.cut[s : s + _CHUNK_ROWS, None], col_bin, out=idx[nbins:end].reshape(rows.size, k))
-        hbk = np.bincount(idx[:end], wts[:end], minlength=nbins)
-    hbk = hbk.reshape(k, c - 1)
-    hess[:k, k:] = hbk
-    hess[k:, :k] = hbk.T
+    # beta x kappa: row i adds x_i times its upper-cut weight to cut y_i - 1
+    # and x_i times its lower-cut weight to cut y_i - 2, so the block is W'X,
+    # one BLAS product, with those weights in an (n, C - 1) W; W' is built
+    # row-major, which BLAS multiplies faster than X' W
+    wt = np.zeros((c - 1, n))
+    wt[d.cut, d.rows] = np.concatenate((h(zphi_hi, g_eta, phi_hi)[hi_ok], h(-zphi_lo, g_eta, g_lo)[lo_ok]))
+    hkb = wt @ X
+    hess[k:, :k] = hkb
+    hess[:k, k:] = hkb.T
     hkk = np.diag(per_cut(h(-zphi_hi, phi_hi, phi_hi), h(zphi_lo, g_lo, g_lo)))
     both = d.both
     off = np.bincount(d.both_cut, h(np.zeros(n), phi_hi, g_lo)[both], minlength=c - 2)
@@ -305,7 +283,11 @@ def null_fit(y: np.ndarray) -> NullFit:
 
 @dataclass(frozen=True)
 class ProbitModel:
-    """Fitted ordered probit with per-coefficient inference."""
+    """Fitted ordered probit with per-coefficient inference.
+
+    grad_max is max|gradient| at the estimate in the space Newton steps
+    in (softplus cutpoint gaps), the value `fit` tests against gtol.
+    """
 
     names: tuple
     beta: np.ndarray = field(repr=False)
@@ -326,6 +308,7 @@ class ProbitModel:
     n_categories: int
     n_iter: int
     converged: bool
+    grad_max: float
     warnings: tuple[str, ...] = ()
 
     def coef_table(self) -> list[dict]:
@@ -443,6 +426,7 @@ def fit(
     if derivs is None:
         derivs = _grad_hess_raw(X, yi, beta, kappa, c, design, cells)
     ll, grad_raw, hess_raw = derivs
+    grad_max = float(np.max(np.abs(_transform_grad_hess(t[k:], grad_raw, hess_raw, k, c)[0])))
     if converged and ll > -1e-3:
         # every fitted probability is numerically 1: the likelihood has no
         # finite maximum and the flat gradient is saturation, not optimality
@@ -490,6 +474,7 @@ def fit(
         n_categories=c,
         n_iter=it,
         converged=converged,
+        grad_max=grad_max,
         warnings=tuple(warnings),
     )
 

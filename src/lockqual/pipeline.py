@@ -32,6 +32,7 @@ from . import sem as sem_mod
 from .catalog import DISPLAY_NAMES, SATI_AFTER, SATI_BEFORE, VariableCatalog, load_catalog
 from .catalog import DEFAULT_CATALOG
 from .dataset import DescriptiveReport, SurveyDataset, describe, load_survey, split
+from .moments import Moments
 
 __all__ = [
     "GateThresholds",
@@ -303,6 +304,32 @@ def _drop_constant(
     return tuple(i for i, c in zip(items, const) if not c), x[:, ~const]
 
 
+def _screen(
+    items: Sequence[int], m: Moments, stage: str, warnings: list[str]
+) -> tuple[tuple[int, ...], Moments, dict[int, str]]:
+    """Leave out constant items and exact duplicates of an earlier item.
+
+    Either makes the correlation matrix singular. Returns the items
+    kept, their moments and the reason for each item left out.
+    """
+    const = m.constant()
+    dropped = {i: "constant response" for i, c in zip(items, const) if c}
+    if dropped:
+        warnings.append(
+            f"items {list(dropped)} give the same response in every complete row; left out of {stage}"
+        )
+    kept = [j for j, c in enumerate(const) if not c]
+    for j, first in zip(kept, m.take(kept).duplicates()):
+        if first >= 0:
+            twin = items[kept[first]]
+            dropped[items[j]] = f"duplicate of q{twin}"
+            warnings.append(
+                f"item {items[j]} is a duplicate of q{twin} in every complete row; left out of {stage}"
+            )
+    keep = [j for j, i in enumerate(items) if i not in dropped]
+    return tuple(items[j] for j in keep), m.take(keep), dropped
+
+
 # One builder per report section. Each returns its section's document
 # (None when the stage could not run) and appends to the caller's gate
 # checks and warnings; run_pipeline and the command line share them.
@@ -343,22 +370,22 @@ def adequacy_section(
     """Alpha, KMO and Bartlett over the complete rows of `items`.
 
     Raises ValueError unless there are more complete rows than items.
-    Constant items are left out; the items analysed come back with the
-    document.
+    Constant items and exact duplicates are left out; the items analysed
+    come back with the document.
     """
-    _, x = data.matrix(items)
-    if x.shape[0] <= len(items):
+    m = data.moments(items)
+    if m.n <= len(items):
         raise ValueError(
-            f"only {x.shape[0]} complete respondents for {len(items)} items; too few for "
+            f"only {m.n} complete respondents for {len(items)} items; too few for "
             "reliability and sampling adequacy, which need more respondents than items"
         )
-    items, x = _drop_constant(items, x, "reliability and sampling adequacy", warnings)
-    adq = psychometrics.adequacy(x)
+    items, m, _ = _screen(items, m, "reliability and sampling adequacy", warnings)
+    adq = psychometrics.adequacy(m)
     gates.append(_check("cronbach_alpha", adq.cronbach_alpha, g.alpha, "at_least"))
     gates.append(_check("kmo", adq.kmo, g.kmo, "at_least"))
     gates.append(_check("bartlett_p", adq.bartlett_p, g.bartlett_p, "below"))
     doc = {
-        "n_complete": int(x.shape[0]),
+        "n_complete": m.n,
         "cronbach_alpha": _jsonable(adq.cronbach_alpha),
         "kmo": _jsonable(adq.kmo),
         "bartlett_chi2": _jsonable(adq.bartlett_chi2),
@@ -373,22 +400,21 @@ def efa_section(
 ) -> tuple[dict, efa_mod.FactorAssignment, dict[int, str]]:
     """PCA, varimax and pruning (g.loading, g.cross_margin) on the complete rows.
 
-    Constant items are dropped first, with reason "constant response".
+    Constant items are dropped first, with reason "constant response",
+    and exact duplicates of an earlier item with reason "duplicate of qJ".
     Returns the document, the assignment and the factor labels.
     """
-    _, x = sample.matrix(catalog.indices)
-    items, x = _drop_constant(catalog.indices, x, "factor extraction", warnings)
-    r = psychometrics.correlation_matrix(x)
+    m = sample.moments(catalog.indices)
+    items, m, reasons = _screen(catalog.indices, m, "factor extraction", warnings)
+    r = psychometrics.correlation_matrix(m)
     rotated = efa_mod.rotate_varimax(efa_mod.extract_pca(r, items=items))
-    assignment = efa_mod.prune(rotated, data=x, threshold=g.loading, cross_margin=g.cross_margin)
-    constant = tuple(
-        efa_mod.DroppedItem(i, "constant response") for i in catalog.indices if i not in items
-    )
-    assignment = replace(assignment, dropped_items=constant + assignment.dropped_items)
+    assignment = efa_mod.prune(rotated, data=m, threshold=g.loading, cross_margin=g.cross_margin)
+    screened = tuple(efa_mod.DroppedItem(i, reasons[i]) for i in catalog.indices if i in reasons)
+    assignment = replace(assignment, dropped_items=screened + assignment.dropped_items)
     labels = _label_factors(assignment, catalog)
     warnings.extend(assignment.warnings)
     doc = {
-        "n_rows": int(x.shape[0]),
+        "n_rows": m.n,
         "n_factors": rotated.n_factors,
         "eigenvalues": _jsonable(rotated.eigenvalues),
         "variance_explained": _jsonable(rotated.variance_explained),
@@ -417,8 +443,8 @@ def _fit(
 ) -> tuple[dict | None, sem_mod.SemEstimate | None]:
     """ML fit on the complete rows: fit document and standardized estimate."""
     try:
-        _, x = sample.matrix(model.observed)
-        est = sem_mod.standardize(sem_mod.fit_ml(model, sem_mod.sample_cov(x), n=x.shape[0]))
+        m = sample.moments(model.observed)
+        est = sem_mod.standardize(sem_mod.fit_ml(model, m.cov(), n=m.n))
         fi = sem_mod.fit_indices(est)
     except ValueError as exc:
         warnings.append(f"{what} failed: {exc}")

@@ -2,7 +2,9 @@
 
 Implements Cronbach's alpha, the Kaiser-Meyer-Olkin measure computed
 from the anti-image correlation matrix, and Bartlett's test of
-sphericity.
+sphericity. Alpha and the correlation matrix are computed from the
+complete rows' `Moments`; each function that reads rows takes either
+those moments or the n x k matrix of the rows.
 """
 from __future__ import annotations
 
@@ -11,46 +13,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dist import chi2_sf
+from .moments import Moments, as_moments
 
 __all__ = ["AdequacyReport", "cronbach_alpha", "kmo", "bartlett", "adequacy", "correlation_matrix"]
 
 
-def correlation_matrix(X: np.ndarray) -> np.ndarray:
-    """Pearson correlations of the columns of X (n x k, no missing)."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] < 2:
+def correlation_matrix(X: np.ndarray | Moments) -> np.ndarray:
+    """Pearson correlations of the columns of X (n x k, no missing), or of its moments."""
+    m = as_moments(X)
+    if m.n < 2 or m.k < 2:
         raise ValueError("need an n x k matrix with n >= 2 and k >= 2")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("matrix contains non-finite values")
-    sd = X.std(axis=0, ddof=1)
-    if np.any(sd == 0):
-        const = [int(i) for i in np.flatnonzero(sd == 0)]
-        raise ValueError(f"constant columns at positions {const}")
-    return np.corrcoef(X, rowvar=False)
+    const = m.constant()
+    if const.any():
+        raise ValueError(f"constant columns at positions {[int(i) for i in np.flatnonzero(const)]}")
+    return m.corr()
 
 
-def cronbach_alpha(X: np.ndarray) -> float:
+def cronbach_alpha(X: np.ndarray | Moments) -> float:
     """Internal consistency of a set of items.
 
         alpha = k/(k-1) * (1 - sum(item variances) / var(row sums))
 
-    with unbiased (ddof=1) variances. X is n x k with no missing cells.
+    with unbiased (ddof=1) variances. X is n x k with no missing cells,
+    or its moments. The variance of the row sums is the sum of every
+    cell of the covariance matrix, so alpha is k/(k-1) * (1 - trace / sum)
+    of the centred cross products.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-dimensional")
-    n, k = X.shape
-    if k < 2:
+    m = as_moments(X)
+    if m.k < 2:
         raise ValueError("alpha needs at least 2 items")
-    if n < 2:
+    if m.n < 2:
         raise ValueError("alpha needs at least 2 respondents")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("X contains non-finite values")
-    item_var = X.var(axis=0, ddof=1)
-    total_var = X.sum(axis=1).var(ddof=1)
-    if total_var == 0:
+    c = m.centred()
+    total = c.sum()
+    if total == 0:
         raise ValueError("total score has zero variance")
-    return float(k / (k - 1) * (1.0 - item_var.sum() / total_var))
+    return float(m.k / (m.k - 1) * (1.0 - np.trace(c) / total))
 
 
 def _check_corr(R: np.ndarray) -> np.ndarray:
@@ -63,7 +61,21 @@ def _check_corr(R: np.ndarray) -> np.ndarray:
         raise ValueError("R must be symmetric")
     if not np.allclose(np.diag(R), 1.0, atol=1e-8):
         raise ValueError("R must have a unit diagonal")
-    return 0.5 * (R + R.T)
+    R = 0.5 * (R + R.T)
+    # A singular R passes np.linalg.inv and slogdet with no error, and gives
+    # garbage: exact moments make a duplicated item's R exactly singular.
+    vals, vecs = np.linalg.eigh(R)
+    tol = R.shape[0] * np.finfo(float).eps * vals[-1]
+    if vals[0] < -tol:
+        raise ValueError(f"R is not positive definite (smallest eigenvalue {vals[0]:.3g})")
+    if vals[0] <= tol:
+        null = np.abs(vecs[:, 0])
+        cols = [int(i) for i in np.flatnonzero(null > np.sqrt(np.finfo(float).eps) * null.max())]
+        raise ValueError(
+            f"R is singular: columns {cols} are linearly dependent "
+            f"(smallest eigenvalue {vals[0]:.3g}, at most p*eps times the largest)"
+        )
+    return R
 
 
 def kmo(R: np.ndarray) -> float:
@@ -74,14 +86,8 @@ def kmo(R: np.ndarray) -> float:
     off-diagonal cells.
     """
     R = _check_corr(R)
-    try:
-        R_inv = np.linalg.inv(R)
-    except np.linalg.LinAlgError:
-        raise ValueError("insufficient correlation structure (singular matrix)") from None
-    diag = np.diag(R_inv)
-    if not np.all(diag > 0):
-        raise ValueError("R is not positive definite (anti-image diagonal not positive)")
-    d = 1.0 / np.sqrt(diag)
+    R_inv = np.linalg.inv(R)
+    d = 1.0 / np.sqrt(np.diag(R_inv))
     Q = -R_inv * np.outer(d, d)
     off = ~np.eye(R.shape[0], dtype=bool)
     r2 = float((R[off] ** 2).sum())
@@ -103,9 +109,7 @@ def bartlett(R: np.ndarray, n: int) -> tuple[float, int, float]:
     p = R.shape[0]
     if n <= p:
         raise ValueError("Bartlett's test needs n > p")
-    sign, logdet = np.linalg.slogdet(R)
-    if sign <= 0:
-        raise ValueError("R must be positive definite")
+    _, logdet = np.linalg.slogdet(R)
     chi2 = -(n - 1 - (2 * p + 5) / 6.0) * logdet
     chi2 = max(chi2, 0.0)
     df = p * (p - 1) // 2
@@ -122,11 +126,11 @@ class AdequacyReport:
     bartlett_p: float
 
 
-def adequacy(X: np.ndarray) -> AdequacyReport:
-    """Alpha, KMO and Bartlett for an n x k complete rating matrix."""
-    X = np.asarray(X, dtype=float)
-    alpha = cronbach_alpha(X)
-    R = correlation_matrix(X)
+def adequacy(X: np.ndarray | Moments) -> AdequacyReport:
+    """Alpha, KMO and Bartlett for an n x k complete rating matrix, or its moments."""
+    m = as_moments(X)
+    alpha = cronbach_alpha(m)
+    R = correlation_matrix(m)
     k = kmo(R)
-    chi2, df, p_value = bartlett(R, X.shape[0])
+    chi2, df, p_value = bartlett(R, m.n)
     return AdequacyReport(alpha, k, chi2, df, p_value)

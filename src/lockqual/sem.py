@@ -9,6 +9,9 @@ covariance Sigma(theta) is minimized with
     F_ML = ln det Sigma + tr(S Sigma^-1) - ln det S - p
 
 which yields the likelihood-ratio statistic chi2 = (N - 1) * F_min.
+The fit reads the rows only through S and N (Bollen 1989, Structural
+Equations with Latent Variables, ch. 4), which the pipeline takes from
+the complete rows' `Moments`.
 Standard errors come from the inverse expected information. Residual
 and latent variances are log-parameterized inside the optimizer so the
 search space is unconstrained; estimates are reported on the raw scale
@@ -24,6 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._dist import norm_sf
+from .moments import Moments
 from .optimize import minimize_qn
 
 __all__ = [
@@ -168,11 +172,8 @@ def load_model(path: str) -> MeasurementModel:
 
 
 def sample_cov(X: np.ndarray) -> np.ndarray:
-    """Unbiased sample covariance of the columns of X."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise ValueError("need an n x p matrix with n >= 2")
-    return np.cov(X, rowvar=False, ddof=1)
+    """Unbiased sample covariance of the columns of an n x p matrix X, n >= 2."""
+    return Moments.of_matrix(X).cov()
 
 
 def implied_sigma(lam: np.ndarray, beta: np.ndarray, psi: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -265,7 +266,9 @@ class SemEstimate:
     """Fitted model with raw estimates, standard errors and fit stats.
 
     Standardized fields (std_lam, std_beta, latent_corr, smc) are None
-    until `standardize` is applied.
+    until `standardize` is applied. grad_max is the optimizer's final
+    max|gradient| of F_ML over the packed parameters, the value it tests
+    against gtol.
     """
 
     model: MeasurementModel
@@ -284,6 +287,7 @@ class SemEstimate:
     df: int
     n_iter: int
     converged: bool
+    grad_max: float
     heywood: tuple[int, ...]
     warnings: tuple[str, ...]
     std_lam: np.ndarray | None = field(default=None, repr=False)
@@ -539,6 +543,7 @@ def fit_ml(
         df=df,
         n_iter=res.n_iter,
         converged=res.converged,
+        grad_max=float(np.max(np.abs(res.grad))),
         heywood=heywood,
         warnings=tuple(warnings),
     )

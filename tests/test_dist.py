@@ -10,7 +10,12 @@ wider than those against mpmath where SciPy's own error is the larger:
 ndtr's beyond |x| = 7 and chdtrc's in its tails.
 The ordered-probit derivatives, summed per cutpoint with np.bincount,
 must equal the np.add.at scatters they replaced, float for float, with
-Phi and phi taken from lockqual's kernels on both sides.
+Phi and phi taken from lockqual's kernels on both sides. The beta x kappa
+block of the Hessian is one BLAS product, which adds its n terms per
+cell in an order of its own: each cell must lie within gamma_2n times
+the sum of its terms' magnitudes of the scatter's (Higham, Accuracy and
+Stability of Numerical Algorithms, §3.1), both sums being within gamma_n
+of the exact one.
 """
 from __future__ import annotations
 
@@ -21,7 +26,6 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -33,7 +37,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lockqual
-from lockqual import cli, oprobit
+from lockqual import cli
 from lockqual._dist import chi2_sf, expit, norm_cdf, norm_pdf, norm_ppf, norm_sf
 from lockqual.oprobit import _grad_hess_raw
 
@@ -309,6 +313,10 @@ def ref_grad_hess_raw(X, y, beta, kappa, c):
     hbk = np.zeros((k, c - 1))
     np.add.at(hbk.T, hi_idx[hi_ok], (X[hi_ok] * w_eh[hi_ok, None]))
     np.add.at(hbk.T, lo_idx[lo_ok], (X[lo_ok] * w_el[lo_ok, None]))
+    # the magnitudes of the beta x kappa terms, summed per cell
+    hbk_abs = np.zeros((k, c - 1))
+    np.add.at(hbk_abs.T, hi_idx[hi_ok], np.abs(X[hi_ok] * w_eh[hi_ok, None]))
+    np.add.at(hbk_abs.T, lo_idx[lo_ok], np.abs(X[lo_ok] * w_el[lo_ok, None]))
     hess[:k, k:] = hbk
     hess[k:, :k] = hbk.T
     hkk = np.zeros((c - 1, c - 1))
@@ -318,7 +326,7 @@ def ref_grad_hess_raw(X, y, beta, kappa, c):
     np.add.at(hkk, (hi_idx[both], lo_idx[both]), w_hl[both])
     np.add.at(hkk, (lo_idx[both], hi_idx[both]), w_hl[both])
     hess[k:, k:] = hkk
-    return ll, grad, hess
+    return ll, grad, hess, hbk_abs
 
 
 @st.composite
@@ -341,26 +349,21 @@ def probit_points(draw):
 @given(probit_points())
 def test_grad_hess_raw_equals_add_at_reference(point):
     X, y, beta, kappa, c = point
+    n, k = X.shape
     with np.errstate(all="ignore"):
         ll, grad, hess = _grad_hess_raw(X, y, beta, kappa, c)
-        ref_ll, ref_grad, ref_hess = ref_grad_hess_raw(X, y, beta, kappa, c)
+        ref_ll, ref_grad, ref_hess, hbk_abs = ref_grad_hess_raw(X, y, beta, kappa, c)
     assert _same(ll, ref_ll)
     assert _same(grad, ref_grad)
-    assert _same(hess, ref_hess)
-
-
-@settings(max_examples=200, deadline=None)
-@given(probit_points(), st.sampled_from([1, 2, 3]))
-def test_grad_hess_raw_equals_add_at_reference_across_chunk_edges(point, chunk):
-    # the beta x kappa block carries its running sums from one chunk of
-    # terms into the next; with 1-3 terms a chunk every bin crosses edges
-    X, y, beta, kappa, c = point
-    with np.errstate(all="ignore"), mock.patch.object(oprobit, "_CHUNK_ROWS", chunk):
-        ll, grad, hess = _grad_hess_raw(X, y, beta, kappa, c)
-        ref_ll, ref_grad, ref_hess = ref_grad_hess_raw(X, y, beta, kappa, c)
-    assert _same(ll, ref_ll)
-    assert _same(grad, ref_grad)
-    assert _same(hess, ref_hess)
+    assert _same(hess[:k, :k], ref_hess[:k, :k])
+    assert _same(hess[k:, k:], ref_hess[k:, k:])
+    assert _same(hess[k:, :k], hess[:k, k:].T)
+    got, want = hess[:k, k:], ref_hess[:k, k:]
+    finite = np.isfinite(want)
+    assert _same(got[~finite], want[~finite])
+    u = EPS / 2
+    gamma = 2 * n * u / (1 - 2 * n * u)
+    assert np.all(np.abs(got[finite] - want[finite]) <= gamma * hbk_abs[finite])
 
 
 def test_grad_hess_raw_memory_stays_within_a_few_designs():

@@ -1,0 +1,65 @@
+"""Moments of the complete rows against the matrix that listwise deletion builds."""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lockqual.catalog import DEFAULT_CATALOG
+from lockqual.dataset import DEMOGRAPHICS, SurveyDataset
+
+FIELDS = tuple(range(0, len(DEFAULT_CATALOG) + 2))  # q0..q33
+
+
+@st.composite
+def surveys(draw):
+    """Random codes with blanks, few levels and copied columns, and an item subset."""
+    n = draw(st.integers(0, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(1, 5))  # few levels make constant and equal columns likely
+    codes = rng.integers(1, levels + 1, size=(n, len(FIELDS)), dtype=np.int8)
+    codes[rng.random(codes.shape) < draw(st.sampled_from([0.0, 0.01, 0.1]))] = 0
+    for _ in range(draw(st.integers(0, 4))):
+        src, dst = rng.integers(0, len(FIELDS), size=2)
+        codes[:, dst] = codes[:, src]
+    d = SurveyDataset(
+        DEFAULT_CATALOG,
+        [f"r{i}" for i in range(n)],
+        codes,
+        np.full(n, math.nan),
+        {name: [""] * n for name in DEMOGRAPHICS},
+    )
+    indices = draw(st.lists(st.sampled_from(FIELDS), min_size=1, max_size=len(FIELDS), unique=True))
+    return d, indices
+
+
+@settings(max_examples=150, deadline=None)
+@given(surveys())
+def test_moments_match_the_complete_row_matrix(point):
+    d, indices = point
+    _, X = d.matrix(indices)
+    m = d.moments(indices)
+    n, k = X.shape
+    assert m.n == n
+    assert np.array_equal(m.sums, X.sum(axis=0))
+    assert np.array_equal(m.cross, X.T @ X)
+    if n == 0:
+        return
+    const = (X == X[0]).all(axis=0)
+    assert np.array_equal(m.constant(), const)
+    same = [[bool((X[:, i] == X[:, j]).all()) for i in range(j)] for j in range(k)]
+    first = [row.index(True) if True in row else -1 for row in same]
+    assert m.duplicates().tolist() == first
+    if n < 2:
+        return
+    ref = np.cov(X, rowvar=False, ddof=1).reshape(k, k)
+    sd = np.sqrt(np.diag(ref))
+    scale = np.outer(sd, sd)
+    assert np.all(np.abs(m.cov() - ref) <= 1e-13 * scale)
+    live = ~const
+    if live.sum() >= 2:
+        r = m.take(np.flatnonzero(live)).corr()
+        ref_r = np.corrcoef(X[:, live], rowvar=False)
+        assert np.all(np.abs(r - ref_r) <= 1e-13)

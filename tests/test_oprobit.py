@@ -167,6 +167,7 @@ def test_fit_recovers_truth_and_fit_statistics():
     X, y = _simulate(3000, beta_true, kappa_true, seed=5)
     m = fit(X, y, names=("a", "b", "c"))
     assert m.converged
+    assert 0.0 <= m.grad_max < 1e-8  # the default gtol
     assert np.all(np.abs(m.beta - beta_true) < 0.08)
     assert np.all(np.abs(m.kappa - kappa_true) < 0.08)
     assert m.loglik >= m.loglik_null

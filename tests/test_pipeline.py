@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -252,6 +253,30 @@ def test_constant_item_is_dropped_not_fatal(tmp_path):
         warning = f"items [5] give the same response in every complete row; left out of {stage}"
         assert warning in b["warnings"]
     assert b["sem"] is not None and b["probit"] is not None
+
+
+def test_duplicated_item_is_dropped_not_fatal(tmp_path):
+    # q6 a copy of q5 makes R exactly singular; the item screen leaves q6 out
+    # of the adequacy and EFA stages, so no KMO or Bartlett value comes from it
+    d = gen_sem_survey(default_sem_truth(n=300, seed=0))
+    codes = d.codes.copy()
+    codes[:, 6] = codes[:, 5]
+    path = tmp_path / "dup56.csv"
+    write_survey(replace(d, codes=codes), str(path))
+    res = run_pipeline(
+        PipelineConfig(survey_path=str(path), out_dir=str(tmp_path / "o"), judgments_path=JUDGMENTS)
+    )
+    b = res.bundle
+    schema = json.loads(
+        resources.files("lockqual").joinpath("schemas/report.schema.json").read_text("utf-8")
+    )
+    jsonschema.validate(json.loads(Path(res.out_paths["report"]).read_text("utf-8")), schema)
+    assert {"item": 6, "reason": "duplicate of q5"} in b["efa"]["assignment"]["dropped"]
+    assert "6" not in b["efa"]["loadings"]
+    assert b["adequacy"]["bartlett_df"] == 31 * 30 // 2
+    for stage in ("reliability and sampling adequacy", "factor extraction"):
+        warning = f"item 6 is a duplicate of q5 in every complete row; left out of {stage}"
+        assert warning in b["warnings"]
 
 
 def test_probit_refits_converge_at_the_noise_floor(tmp_path):

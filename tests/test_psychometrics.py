@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lockqual.psychometrics import adequacy, bartlett, correlation_matrix, cronbach_alpha, kmo
+from lockqual.synth import default_sem_truth, gen_sem_survey
 
 
 def test_alpha_duplicated_item_is_one():
@@ -132,3 +134,25 @@ def test_correlation_matrix_rejects_constant_column():
     X = np.column_stack([np.arange(10.0), np.ones(10)])
     with pytest.raises(ValueError):
         correlation_matrix(X)
+
+
+def _survey_with_q6_a_copy_of_q5():
+    d = gen_sem_survey(default_sem_truth(n=300, seed=0))
+    codes = d.codes.copy()
+    codes[:, 6] = codes[:, 5]
+    return replace(d, codes=codes)
+
+
+def test_kmo_and_bartlett_refuse_a_singular_r_and_name_the_dependence():
+    # the moments are exact, so q6 := q5 makes R exactly singular; inv and
+    # slogdet would return garbage for it without an error
+    d = _survey_with_q6_a_copy_of_q5()
+    _, X = d.matrix(d.catalog.indices)
+    R = correlation_matrix(X)
+    dependence = r"R is singular: columns \[4, 5\] are linearly dependent"
+    with pytest.raises(ValueError, match=dependence):
+        kmo(R)
+    with pytest.raises(ValueError, match=dependence):
+        bartlett(R, X.shape[0])
+    with pytest.raises(ValueError, match=dependence):
+        adequacy(d.moments(d.catalog.indices))

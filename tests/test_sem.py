@@ -175,6 +175,7 @@ def test_perfect_fit_recovers_truth():
     sigma_true = implied_sigma(lam, beta, psi, theta)
     est = fit_ml(model, sigma_true, n=500)
     assert est.converged
+    assert 0.0 <= est.grad_max < 1e-6  # the default gtol
     assert est.f_min < 1e-8
     assert np.allclose(est.lam, lam, atol=1e-4)
     assert np.allclose(est.psi, psi, atol=1e-4)
@@ -236,6 +237,7 @@ def test_standardize_closed_form():
         df=0,
         n_iter=0,
         converged=True,
+        grad_max=0.0,
         heywood=(),
         warnings=(),
     )
