@@ -394,7 +394,8 @@ def fit(
         derivs = _grad_hess_raw(X, yi, beta, _kappa_of(a), c, design, cells)
         ll, grad_raw, hess_raw = derivs
         g, h = _transform_grad_hess(a, grad_raw, hess_raw, k, c)
-        if float(np.max(np.abs(g))) < gtol:
+        grad_max = float(np.max(np.abs(g)))
+        if grad_max < gtol:
             converged = True
             break
         d = None
@@ -423,10 +424,10 @@ def fit(
             break
     beta = t[:k]
     kappa = _kappa_of(t[k:])
-    if derivs is None:
+    if derivs is None:  # t moved after the last gradient, or no iteration ran
         derivs = _grad_hess_raw(X, yi, beta, kappa, c, design, cells)
+        grad_max = float(np.max(np.abs(_transform_grad_hess(t[k:], *derivs[1:], k, c)[0])))
     ll, grad_raw, hess_raw = derivs
-    grad_max = float(np.max(np.abs(_transform_grad_hess(t[k:], grad_raw, hess_raw, k, c)[0])))
     if converged and ll > -1e-3:
         # every fitted probability is numerically 1: the likelihood has no
         # finite maximum and the flat gradient is saturation, not optimality

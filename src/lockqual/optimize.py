@@ -80,7 +80,9 @@ def minimize_qn(
         if sy > 1e-12:
             rho = 1.0 / sy
             Hy = H @ y
-            H = H - rho * (np.outer(s, Hy) + np.outer(Hy, s)) + rho**2 * float(y @ Hy) * np.outer(s, s) + rho * np.outer(s, s)
+            sh = np.outer(s, Hy)  # its transpose is outer(Hy, s), product for product
+            ss = np.outer(s, s)
+            H = H - rho * (sh + sh.T) + rho**2 * float(y @ Hy) * ss + rho * ss
         x, f, g = x_new, f_new, g_new
     else:
         n_iter = max_iter

@@ -291,19 +291,6 @@ def _fit_index_gates(fi: sem_mod.FitIndices, prefix: str, g: GateThresholds) -> 
     return checks
 
 
-def _drop_constant(
-    items: Sequence[int], x: np.ndarray, stage: str, warnings: list[str]
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Leave out the items whose column of x holds one value in every row."""
-    const = np.ptp(x, axis=0) == 0
-    if const.any():
-        warnings.append(
-            f"items {[i for i, c in zip(items, const) if c]} give the same response in every "
-            f"complete row; left out of {stage}"
-        )
-    return tuple(i for i, c in zip(items, const) if not c), x[:, ~const]
-
-
 def _screen(
     items: Sequence[int], m: Moments, stage: str, warnings: list[str]
 ) -> tuple[tuple[int, ...], Moments, dict[int, str]]:
@@ -694,8 +681,11 @@ def probit_section(
         return None
     _, X = sample.matrix(items)
     y = sample.column(SATI_AFTER)[sample.complete(items)].astype(int)
-    items, X = _drop_constant(items, X, "questionnaire reduction", warnings)
-    X = np.ascontiguousarray(X)  # row-major, as the fits have always summed it
+    kept, _, dropped = _screen(items, Moments.of_matrix(X), "questionnaire reduction", warnings)
+    if dropped:
+        # row-major, as the fits have always summed it
+        X = np.ascontiguousarray(X[:, [j for j, i in enumerate(items) if i not in dropped]])
+        items = list(kept)
     names = tuple(catalog.abbreviation_of(i) for i in items)
     try:
         out = oprobit.backward_eliminate(

@@ -182,15 +182,20 @@ def implied_sigma(lam: np.ndarray, beta: np.ndarray, psi: np.ndarray, theta: np.
     beta = np.asarray(beta, dtype=float)
     psi = np.asarray(psi, dtype=float)
     theta = np.asarray(theta, dtype=float).ravel()
+    return _implied(lam, beta, psi, theta)[3]
+
+
+def _implied(lam: np.ndarray, beta: np.ndarray, psi: np.ndarray, theta: np.ndarray):
+    """(I-B)^-1, the latent covariance C, Lam C and the symmetrized Sigma."""
     m = lam.shape[1]
-    imb = np.eye(m) - beta
     try:
-        a = np.linalg.inv(imb)
+        a = np.linalg.inv(np.eye(m) - beta)
     except np.linalg.LinAlgError:
         raise ValueError("I - B is singular") from None
     c = a @ psi @ a.T
-    sig = lam @ c @ lam.T + np.diag(theta)
-    return 0.5 * (sig + sig.T)
+    lam_c = lam @ c
+    sig = lam_c @ lam.T + np.diag(theta)
+    return a, c, lam_c, 0.5 * (sig + sig.T)
 
 
 class _ParamMap:
@@ -207,20 +212,26 @@ class _ParamMap:
         self.m = len(model.latents)
         self.lat_index = {name: j for j, name in enumerate(model.latents)}
         self.obs_index = {item: i for i, item in enumerate(obs)}
-        self.load_rows: list[int] = []
-        self.load_cols: list[int] = []
-        self.marker_rows: list[int] = []
+        load_rows: list[int] = []
+        load_cols: list[int] = []
+        marker_rows: list[int] = []
         for name in model.latents:
             j = self.lat_index[name]
             inds = model.indicators[name]
-            self.marker_rows.append(self.obs_index[inds[0]])
+            marker_rows.append(self.obs_index[inds[0]])
             for item in inds[1:]:
-                self.load_rows.append(self.obs_index[item])
-                self.load_cols.append(j)
-        self.path_dst = [self.lat_index[d] for _, d in model.structural_paths]
-        self.path_src = [self.lat_index[s] for s, _ in model.structural_paths]
-        self.cov_a = [self.lat_index[a] for a, _ in model.latent_covariances]
-        self.cov_b = [self.lat_index[b] for _, b in model.latent_covariances]
+                load_rows.append(self.obs_index[item])
+                load_cols.append(j)
+        # index arrays, which NumPy gathers and scatters with as it does
+        # lists, without converting a list on every call
+        self.load_rows = np.array(load_rows, dtype=np.intp)
+        self.load_cols = np.array(load_cols, dtype=np.intp)
+        self.marker_rows = np.array(marker_rows, dtype=np.intp)
+        paths, covs = model.structural_paths, model.latent_covariances
+        self.path_dst = np.array([self.lat_index[d] for _, d in paths], dtype=np.intp)
+        self.path_src = np.array([self.lat_index[s] for s, _ in paths], dtype=np.intp)
+        self.cov_a = np.array([self.lat_index[a] for a, _ in covs], dtype=np.intp)
+        self.cov_b = np.array([self.lat_index[b] for _, b in covs], dtype=np.intp)
         self.n_load = len(self.load_rows)
         self.n_path = len(self.path_dst)
         self.n_cov = len(self.cov_a)
@@ -433,16 +444,30 @@ def _make_objective(pmap: _ParamMap, S: np.ndarray):
 
     Variances are log-parameterized in the packed space, so the chain
     rule multiplies their gradient entries by the variance itself.
+    `fun` keeps the last vector it unpacked, with (I-B)^-1, C, Lam C and
+    Sigma; `grad` reuses them when its vector holds the same bits (the
+    optimizer asks for the gradient at the trial point whose value it
+    has just accepted), and computes them afresh otherwise. Both ways
+    run the same operations, so the floats do not depend on the order
+    of the calls.
     """
     p = pmap.p
     _, logdet_s = np.linalg.slogdet(S)
+    last: list = [None, None]  # the bytes of fun's last vector, and its parts
+
+    def parts(vec: np.ndarray) -> tuple:
+        lam, beta, psi, theta = pmap.unpack(vec)
+        return (lam, psi, theta) + _implied(lam, beta, psi, theta)
 
     def fun(vec: np.ndarray) -> float:
         lam, beta, psi, theta = pmap.unpack(vec)
+        last[:] = None, None
         try:
-            sig = implied_sigma(lam, beta, psi, theta)
-        except ValueError:
+            implied = _implied(lam, beta, psi, theta)
+        except ValueError:  # I - B is singular
             return math.inf
+        last[:] = np.asarray(vec, dtype=float).tobytes(), (lam, psi, theta) + implied
+        sig = implied[-1]
         if not np.all(np.isfinite(sig)):
             return math.inf
         try:
@@ -463,15 +488,12 @@ def _make_objective(pmap: _ParamMap, S: np.ndarray):
         return float(f)
 
     def grad(vec: np.ndarray) -> np.ndarray:
-        lam, beta, psi, theta = pmap.unpack(vec)
+        key = np.asarray(vec, dtype=float).tobytes()
+        lam, psi, theta, a, c, lam_c, sig = last[1] if key == last[0] else parts(vec)
         m = pmap.m
-        a = np.linalg.inv(np.eye(m) - beta)
-        c = a @ psi @ a.T
-        sig = lam @ c @ lam.T + np.diag(theta)
-        sig_inv = np.linalg.inv(0.5 * (sig + sig.T))
+        sig_inv = np.linalg.inv(sig)
         w = sig_inv - sig_inv @ S @ sig_inv
         w = 0.5 * (w + w.T)
-        lam_c = lam @ c
         g_lam = 2.0 * (w @ lam_c)
         mm = lam @ a
         mtw = mm.T @ w
@@ -549,6 +571,58 @@ def fit_ml(
     )
 
 
+def _information(
+    pmap: _ParamMap, lam: np.ndarray, beta: np.ndarray, psi: np.ndarray, theta: np.ndarray
+) -> np.ndarray:
+    """Expected information of F_ML over the raw parameters, q x q.
+
+    Its entries are tr(K D_s K D_t), K = Sigma^-1 and D_t = d Sigma / d
+    theta_t (Lee & Jennrich 1979, Psychometrika 44). Every D_t has rank
+    two at most, D_t = u_t v_t' + v_t u_t', with u_t and v_t the rows of
+    U and V:
+
+        loading Lam_ij            e_i           (Lam C)_j
+        path B_kl                 (Lam A)_k     (Lam C)_l
+        covariance Psi_ab         (Lam A)_a     (Lam A)_b
+        latent variance Psi_jj    (Lam A)_j / 2 (Lam A)_j
+        residual variance Theta_i e_i / 2       e_i
+
+    with A = (I-B)^-1, C = A Psi A' and (.)_j the j-th column. Expanding
+    the trace gives
+
+        I = 2 (P o Q + R o R'),  P = U K U',  Q = V K V',  R = U K V'
+
+    (o the elementwise product): O(q^2 p) matrix products in place of q
+    p x p derivative matrices and an O(q^2 p^2) contraction.
+    """
+    p = pmap.p
+    a, _, lam_c, sig = _implied(lam, beta, psi, theta)
+    k_inv = np.linalg.inv(sig)
+    mm = lam @ a
+    eye = np.eye(p)
+    u = np.concatenate(
+        (
+            eye[pmap.load_rows],
+            mm[:, pmap.path_dst].T,
+            mm[:, pmap.cov_a].T,
+            0.5 * mm.T,
+            0.5 * eye,
+        )
+    )
+    v = np.concatenate(
+        (
+            lam_c[:, pmap.load_cols].T,
+            lam_c[:, pmap.path_src].T,
+            mm[:, pmap.cov_b].T,
+            mm.T,
+            eye,
+        )
+    )
+    uk = u @ k_inv
+    r = uk @ v.T
+    return 2.0 * (uk @ u.T * (v @ k_inv @ v.T) + r * r.T)
+
+
 def _expected_se(
     pmap: _ParamMap,
     lam: np.ndarray,
@@ -559,45 +633,13 @@ def _expected_se(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]:
     """Standard errors from the inverse expected information.
 
-    The information for F_ML has entries tr(Sigma^-1 D_s Sigma^-1 D_t)
-    over raw parameters, and the asymptotic covariance of the estimates
-    is 2/(N-1) times its inverse.
+    The asymptotic covariance of the estimates is 2/(N-1) times the
+    inverse of `_information`, whose entries tr(K D_s K D_t) are summed
+    in closed form from the rank-2 derivatives D_t = u_t v_t' + v_t u_t'
+    as I = 2 (P o Q + R o R') with P = U K U', Q = V K V', R = U K V'.
     """
-    p, m, q = pmap.p, pmap.m, pmap.q
-    a = np.linalg.inv(np.eye(m) - beta)
-    c = a @ psi @ a.T
-    sig = implied_sigma(lam, beta, psi, theta)
-    sig_inv = np.linalg.inv(sig)
-    mm = lam @ a
-    lam_c = lam @ c
-    ks = np.empty((q, p, p))
-    t = 0
-    for i, j in zip(pmap.load_rows, pmap.load_cols):
-        d = np.zeros((p, p))
-        d[i, :] += lam_c[:, j]
-        d[:, i] += lam_c[:, j]
-        ks[t] = sig_inv @ d
-        t += 1
-    for k, l in zip(pmap.path_dst, pmap.path_src):
-        d = np.outer(mm[:, k], lam_c[:, l])
-        d = d + d.T
-        ks[t] = sig_inv @ d
-        t += 1
-    for aa, bb in zip(pmap.cov_a, pmap.cov_b):
-        d = np.outer(mm[:, aa], mm[:, bb])
-        d = d + d.T
-        ks[t] = sig_inv @ d
-        t += 1
-    for j in range(m):
-        d = np.outer(mm[:, j], mm[:, j])
-        ks[t] = sig_inv @ d
-        t += 1
-    for i in range(p):
-        d = np.zeros((p, p))
-        d[i, i] = 1.0
-        ks[t] = sig_inv @ d
-        t += 1
-    info = np.einsum("aij,bji->ab", ks, ks)
+    p, m = pmap.p, pmap.m
+    info = _information(pmap, lam, beta, psi, theta)
     warnings: list[str] = []
     try:
         acov = (2.0 / (n - 1)) * np.linalg.inv(info)
@@ -613,24 +655,15 @@ def _expected_se(
     se_lam = np.full((p, m), math.nan)
     se_beta = np.full((m, m), math.nan)
     se_psi = np.full((m, m), math.nan)
-    se_theta = np.full(p, math.nan)
-    t = 0
-    for i, j in zip(pmap.load_rows, pmap.load_cols):
-        se_lam[i, j] = se[t]
-        t += 1
-    for k, l in zip(pmap.path_dst, pmap.path_src):
-        se_beta[k, l] = se[t]
-        t += 1
-    for aa, bb in zip(pmap.cov_a, pmap.cov_b):
-        se_psi[aa, bb] = se[t]
-        se_psi[bb, aa] = se[t]
-        t += 1
-    for j in range(m):
-        se_psi[j, j] = se[t]
-        t += 1
-    for i in range(p):
-        se_theta[i] = se[t]
-        t += 1
+    k = 0
+    se_lam[pmap.load_rows, pmap.load_cols] = se[k : k + pmap.n_load]
+    k += pmap.n_load
+    se_beta[pmap.path_dst, pmap.path_src] = se[k : k + pmap.n_path]
+    k += pmap.n_path
+    se_psi[pmap.cov_a, pmap.cov_b] = se_psi[pmap.cov_b, pmap.cov_a] = se[k : k + pmap.n_cov]
+    k += pmap.n_cov
+    np.fill_diagonal(se_psi, se[k : k + m])
+    se_theta = se[k + m :]
     return se_lam, se_beta, se_psi, se_theta, warnings
 
 

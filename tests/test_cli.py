@@ -140,6 +140,30 @@ def test_probit_command_drops_a_constant_item(tmp_path):
     assert any(w.startswith("items [5] ") and w.endswith("left out of questionnaire reduction") for w in doc["warnings"])
 
 
+def test_probit_command_leaves_out_a_duplicated_item(tmp_path):
+    # a synthetic survey with every q6 rating copied from q5: the probit over
+    # the whole catalog screens q6 out as the adequacy and EFA stages do,
+    # instead of stopping on a collinear design
+    src = tmp_path / "sem.csv"
+    assert cli.main(["synth", "--kind", "sem", "--n", "300", "--seed", "0", "--out-file", str(src)]) == 0
+    rows = list(csv.reader(open(src, newline="", encoding="utf-8")))
+    q5, q6 = rows[0].index("q5"), rows[0].index("q6")
+    for r in rows[1:]:
+        r[q6] = r[q5]
+    path = tmp_path / "dup6.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    rc, doc = _run_json(["probit", "--input", str(path)], tmp_path / "p.json")
+    assert rc == 0
+    jsonschema.validate(doc, _schema("probit"))
+    assert doc["warnings"] == [
+        "item 6 is a duplicate of q5 in every complete row; left out of questionnaire reduction"
+    ]
+    q6_name = DEFAULT_CATALOG.abbreviation_of(6)
+    assert q6_name not in doc["survivors"] and all(s["dropped"] != q6_name for s in doc["steps"])
+    assert doc["final"] is not None
+
+
 def test_bad_invocations_exit_1(tmp_path, capsys):
     for argv in ([], ["frobnicate"], ["validate"], ["validate", "--no-such-flag"]):
         with pytest.raises(SystemExit) as exc:

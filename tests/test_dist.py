@@ -153,6 +153,49 @@ def test_norm_kernels_below_the_normal_range_and_on_every_shape():
     assert _same(norm_cdf([0.0, -1.0]), norm_cdf(np.array([0.0, -1.0])))
 
 
+def _two_pass_cdf(x: np.ndarray):
+    """Phi by the two Horner passes, one for P and one for Q, over the split exp."""
+    from lockqual._dist import _R_DEN, _R_NUM
+
+    def horner(coefs, t):
+        out = t * coefs[-1]
+        for c in coefs[-2:0:-1]:
+            out += c
+            out *= t
+        out += coefs[0]
+        return out
+
+    x = np.asarray(x, dtype=float)
+    t = np.minimum(np.abs(x).ravel(), 40.0)
+    h = t + 1.5 * 2.0**48
+    h -= 1.5 * 2.0**48
+    split = np.exp(-0.5 * np.stack((h * h, (t - h) * (t + h))))
+    q = horner(_R_NUM, t)
+    q /= horner(_R_DEN, t)
+    q *= split[0] * split[1]
+    q = q.reshape(x.shape)
+    return np.where(x > 0, 1.0 - q, q)[()]
+
+
+def test_norm_cdf_gives_the_bits_of_the_two_pass_horner_sums():
+    # a grid over [-40, 40], the edge values, the subnormal tail and 0-d input
+    x = np.concatenate(
+        [
+            np.linspace(-40, 40, 80_001),
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324],
+            np.linspace(-38.6, -37.4, 241),
+        ]
+    )
+    want = _two_pass_cdf(x)
+    assert np.any((want > 0) & (want < np.finfo(float).tiny))  # subnormal values reached
+    assert norm_cdf(x).tobytes() == want.tobytes()
+    assert norm_sf(-x).tobytes() == want.tobytes()
+    for v in (0.0, -0.0, -1.5, 2.25, -38.2, np.inf, -np.inf, np.nan):
+        got = norm_cdf(np.float64(v))
+        assert type(got) is np.float64
+        assert np.asarray(got).tobytes() == np.asarray(_two_pass_cdf(np.float64(v))).tobytes()
+
+
 def test_norm_ppf_relative_error_across_both_tails():
     # AS241: 2e-15 of SciPy's ndtri (measured 6.9e-16), and 2e-15 of the
     # exact quantile, found by mpmath on log Phi, on every 37th probability

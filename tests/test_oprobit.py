@@ -184,6 +184,25 @@ def test_fit_recovers_truth_and_fit_statistics():
         assert 0.0 <= r["p"] <= 1.0
 
 
+def test_grad_max_is_the_gradient_at_the_returned_estimate():
+    # stopped by max_iter after an accepted step, with no iteration at all,
+    # and converged: grad_max is max|gradient| in the softplus-gap space at
+    # the returned (beta, kappa), whose gaps are recovered here to rounding
+    X, y = _simulate(600, [0.9, 0.0, -0.6], [-1.0, 0.0, 1.0], seed=8)
+    c = int(y.max())
+    for max_iter in (0, 1, 2, 200):
+        m = fit(X, y, max_iter=max_iter)
+        assert m.converged == (max_iter == 200)
+        a = np.concatenate(([m.kappa[0]], _softplus_inv(np.diff(m.kappa))))
+        _, g_raw, h_raw = _grad_hess_raw(X, y.astype(int), m.beta, _kappa_of(a), c)
+        g = oprobit._transform_grad_hess(a, g_raw, h_raw, m.beta.size, c)[0]
+        if m.converged:
+            assert m.grad_max < 1e-8 and np.max(np.abs(g)) < 1e-6
+        else:
+            assert m.grad_max > 1e-3
+            assert m.grad_max == pytest.approx(float(np.max(np.abs(g))), rel=1e-9)
+
+
 def test_standard_errors_match_numeric_information():
     beta_true = np.array([0.8])
     kappa_true = np.array([-0.5, 0.7])
