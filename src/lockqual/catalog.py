@@ -140,12 +140,6 @@ def load_catalog(path: str) -> VariableCatalog:
         return VariableCatalog.from_json(fh.read())
 
 
-def save_catalog(catalog: VariableCatalog, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(catalog.to_json())
-        fh.write("\n")
-
-
 def _default_items() -> tuple[CatalogItem, ...]:
     spec = [
         (1, "wea_deal", "frequency", "safe_security"),

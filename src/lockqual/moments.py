@@ -15,6 +15,9 @@ for n up to 1.8e7, and the tests on it: a column is constant when its
 diagonal is 0, and two columns are equal when
 X'X_ii + X'X_jj - 2 X'X_ij = 0. The covariance is then one division
 away from its exact value.
+
+`dependent_sets` is the package's one test of whether a symmetric
+matrix is singular, and which columns make it so.
 """
 from __future__ import annotations
 
@@ -23,11 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Moments", "as_moments"]
+__all__ = ["Moments", "as_moments", "dependent_sets"]
 
 # Rows per block of `of_codes`: a float64 block of 32 items is 2 MB, where
 # the whole complete-row matrix of a 100k survey is 21 MB.
 _BLOCK_ROWS = 8192
+
+_EPS = float(np.finfo(float).eps)
+_SUPPORT = float(np.sqrt(_EPS))  # share of a null direction's largest entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,18 +108,52 @@ class Moments:
         """Mask of the columns that hold one value in every row."""
         return np.diag(self.centred()) == 0
 
-    def duplicates(self) -> np.ndarray:
-        """Per column, the first earlier column equal to it in every row, or -1.
+    def equal(self, i: int, j: int) -> bool:
+        """Whether columns i and j are equal in every row.
 
         The test is exact for codes; for a float matrix it compares the
         columns about their shifts, and up to rounding.
         """
-        d = np.diag(self.cross)
-        same = d[:, None] + d[None, :] - 2.0 * self.cross == 0
-        same &= np.tri(self.k, k=-1, dtype=bool)  # earlier columns only
-        return np.where(same.any(axis=1), same.argmax(axis=1), -1)
+        return self.cross[i, i] + self.cross[j, j] - 2.0 * self.cross[i, j] == 0
 
 
 def as_moments(X: np.ndarray | Moments) -> Moments:
     """X itself when it is Moments, else the moments of the n x k matrix X."""
     return X if isinstance(X, Moments) else Moments.of_matrix(X)
+
+
+def dependent_sets(a: np.ndarray) -> list[list[int]]:
+    """The column sets of the numerically null directions of a symmetric PSD matrix.
+
+    Scaled to unit diagonal, an eigenvalue at or below p * eps times the
+    largest is null; a column whose diagonal is 0 is a set of its own.
+    The null directions are reduced from the right, one per set: each has
+    its last column as pivot and 0 at the other pivots, and its entries
+    above sqrt(eps) of its largest form the set. Dropping the last column
+    of each set leaves full rank. Raises ValueError on a non-finite or an
+    indefinite matrix.
+    """
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    d = np.diag(a)
+    live = np.flatnonzero(d > 0)
+    s = 1.0 / np.sqrt(d[live])
+    vals, vecs = np.linalg.eigh(a[np.ix_(live, live)] * s[:, None] * s[None, :])
+    tol = live.size * _EPS * vals.max(initial=0.0)
+    if d.min(initial=0.0) < 0 or vals.min(initial=0.0) < -tol:
+        raise ValueError("matrix is not positive definite (a negative diagonal or eigenvalue)")
+    rows, pivots = vecs[:, vals <= tol].T, []
+    for c in range(live.size - 1, -1, -1):
+        if not len(rows):
+            break
+        rows = rows / np.abs(rows).max(axis=1, keepdims=True)
+        i = np.argmax(np.abs(rows[:, c]))
+        if abs(rows[i, c]) > _SUPPORT:
+            pivot = rows[i] / rows[i, c]
+            rows = np.delete(rows, i, axis=0)
+            rows -= np.outer(rows[:, c], pivot)
+            pivots = [r - r[c] * pivot for r in pivots] + [pivot]
+    sets = [[j] for j in np.flatnonzero(d == 0).tolist()]
+    sets += [live[np.abs(r) > _SUPPORT * np.abs(r).max()].tolist() for r in pivots]
+    return sorted(sets, key=lambda cols: cols[-1])

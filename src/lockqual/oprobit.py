@@ -18,10 +18,10 @@ A `_Design` holds those arrays. Sums over rows that carry a column of
 X are BLAS products: the Hessian's beta x kappa block is one product of
 X with an (n, C - 1) W that holds each row's weights at its upper and
 lower cut in the columns of those cuts. `backward_eliminate` validates
-its inputs, checks the full design matrix for collinearity and builds
-the `_Design` once; every re-fit on a subset of the columns reuses it, and
-starts from the previous solution, moved to where it predicts the
-optimum without the dropped coefficients.
+its inputs, checks the full design's centred cross products for
+collinearity and builds the `_Design` once; every re-fit on a subset of
+the columns reuses it, and starts from the previous solution, moved to
+where it predicts the optimum without the dropped coefficients.
 """
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._dist import chi2_sf, expit, norm_cdf, norm_pdf, norm_ppf, norm_sf
+from .moments import Moments, dependent_sets
 
 __all__ = [
     "ProbitModel",
@@ -73,10 +74,10 @@ def _validate_xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _check_collinear(X: np.ndarray) -> None:
-    Xc = X - X.mean(axis=0)
-    s = np.linalg.svd(Xc, compute_uv=False)
-    if s[0] == 0 or s[-1] / s[0] < 1e-10:
-        raise ValueError("predictors are collinear (rank-deficient design)")
+    sets = dependent_sets(Moments.of_matrix(X).centred())
+    if sets:
+        named = ", ".join(map(str, sets))
+        raise ValueError(f"predictors are collinear: columns {named} are linearly dependent")
 
 
 class _Design:
@@ -107,9 +108,9 @@ class _Design:
 def _prepare(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, _Design]:
     """Validate X and y, check X for collinearity, and build y's design.
 
-    A design that passes the check passes it with any subset of its
-    columns: the singular values of a column subset interlace those of
-    the whole, so their spread can only narrow.
+    The check is `dependent_sets`: no eigenvalue of the correlations at
+    or below k * eps times the largest. Any subset of the columns passes
+    it too, as a principal submatrix's eigenvalues interlace the whole's.
     """
     X, yi, c = _validate_xy(X, y)
     n, k = X.shape

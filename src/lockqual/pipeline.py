@@ -32,7 +32,7 @@ from . import sem as sem_mod
 from .catalog import DISPLAY_NAMES, SATI_AFTER, SATI_BEFORE, VariableCatalog, load_catalog
 from .catalog import DEFAULT_CATALOG
 from .dataset import DescriptiveReport, SurveyDataset, describe, load_survey, split
-from .moments import Moments
+from .moments import Moments, dependent_sets
 
 __all__ = [
     "GateThresholds",
@@ -291,13 +291,36 @@ def _fit_index_gates(fi: sem_mod.FitIndices, prefix: str, g: GateThresholds) -> 
     return checks
 
 
+def _rated_moments(
+    sample: SurveyDataset, items: Sequence[int], stage: str, warnings: list[str]
+) -> tuple[list[int], Moments, dict[int, str]]:
+    """The moments of the complete rows, after leaving out the items no row rates.
+
+    Such an item leaves no complete row, and while a row is complete every
+    item is rated. Returns the items kept, their moments and "no responses"
+    for each item left out.
+    """
+    m = sample.moments(items)
+    dropped = {i: "no responses" for i in items if m.n == 0 and not sample.column(i).any()}
+    if dropped:
+        warnings.append(f"items {list(dropped)} have no rating in the sample; left out of {stage}")
+        items = [i for i in items if i not in dropped]
+        m = sample.moments(items)
+    return list(items), m, dropped
+
+
 def _screen(
     items: Sequence[int], m: Moments, stage: str, warnings: list[str]
 ) -> tuple[tuple[int, ...], Moments, dict[int, str]]:
-    """Leave out constant items and exact duplicates of an earlier item.
+    """Leave out constant items, then the last item of each linearly dependent set.
 
-    Either makes the correlation matrix singular. Returns the items
-    kept, their moments and the reason for each item left out.
+    Either makes the correlation matrix singular. The sets are
+    `dependent_sets` of the kept correlations, taken until there are
+    none, and only while the complete rows outnumber the kept items: with
+    fewer rows every R is singular. An item equal in every row to the one
+    other item of its set is a "duplicate of qJ", any other "linearly
+    dependent on [qJ, ...]". Returns the items kept, their moments and
+    the reason for each item left out; raises ValueError if none is kept.
     """
     const = m.constant()
     dropped = {i: "constant response" for i, c in zip(items, const) if c}
@@ -305,15 +328,24 @@ def _screen(
         warnings.append(
             f"items {list(dropped)} give the same response in every complete row; left out of {stage}"
         )
-    kept = [j for j, c in enumerate(const) if not c]
-    for j, first in zip(kept, m.take(kept).duplicates()):
-        if first >= 0:
-            twin = items[kept[first]]
-            dropped[items[j]] = f"duplicate of q{twin}"
-            warnings.append(
-                f"item {items[j]} is a duplicate of q{twin} in every complete row; left out of {stage}"
-            )
-    keep = [j for j, i in enumerate(items) if i not in dropped]
+    keep = [j for j, c in enumerate(const) if not c]
+    while keep and m.n > len(keep):
+        sets = dependent_sets(m.take(keep).corr())
+        if not sets:
+            break
+        for cols in sets:
+            *earlier, last = [keep[t] for t in cols]
+            item, named = items[last], [f"q{items[j]}" for j in earlier]
+            if len(earlier) == 1 and m.equal(earlier[0], last):
+                dropped[item] = f"duplicate of {named[0]}"
+                how = f"a {dropped[item]} in every complete row"
+            else:
+                dropped[item] = f"linearly dependent on [{', '.join(named)}]"
+                how = f"{dropped[item]} in the complete rows"
+            warnings.append(f"item {item} is {how}; left out of {stage}")
+        keep = [j for j in keep if items[j] not in dropped]
+    if not keep:
+        raise ValueError(f"no usable item left for {stage}: every item is constant or never rated")
     return tuple(items[j] for j in keep), m.take(keep), dropped
 
 
@@ -356,17 +388,19 @@ def adequacy_section(
 ) -> tuple[dict, tuple[int, ...]]:
     """Alpha, KMO and Bartlett over the complete rows of `items`.
 
-    Raises ValueError unless there are more complete rows than items.
-    Constant items and exact duplicates are left out; the items analysed
-    come back with the document.
+    Items never rated are left out first. Raises ValueError unless there
+    are more complete rows than rated items. Constant and linearly
+    dependent items are left out too; the items analysed come back with
+    the document.
     """
-    m = data.moments(items)
+    stage = "reliability and sampling adequacy"
+    items, m, _ = _rated_moments(data, items, stage, warnings)
     if m.n <= len(items):
         raise ValueError(
             f"only {m.n} complete respondents for {len(items)} items; too few for "
-            "reliability and sampling adequacy, which need more respondents than items"
+            f"{stage}, which need more respondents than items"
         )
-    items, m, _ = _screen(items, m, "reliability and sampling adequacy", warnings)
+    items, m, _ = _screen(items, m, stage, warnings)
     adq = psychometrics.adequacy(m)
     gates.append(_check("cronbach_alpha", adq.cronbach_alpha, g.alpha, "at_least"))
     gates.append(_check("kmo", adq.kmo, g.kmo, "at_least"))
@@ -387,12 +421,15 @@ def efa_section(
 ) -> tuple[dict, efa_mod.FactorAssignment, dict[int, str]]:
     """PCA, varimax and pruning (g.loading, g.cross_margin) on the complete rows.
 
-    Constant items are dropped first, with reason "constant response",
-    and exact duplicates of an earlier item with reason "duplicate of qJ".
+    Items are screened first: never rated ("no responses"), constant
+    ("constant response"), then linearly dependent on earlier items
+    ("duplicate of qJ" or "linearly dependent on [qJ, ...]").
     Returns the document, the assignment and the factor labels.
     """
-    m = sample.moments(catalog.indices)
-    items, m, reasons = _screen(catalog.indices, m, "factor extraction", warnings)
+    stage = "factor extraction"
+    items, m, reasons = _rated_moments(sample, catalog.indices, stage, warnings)
+    items, m, screened = _screen(items, m, stage, warnings)
+    reasons.update(screened)
     r = psychometrics.correlation_matrix(m)
     rotated = efa_mod.rotate_varimax(efa_mod.extract_pca(r, items=items))
     assignment = efa_mod.prune(rotated, data=m, threshold=g.loading, cross_margin=g.cross_margin)
@@ -675,13 +712,14 @@ def probit_section(
     `constructs` maps each candidate item, in column order, to the
     construct its questionnaire entry is filed under.
     """
-    items = list(constructs)
+    stage = "questionnaire reduction"
+    items, m, _ = _rated_moments(sample, list(constructs), stage, warnings)
     if not items:
-        warnings.append("no retained items; questionnaire reduction skipped")
+        warnings.append(f"no retained items; {stage} skipped")
         return None
+    kept, _, dropped = _screen(items, m, stage, warnings)
     _, X = sample.matrix(items)
     y = sample.column(SATI_AFTER)[sample.complete(items)].astype(int)
-    kept, _, dropped = _screen(items, Moments.of_matrix(X), "questionnaire reduction", warnings)
     if dropped:
         # row-major, as the fits have always summed it
         X = np.ascontiguousarray(X[:, [j for j, i in enumerate(items) if i not in dropped]])

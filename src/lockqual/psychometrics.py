@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dist import chi2_sf
-from .moments import Moments, as_moments
+from .moments import Moments, as_moments, dependent_sets
 
 __all__ = ["AdequacyReport", "cronbach_alpha", "kmo", "bartlett", "adequacy", "correlation_matrix"]
 
@@ -64,16 +64,11 @@ def _check_corr(R: np.ndarray) -> np.ndarray:
     R = 0.5 * (R + R.T)
     # A singular R passes np.linalg.inv and slogdet with no error, and gives
     # garbage: exact moments make a duplicated item's R exactly singular.
-    vals, vecs = np.linalg.eigh(R)
-    tol = R.shape[0] * np.finfo(float).eps * vals[-1]
-    if vals[0] < -tol:
-        raise ValueError(f"R is not positive definite (smallest eigenvalue {vals[0]:.3g})")
-    if vals[0] <= tol:
-        null = np.abs(vecs[:, 0])
-        cols = [int(i) for i in np.flatnonzero(null > np.sqrt(np.finfo(float).eps) * null.max())]
+    sets = dependent_sets(R)
+    if sets:
         raise ValueError(
-            f"R is singular: columns {cols} are linearly dependent "
-            f"(smallest eigenvalue {vals[0]:.3g}, at most p*eps times the largest)"
+            f"R is singular: columns {', '.join(map(str, sets))} are linearly dependent "
+            "(an eigenvalue at most p*eps times the largest)"
         )
     return R
 

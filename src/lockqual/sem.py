@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._dist import norm_sf
-from .moments import Moments
+from .moments import Moments, dependent_sets
 from .optimize import minimize_qn
 
 __all__ = [
@@ -237,6 +237,18 @@ class _ParamMap:
         self.n_cov = len(self.cov_a)
         self.q = self.n_load + self.n_path + self.n_cov + self.m + self.p
 
+    def names(self) -> list[str]:
+        """The packed parameters in lavaan's syntax: a=~q2, b~a, a~~b, a~~a, q2~~q2."""
+        model = self.model
+        obs, lat = model.observed, model.latents
+        return (
+            [f"{lat[j]}=~q{obs[i]}" for i, j in zip(self.load_rows.tolist(), self.load_cols.tolist())]
+            + [f"{dst}~{src}" for src, dst in model.structural_paths]
+            + [f"{a}~~{b}" for a, b in model.latent_covariances]
+            + [f"{x}~~{x}" for x in lat]
+            + [f"q{i}~~q{i}" for i in obs]
+        )
+
     def unpack(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         p, m = self.p, self.m
         lam = np.zeros((p, m))
@@ -427,16 +439,19 @@ class SemEstimate:
         return rows
 
 
-def _check_sample(S: np.ndarray, p: int) -> np.ndarray:
+def _check_sample(S: np.ndarray, observed: Sequence[int]) -> np.ndarray:
     S = np.asarray(S, dtype=float)
+    p = len(observed)
     if S.shape != (p, p):
         raise ValueError(f"sample covariance must be {p} x {p}")
     if not np.allclose(S, S.T, atol=1e-10):
         raise ValueError("sample covariance must be symmetric")
-    sign, _ = np.linalg.slogdet(S)
-    if sign <= 0:
-        raise ValueError("sample covariance must be positive definite")
-    return 0.5 * (S + S.T)
+    S = 0.5 * (S + S.T)
+    sets = dependent_sets(S)
+    if sets:
+        named = ", ".join(str([observed[i] for i in cols]) for cols in sets)
+        raise ValueError(f"sample covariance is singular: observed variables {named} are linearly dependent")
+    return S
 
 
 def _make_objective(pmap: _ParamMap, S: np.ndarray):
@@ -525,7 +540,7 @@ def fit_ml(
     """Fit the model to a sample covariance by maximum likelihood."""
     pmap = _ParamMap(model)
     p = pmap.p
-    S = _check_sample(S, p)
+    S = _check_sample(S, model.observed)
     if n < p + 1:
         raise ValueError("sample size too small for the number of observed variables")
     df = p * (p + 1) // 2 - pmap.q
@@ -637,20 +652,26 @@ def _expected_se(
     inverse of `_information`, whose entries tr(K D_s K D_t) are summed
     in closed form from the rank-2 derivatives D_t = u_t v_t' + v_t u_t'
     as I = 2 (P o Q + R o R') with P = U K U', Q = V K V', R = U K V'.
+    A singular I means the model is not identified (Rothenberg 1971,
+    Econometrica 39): a warning names the parameters, and no SE is given.
     """
     p, m = pmap.p, pmap.m
     info = _information(pmap, lam, beta, psi, theta)
     warnings: list[str] = []
-    try:
-        acov = (2.0 / (n - 1)) * np.linalg.inv(info)
-        var = np.diag(acov).copy()
-    except np.linalg.LinAlgError:
-        warnings.append("information matrix is singular; standard errors from a pseudo-inverse")
-        acov = (2.0 / (n - 1)) * np.linalg.pinv(info)
-        var = np.diag(acov).copy()
-    if np.any(var < 0):
-        warnings.append("negative variance estimates in the information inverse; affected SEs reported as nan")
-        var[var < 0] = math.nan
+    sets = dependent_sets(info)
+    if sets:
+        names = pmap.names()
+        named = "; ".join(", ".join(names[t] for t in cols) for cols in sets)
+        warnings.append(
+            f"information matrix is singular, so the model is not identified: parameters {named} "
+            "are not separately determined; standard errors reported as null"
+        )
+        var = np.full(pmap.q, math.nan)
+    else:
+        var = np.diag(np.linalg.inv(info)) * (2.0 / (n - 1))
+        if np.any(var < 0):
+            warnings.append("negative variance estimates in the information inverse; affected SEs reported as nan")
+            var[var < 0] = math.nan
     se = np.sqrt(var)
     se_lam = np.full((p, m), math.nan)
     se_beta = np.full((m, m), math.nan)

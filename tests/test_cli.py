@@ -131,6 +131,38 @@ def test_constant_item_is_dropped_by_the_stage_commands(tmp_path):
     jsonschema.validate(doc, _schema("sem"))
 
 
+def test_reliability_without_a_usable_item_exits_1(tmp_path, capsys):
+    rows = list(csv.reader(open(SURVEY, newline="", encoding="utf-8")))
+    cols = [rows[0].index(f"q{i}") for i in range(1, 33)]
+    for r in rows[1:]:
+        for c in cols:
+            r[c] = "3"
+    path = tmp_path / "flat.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    assert cli.main(["reliability", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: no usable item left for reliability and sampling adequacy" in err
+
+
+def test_stage_commands_leave_out_a_never_rated_item(tmp_path):
+    rows = list(csv.reader(open(SURVEY, newline="", encoding="utf-8")))
+    col = rows[0].index("q5")
+    for r in rows[1:]:
+        r[col] = ""
+    path = tmp_path / "blank5.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    rc, doc = _run_json(["reliability", "--input", str(path)], tmp_path / "r.json")
+    assert rc == 0 and 5 not in doc["items"] and len(doc["items"]) == 31
+    rc, doc = _run_json(["efa", "--input", str(path)], tmp_path / "e.json")
+    assert rc == 0 and {"item": 5, "reason": "no responses"} in doc["assignment"]["dropped"]
+    rc, doc = _run_json(["probit", "--input", str(path)], tmp_path / "p.json")
+    assert rc == 0
+    jsonschema.validate(doc, _schema("probit"))
+    assert "items [5] have no rating in the sample; left out of questionnaire reduction" in doc["warnings"]
+
+
 def test_probit_command_drops_a_constant_item(tmp_path):
     rc, doc = _run_json(["probit", "--input", str(_constant_q5(tmp_path))], tmp_path / "p.json")
     assert rc == 0

@@ -49,9 +49,6 @@ def test_moments_match_the_complete_row_matrix(point):
         return
     const = (X == X[0]).all(axis=0)
     assert np.array_equal(m.constant(), const)
-    same = [[bool((X[:, i] == X[:, j]).all()) for i in range(j)] for j in range(k)]
-    first = [row.index(True) if True in row else -1 for row in same]
-    assert m.duplicates().tolist() == first
     if n < 2:
         return
     ref = np.cov(X, rowvar=False, ddof=1).reshape(k, k)

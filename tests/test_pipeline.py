@@ -279,6 +279,59 @@ def test_duplicated_item_is_dropped_not_fatal(tmp_path):
         assert warning in b["warnings"]
 
 
+def _run_sem_survey_with(tmp_path, edit):
+    """run_pipeline on the n=300, seed 0 synthetic survey with its int8 codes edited."""
+    d = gen_sem_survey(default_sem_truth(n=300, seed=0))
+    codes = d.codes.copy()
+    edit(codes)
+    path = tmp_path / "edited.csv"
+    write_survey(replace(d, codes=codes), str(path))
+    res = run_pipeline(
+        PipelineConfig(survey_path=str(path), out_dir=str(tmp_path / "o"), judgments_path=JUDGMENTS)
+    )
+    schema = json.loads(
+        resources.files("lockqual").joinpath("schemas/report.schema.json").read_text("utf-8")
+    )
+    jsonschema.validate(json.loads(Path(res.out_paths["report"]).read_text("utf-8")), schema)
+    return res.bundle
+
+
+def test_reverse_keyed_item_is_dropped_not_fatal(tmp_path):
+    # q6 := 6 - q5 is no copy of q5, but makes R exactly as singular
+    def reverse_q5(codes):
+        codes[:, 6] = 6 - codes[:, 5]
+
+    b = _run_sem_survey_with(tmp_path, reverse_q5)
+    assert {"item": 6, "reason": "linearly dependent on [q5]"} in b["efa"]["assignment"]["dropped"]
+    assert b["adequacy"]["bartlett_df"] == 31 * 30 // 2
+    for stage in ("reliability and sampling adequacy", "factor extraction"):
+        warning = f"item 6 is linearly dependent on [q5] in the complete rows; left out of {stage}"
+        assert warning in b["warnings"]
+
+
+def test_never_rated_item_is_dropped_not_fatal(tmp_path):
+    # with q5 blank in every row no row is complete over all 32 items
+    def blank_q5(codes):
+        codes[:, 5] = 0
+
+    b = _run_sem_survey_with(tmp_path, blank_q5)
+    assert b["efa"]["assignment"]["dropped"][0] == {"item": 5, "reason": "no responses"}
+    assert b["adequacy"]["n_complete"] == 300
+    assert b["adequacy"]["bartlett_df"] == 31 * 30 // 2
+    for stage in ("reliability and sampling adequacy", "factor extraction"):
+        assert f"items [5] have no rating in the sample; left out of {stage}" in b["warnings"]
+
+
+def test_every_item_constant_is_a_clear_error(tmp_path):
+    d = gen_sem_survey(default_sem_truth(n=300, seed=0))
+    codes = d.codes.copy()
+    codes[:, 1:33] = 3
+    path = tmp_path / "flat.csv"
+    write_survey(replace(d, codes=codes), str(path))
+    with pytest.raises(ValueError, match="no usable item left for reliability and sampling adequacy"):
+        run_pipeline(PipelineConfig(survey_path=str(path), out_dir=str(tmp_path / "o")))
+
+
 def test_probit_refits_converge_at_the_noise_floor(tmp_path):
     # with q5 constant, the 9-item refit meets the noise floor: started cold,
     # its Newton step at max|grad| 3.3e-6 rounds the log-likelihood down by
