@@ -25,6 +25,7 @@ from .dataset import describe, load_survey, split, write_survey
 from .pipeline import (
     GateThresholds,
     PipelineConfig,
+    _stage,
     adequacy_section,
     ahp_section,
     bias_section,
@@ -78,13 +79,6 @@ def _items_arg(text: str | None, known: Sequence[int]) -> tuple[int, ...]:
     if bad:
         raise ValueError("unknown item indices: " + ", ".join(str(b) for b in bad))
     return items
-
-
-def _required(doc: dict | None, warnings: list[str]) -> dict:
-    """A stage's document, or the reason it has none as an input error."""
-    if doc is None:
-        raise ValueError("; ".join(warnings))
-    return doc
 
 
 def _finish(args: argparse.Namespace, doc: dict, checks, out: str | None) -> int:
@@ -144,7 +138,6 @@ def _cmd_sem(args: argparse.Namespace) -> int:
         if model is None:
             raise ValueError("factor extraction left no usable model; supply --model")
     doc, est = sem_section(train, model, g, checks, warnings)
-    doc = _required(doc, warnings)
     doc["validity"] = validity_doc(est, warnings)
     doc["model"] = json.loads(model.to_json())
     doc["split"] = {"seed": args.seed, "n_train": train.n}
@@ -185,9 +178,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
             f"{args.weights}: not a usable weights document "
             "(needs latents, item_weights and latent_weights)"
         ) from exc
-    warnings: list[str] = []
-    doc, summary = scoring_section(d, w, warnings)
-    doc = _required(doc, warnings)
+    doc, summary = scoring_section(d, w)
     if args.csv:
         scoring_mod.write_scores_csv(summary, w, args.csv)
     doc["csv"] = args.csv
@@ -218,7 +209,8 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     warnings: list[str] = []
     doc = entropy_section(d, groups)
     doc["per_group"] = doc.pop("per_latent")
-    doc["delay"] = delay_section(d, groups, warnings)
+    with _stage(doc, [], warnings, "delay", "delay bands"):
+        doc["delay"] = delay_section(d, groups)
     doc["cli_warnings"] = warnings
     _emit(doc, args.out)
     return 0
@@ -229,7 +221,6 @@ def _cmd_ahp(args: argparse.Namespace) -> int:
     checks: list = []
     warnings: list[str] = []
     doc = ahp_section(args.judgments, g, args.exclude_inconsistent, checks, warnings)
-    doc = _required(doc, warnings)
     doc["warnings"] = warnings
     return _finish(args, doc, checks, args.out)
 
@@ -242,7 +233,6 @@ def _cmd_probit(args: argparse.Namespace) -> int:
     g = replace(GateThresholds(), probit_alpha=args.alpha)
     warnings: list[str] = []
     doc = probit_section(d, constructs, catalog, g, args.single_pass, warnings)
-    doc = _required(doc, warnings)
     doc["warnings"] = warnings
     if args.csv and doc["questionnaire"] is not None:
         write_questionnaire(doc["questionnaire"], args.csv)
@@ -255,8 +245,7 @@ def _cmd_bias(args: argparse.Namespace) -> int:
     sw = ahp_mod.normalized_weights(
         _load_weight_doc(args.sw), labels=ahp_mod.DEFAULT_HIERARCHY.leaves
     )
-    warnings: list[str] = []
-    _emit(_required(bias_section(_load_weight_doc(args.ow), sw, warnings), warnings), args.out)
+    _emit(bias_section(_load_weight_doc(args.ow), sw), args.out)
     return 0
 
 

@@ -9,8 +9,8 @@ by ordered probit. Emits one JSON bundle, a Markdown summary rendered
 from that JSON, a per-respondent score CSV and, when the reduction
 succeeds, a simplified questionnaire CSV.
 
-Gate failures never abort the run; they are recorded on the bundle so
-callers (and the command line's --strict mode) can decide.
+Gate failures and failed stages never abort the run; both are recorded
+on the bundle so callers (and the command line's --strict mode) can decide.
 """
 from __future__ import annotations
 
@@ -18,7 +18,9 @@ import datetime
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,6 +41,7 @@ __all__ = [
     "PipelineConfig",
     "GateCheck",
     "PipelineResult",
+    "TooFewRowsError",
     "run_pipeline",
     "render_summary",
     "screening_section",
@@ -124,6 +127,10 @@ class PipelineResult:
     bundle: Mapping[str, object]
     gate_failures: tuple[str, ...]
     out_paths: Mapping[str, str]
+
+
+class TooFewRowsError(ValueError):
+    """No more complete rows than items: bad input for the whole run, not one stage."""
 
 
 def _check(name: str, value: float, threshold: float, mode: str) -> GateCheck:
@@ -349,9 +356,27 @@ def _screen(
     return tuple(items[j] for j in keep), m.take(keep), dropped
 
 
-# One builder per report section. Each returns its section's document
-# (None when the stage could not run) and appends to the caller's gate
-# checks and warnings; run_pipeline and the command line share them.
+@contextmanager
+def _stage(doc: dict, gates: list[GateCheck], warnings: list[str], section: str, stage: str):
+    """Guard the builder call that fills doc[section]; TooFewRowsError propagates.
+
+    On any other ValueError the section stays null, the stage's gates are taken back,
+    and a "<stage> failed: <reason>" warning and a failing `<section>_completed` gate are added."""
+    doc[section] = None
+    n_gates = len(gates)
+    try:
+        yield
+    except TooFewRowsError:
+        raise
+    except ValueError as exc:
+        del gates[n_gates:]
+        warnings.append(f"{stage} failed: {exc}")
+        gates.append(_check(f"{section}_completed", math.nan, 1.0, "at_least"))
+
+
+# One builder per report section. Each returns its section's document,
+# raises ValueError when it cannot produce it, and appends to the caller's
+# gate checks and warnings; run_pipeline and the command line share them.
 
 
 def screening_section(data: SurveyDataset) -> dict:
@@ -388,15 +413,17 @@ def adequacy_section(
 ) -> tuple[dict, tuple[int, ...]]:
     """Alpha, KMO and Bartlett over the complete rows of `items`.
 
-    Items never rated are left out first. Raises ValueError unless there
-    are more complete rows than rated items. Constant and linearly
+    Items never rated are left out first. Raises TooFewRowsError unless
+    there are more complete rows than rated items. Constant and linearly
     dependent items are left out too; the items analysed come back with
     the document.
     """
     stage = "reliability and sampling adequacy"
+    if data.n == 0:
+        raise TooFewRowsError(f"no valid respondent rows ({len(data.rejected)} rejected by screening)")
     items, m, _ = _rated_moments(data, items, stage, warnings)
     if m.n <= len(items):
-        raise ValueError(
+        raise TooFewRowsError(
             f"only {m.n} complete respondents for {len(items)} items; too few for "
             f"{stage}, which need more respondents than items"
         )
@@ -464,15 +491,11 @@ def _fit(
     g: GateThresholds,
     gates: list[GateCheck],
     warnings: list[str],
-) -> tuple[dict | None, sem_mod.SemEstimate | None]:
+) -> tuple[dict, sem_mod.SemEstimate]:
     """ML fit on the complete rows: fit document and standardized estimate."""
-    try:
-        m = sample.moments(model.observed)
-        est = sem_mod.standardize(sem_mod.fit_ml(model, m.cov(), n=m.n))
-        fi = sem_mod.fit_indices(est)
-    except ValueError as exc:
-        warnings.append(f"{what} failed: {exc}")
-        return None, None
+    m = sample.moments(model.observed)
+    est = sem_mod.standardize(sem_mod.fit_ml(model, m.cov(), n=m.n))
+    fi = sem_mod.fit_indices(est)
     warnings.extend(f"{what}: {w}" for w in est.warnings)
     gates.extend(_fit_index_gates(fi, prefix, g))
     return _fit_doc(est, fi), est
@@ -498,37 +521,30 @@ def validity_doc(est: sem_mod.SemEstimate, warnings: list[str]) -> dict:
 
 def cfa_section(
     sample: SurveyDataset,
-    model: sem_mod.MeasurementModel | None,
+    model: sem_mod.MeasurementModel,
     g: GateThresholds,
     gates: list[GateCheck],
     warnings: list[str],
-) -> dict | None:
+) -> dict:
     """Measurement-model fit, its fit-index gates and construct validity."""
-    if model is None:
-        return None
     doc, est = _fit(sample, model, "cfa", "measurement fit", g, gates, warnings)
-    if doc is not None:
-        doc["validity"] = validity_doc(est, warnings)
+    doc["validity"] = validity_doc(est, warnings)
     return doc
 
 
 def sem_section(
     sample: SurveyDataset,
-    model: sem_mod.MeasurementModel | None,
+    model: sem_mod.MeasurementModel,
     g: GateThresholds,
     gates: list[GateCheck],
     warnings: list[str],
-) -> tuple[dict | None, sem_mod.SemEstimate | None]:
+) -> tuple[dict, sem_mod.SemEstimate]:
     """Structural-model fit, its fit-index gates and the score weights.
 
     The weights are null when they cannot be drawn from the estimate or
     any of them is nonpositive or non-finite. The estimate comes back as well.
     """
-    if model is None:
-        return None, None
     doc, est = _fit(sample, model, "sem", "structural fit", g, gates, warnings)
-    if doc is None:
-        return None, None
     try:
         weights = scoring_mod.weights_from_estimate(est)
     except ValueError as exc:
@@ -545,16 +561,10 @@ def sem_section(
 
 
 def scoring_section(
-    sample: SurveyDataset, weights: scoring_mod.ScoreWeights | None, warnings: list[str]
-) -> tuple[dict | None, scoring_mod.ValidationSummary | None]:
+    sample: SurveyDataset, weights: scoring_mod.ScoreWeights
+) -> tuple[dict, scoring_mod.ValidationSummary]:
     """Two-stage scores checked against the post-trip rating; the summary comes back too."""
-    if weights is None:
-        return None, None
-    try:
-        s = scoring_mod.validation_summary(sample, weights)
-    except ValueError as exc:
-        warnings.append(f"scoring failed: {exc}")
-        return None, None
+    s = scoring_mod.validation_summary(sample, weights)
     doc = {
         "n_scored": s.n_scored,
         "n_skipped": s.n_skipped,
@@ -579,9 +589,7 @@ def entropy_section(data: SurveyDataset, groups: Mapping[str, Sequence[int]]) ->
     }
 
 
-def delay_section(
-    data: SurveyDataset, groups: Mapping[str, Sequence[int]], warnings: list[str]
-) -> dict | None:
+def delay_section(data: SurveyDataset, groups: Mapping[str, Sequence[int]]) -> dict:
     """Satisfaction by delay band.
 
     The alternative per-band reading leaves out every group whose name
@@ -589,11 +597,7 @@ def delay_section(
     """
     time_groups = {name for name in groups if name.startswith("time_convenience")}
     alt_items = sorted(i for name, items in groups.items() if name not in time_groups for i in items)
-    try:
-        strata = scoring_mod.delay_strata(data, alt_items=alt_items or None)
-    except ValueError as exc:
-        warnings.append(f"delay bands unavailable: {exc}")
-        return None
+    strata = scoring_mod.delay_strata(data, alt_items=alt_items or None)
     return {
         "bands": [
             {
@@ -618,18 +622,13 @@ def ahp_section(
     exclude_inconsistent: bool,
     gates: list[GateCheck],
     warnings: list[str],
-) -> dict | None:
+) -> dict:
     """Supplier-side weights from the pairwise judgments, gated by g.consistency_ratio."""
     cr_gate = g.consistency_ratio
     h = ahp_mod.DEFAULT_HIERARCHY
-    try:
-        experts = ahp_mod.load_judgments(judgments_path, h)
-    except ValueError as exc:
-        warnings.append(f"judgment file rejected: {exc}")
-        return None
+    experts = ahp_mod.load_judgments(judgments_path, h)
     if not experts:
-        warnings.append("judgment file holds no respondents")
-        return None
+        raise ValueError("judgment file holds no respondents")
     # each expert's lambda_max and CR over the whole criteria stack at once;
     # 2x2 leaf matrices are consistent by construction
     _, lam = ahp_mod.weights_eigen_stack(experts.criteria.values)
@@ -644,8 +643,7 @@ def ahp_section(
     if exclude_inconsistent and n_fail:
         warnings.append(f"{n_fail} respondent(s) over the consistency gate were excluded")
     if not keep.any():
-        warnings.append("no respondent passed the consistency gate; supplier weights skipped")
-        return None
+        raise ValueError("no respondent passed the consistency gate")
     agg_crit = ahp_mod.aggregate_geomean(experts.criteria[keep])
     crit_wv, crit_lam = ahp_mod.weights_eigen(agg_crit)
     crit_cons = ahp_mod.consistency(agg_crit, crit_lam, cr_gate)
@@ -672,16 +670,10 @@ def ahp_section(
     }
 
 
-def bias_section(
-    ow_raw: Mapping[str, float], sw: ahp_mod.WeightVector, warnings: list[str]
-) -> dict | None:
+def bias_section(ow_raw: Mapping[str, float], sw: ahp_mod.WeightVector) -> dict:
     """Demand-side weights, normalized over sw's labels, set against the supplier's."""
     if set(ow_raw) != set(sw.labels):
-        warnings.append(
-            "factor names from the survey side do not match the hierarchy leaves; "
-            "weight comparison skipped"
-        )
-        return None
+        raise ValueError("factor names from the survey side do not match the hierarchy leaves")
     rep = ahp_mod.bias_report(ahp_mod.normalized_weights(ow_raw, labels=tuple(sw.labels)), sw)
     return {
         "rows": [
@@ -706,7 +698,7 @@ def probit_section(
     g: GateThresholds,
     single_pass: bool,
     warnings: list[str],
-) -> dict | None:
+) -> dict:
     """Ordered-probit backward elimination of the post-trip rating.
 
     `constructs` maps each candidate item, in column order, to the
@@ -715,8 +707,7 @@ def probit_section(
     stage = "questionnaire reduction"
     items, m, _ = _rated_moments(sample, list(constructs), stage, warnings)
     if not items:
-        warnings.append(f"no retained items; {stage} skipped")
-        return None
+        raise ValueError("no retained items")
     kept, _, dropped = _screen(items, m, stage, warnings)
     _, X = sample.matrix(items)
     y = sample.column(SATI_AFTER)[sample.complete(items)].astype(int)
@@ -725,13 +716,7 @@ def probit_section(
         X = np.ascontiguousarray(X[:, [j for j, i in enumerate(items) if i not in dropped]])
         items = list(kept)
     names = tuple(catalog.abbreviation_of(i) for i in items)
-    try:
-        out = oprobit.backward_eliminate(
-            X, y, names, alpha=g.probit_alpha, single_pass=single_pass
-        )
-    except ValueError as exc:
-        warnings.append(f"questionnaire reduction failed: {exc}")
-        return None
+    out = oprobit.backward_eliminate(X, y, names, alpha=g.probit_alpha, single_pass=single_pass)
     warnings.extend(f"questionnaire reduction: {w}" for w in out.warnings)
     doc: dict[str, object] = {
         "n_obs": out.initial.n_obs,
@@ -807,46 +792,67 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         "screening": screening_section(data),
         "descriptives": descriptives_section(describe(data), warnings),
     }
-    bundle["adequacy"], _ = adequacy_section(data, catalog.indices, g, gates, warnings)
+    # a section stays null when its stage fails or has nothing to run on
+    bundle.update(dict.fromkeys(("cfa", "sem", "scoring", "ahp", "bias", "probit")))
+    stage = partial(_stage, bundle, gates, warnings)
+    with stage("adequacy", "reliability and sampling adequacy"):
+        bundle["adequacy"], _ = adequacy_section(data, catalog.indices, g, gates, warnings)
     n_train = cfg.n_train if cfg.n_train is not None else round(0.6 * data.n)
     train, holdout = split(data, n_train, cfg.seed)
     bundle["split"] = {"seed": cfg.seed, "n_train": train.n, "n_holdout": holdout.n}
-    bundle["efa"], assignment, labels = efa_section(train, catalog, g, warnings)
+    assignment = labels = None
+    with stage("efa", "factor extraction"):
+        bundle["efa"], assignment, labels = efa_section(train, catalog, g, warnings)
     if cfg.model_path:
         structural = sem_mod.load_model(cfg.model_path)
         cfa = _cfa_from_structural(structural)
         if not structural.structural_paths:
             cfa, structural = structural, None
+    elif assignment is None:
+        warnings.append("no factor assignment; model fitting skipped")
+        cfa = structural = None
     else:
         cfa, structural = synthesize_models(assignment, labels, warnings)
-    bundle["cfa"] = cfa_section(train, cfa, g, gates, warnings)
-    bundle["sem"], _ = sem_section(train, structural, g, gates, warnings)
+    if cfa is not None:
+        with stage("cfa", "measurement fit"):
+            bundle["cfa"] = cfa_section(train, cfa, g, gates, warnings)
+    if structural is not None:
+        with stage("sem", "structural fit"):
+            bundle["sem"], _ = sem_section(train, structural, g, gates, warnings)
     sw_doc = bundle["sem"] and bundle["sem"]["score_weights"]
     weights = scoring_mod.ScoreWeights.from_jsonable(sw_doc) if sw_doc else None
-    bundle["scoring"], scores = scoring_section(holdout, weights, warnings)
-    groups = bundle["efa"]["assignment"]["factor_items"]
-    bundle["entropy"] = entropy_section(data, groups)
-    bundle["delay"] = delay_section(data, groups, warnings)
+    scores = None
+    if weights is not None:
+        with stage("scoring", "scoring"):
+            bundle["scoring"], scores = scoring_section(holdout, weights)
+    groups = bundle["efa"]["assignment"]["factor_items"] if bundle["efa"] else {}
+    with stage("entropy", "response entropy"):
+        bundle["entropy"] = entropy_section(data, groups)
+    with stage("delay", "delay bands"):
+        bundle["delay"] = delay_section(data, groups)
 
     # supplier side, and the two sides' weights compared
-    bundle["ahp"] = bundle["bias"] = None
     if cfg.judgments_path:
-        bundle["ahp"] = ahp_section(
-            cfg.judgments_path, g, cfg.exclude_inconsistent, gates, warnings
-        )
+        with stage("ahp", "supplier weights"):
+            bundle["ahp"] = ahp_section(cfg.judgments_path, g, cfg.exclude_inconsistent, gates, warnings)
     else:
         warnings.append("no judgment file supplied; supplier-side sections absent")
     if bundle["ahp"] is not None and weights is not None:
         sw = ahp_mod.WeightVector(
             tuple(ahp_mod.DEFAULT_HIERARCHY.leaves), dict(bundle["ahp"]["global_weights"])
         )
-        bundle["bias"] = bias_section(weights.latent_weights, sw, warnings)
+        with stage("bias", "weight comparison"):
+            bundle["bias"] = bias_section(weights.latent_weights, sw)
 
     # questionnaire reduction on the training part, items filed under their EFA factor
-    constructs = {i: labels[assignment.factor_of[i]] for i in sorted(assignment.retained_items)}
-    bundle["probit"] = probit_section(
-        train, constructs, catalog, g, cfg.probit_single_pass, warnings
-    )
+    if assignment is None:
+        warnings.append("no factor assignment; questionnaire reduction skipped")
+    else:
+        constructs = {i: labels[assignment.factor_of[i]] for i in sorted(assignment.retained_items)}
+        with stage("probit", "questionnaire reduction"):
+            bundle["probit"] = probit_section(
+                train, constructs, catalog, g, cfg.probit_single_pass, warnings
+            )
 
     bundle["gates"] = gates_doc(gates)
     bundle["warnings"] = warnings
@@ -924,32 +930,34 @@ def render_summary(bundle: Mapping[str, object]) -> str:
         "five-point scale."
     )
     adq = bundle["adequacy"]
-    add("")
-    add("## Reliability and sampling adequacy")
-    add("")
-    add(f"- Cronbach alpha: {_fmt(adq['cronbach_alpha'])}")
-    add(f"- KMO: {_fmt(adq['kmo'])}")
-    add(
-        f"- Bartlett chi2 {_fmt(adq['bartlett_chi2'], 1)} "
-        f"(df {adq['bartlett_df']}, p {_fmt(adq['bartlett_p'], 4)})"
-    )
+    if adq:
+        add("")
+        add("## Reliability and sampling adequacy")
+        add("")
+        add(f"- Cronbach alpha: {_fmt(adq['cronbach_alpha'])}")
+        add(f"- KMO: {_fmt(adq['kmo'])}")
+        add(
+            f"- Bartlett chi2 {_fmt(adq['bartlett_chi2'], 1)} "
+            f"(df {adq['bartlett_df']}, p {_fmt(adq['bartlett_p'], 4)})"
+        )
     sp = bundle["split"]
     add("")
     add(f"Training/holdout split: {sp['n_train']}/{sp['n_holdout']} (seed {sp['seed']}).")
     efa = bundle["efa"]
-    add("")
-    add("## Factor structure")
-    add("")
-    add(
-        f"{efa['n_factors']} factors retained "
-        f"(cumulative variance {_fmt(efa['cumulative_explained'][-1], 1)}%)."
-    )
-    for name, items in efa["assignment"]["factor_items"].items():
-        alpha = efa["assignment"]["per_factor_alpha"].get(name)
-        add(f"- {name}: items {', '.join(str(i) for i in items)} (alpha {_fmt(alpha)})")
-    if efa["assignment"]["dropped"]:
-        dropped = ", ".join(f"{d['item']} ({d['reason']})" for d in efa["assignment"]["dropped"])
-        add(f"- dropped: {dropped}")
+    if efa:
+        add("")
+        add("## Factor structure")
+        add("")
+        add(
+            f"{efa['n_factors']} factors retained "
+            f"(cumulative variance {_fmt(efa['cumulative_explained'][-1], 1)}%)."
+        )
+        for name, items in efa["assignment"]["factor_items"].items():
+            alpha = efa["assignment"]["per_factor_alpha"].get(name)
+            add(f"- {name}: items {', '.join(str(i) for i in items)} (alpha {_fmt(alpha)})")
+        if efa["assignment"]["dropped"]:
+            dropped = ", ".join(f"{d['item']} ({d['reason']})" for d in efa["assignment"]["dropped"])
+            add(f"- dropped: {dropped}")
     for key, title in (("cfa", "Measurement model"), ("sem", "Structural model")):
         sec = bundle.get(key)
         if not sec:
@@ -990,12 +998,11 @@ def render_summary(bundle: Mapping[str, object]) -> str:
             f"{_fmt(100 * sco['share_within_10pct'], 1)}%."
         )
     ent = bundle.get("entropy")
-    if ent:
+    if ent and ent["ranking"]:
         add("")
         add("## Response variability")
         add("")
-        ranked = ent["ranking"]
-        add("Factors by diverging perceptions (most first): " + ", ".join(ranked) + ".")
+        add("Factors by diverging perceptions (most first): " + ", ".join(ent["ranking"]) + ".")
     delay = bundle.get("delay")
     if delay:
         add("")

@@ -691,6 +691,9 @@ def _expected_se(
 def standardize(est: SemEstimate) -> SemEstimate:
     """Completely standardized solution (latents and indicators at unit sd)."""
     c = est.latent_cov()
+    flat = [name for name, v in zip(est.model.latents, np.diag(c)) if not v > 0]
+    if flat:
+        raise ValueError(f"latent variance collapsed to zero for: {', '.join(flat)}")
     sd_lat = np.sqrt(np.diag(c))
     sig = est.implied_sigma()
     sd_obs = np.sqrt(np.diag(sig))

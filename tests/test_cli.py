@@ -145,6 +145,62 @@ def test_reliability_without_a_usable_item_exits_1(tmp_path, capsys):
     assert "error: no usable item left for reliability and sampling adequacy" in err
 
 
+def _edited_fixture(tmp_path, **cells) -> Path:
+    """The fixture survey with each named column set to a constant, or to a copy of "qJ"."""
+    rows = list(csv.reader(open(SURVEY, newline="", encoding="utf-8")))
+    head = rows[0]
+    for r in rows[1:]:
+        for name, value in cells.items():
+            r[head.index(name)] = r[head.index(value)] if value in head else value
+    path = tmp_path / "edited.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
+
+
+def test_report_strict_fails_on_a_failed_stage(tmp_path, capsys):
+    # a constant post-trip rating fails the structural fit and the probit
+    path = _edited_fixture(tmp_path, q33="4")
+    argv = ["report", "--input", str(path), "--judgments", JUDGMENTS, "--out-dir", str(tmp_path / "o")]
+    assert cli.main(argv + ["--strict"]) == 2
+    out = capsys.readouterr().out
+    assert "all gates pass" not in out
+    failing = out.split("failing gates: ")[1].split("\n")[0].split(", ")
+    assert {"sem_completed", "probit_completed"} <= set(failing)
+
+
+def test_report_strict_on_a_survey_of_constant_items(tmp_path, capsys):
+    path = tmp_path / "flat.csv"
+    assert cli.main(["synth", "--kind", "sem", "--n", "300", "--seed", "0", "--out-file", str(path)]) == 0
+    rows = list(csv.reader(open(path, newline="", encoding="utf-8")))
+    cols = [rows[0].index(f"q{i}") for i in range(1, 33)]
+    for r in rows[1:]:
+        for c in cols:
+            r[c] = "3"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    argv = ["report", "--input", str(path), "--out-dir", str(tmp_path / "o"), "--strict"]
+    assert cli.main(argv) == 2
+    assert "failing gates: adequacy_completed, efa_completed\n" in capsys.readouterr().out
+    bundle = json.loads((tmp_path / "o" / "report.json").read_text("utf-8"))
+    jsonschema.validate(bundle, _schema("report"))
+    assert bundle["adequacy"] is None and bundle["efa"] is None
+
+
+def test_probit_error_names_only_the_failing_reason(tmp_path, capsys):
+    # the duplicate q6 is left out with a warning; only the failure is the error
+    path = _edited_fixture(tmp_path, q6="q5", q33="4")
+    assert cli.main(["probit", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == "error: unobserved categories: [1, 2, 3]\n"
+
+
+def test_reliability_without_valid_rows_names_the_screening(tmp_path, capsys):
+    path = _edited_fixture(tmp_path, q5="9")
+    assert cli.main(["reliability", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == "error: no valid respondent rows (750 rejected by screening)\n"
+
+
 def test_stage_commands_leave_out_a_never_rated_item(tmp_path):
     rows = list(csv.reader(open(SURVEY, newline="", encoding="utf-8")))
     col = rows[0].index("q5")

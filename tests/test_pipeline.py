@@ -323,13 +323,22 @@ def test_never_rated_item_is_dropped_not_fatal(tmp_path):
 
 
 def test_every_item_constant_is_a_clear_error(tmp_path):
-    d = gen_sem_survey(default_sem_truth(n=300, seed=0))
-    codes = d.codes.copy()
-    codes[:, 1:33] = 3
-    path = tmp_path / "flat.csv"
-    write_survey(replace(d, codes=codes), str(path))
-    with pytest.raises(ValueError, match="no usable item left for reliability and sampling adequacy"):
-        run_pipeline(PipelineConfig(survey_path=str(path), out_dir=str(tmp_path / "o")))
+    # adequacy and EFA have no usable item: both sections are null with a
+    # failing gate, the stages that need EFA's assignment skip, the run goes on
+    def flatten(codes):
+        codes[:, 1:33] = 3
+
+    b = _run_sem_survey_with(tmp_path, flatten)
+    assert b["adequacy"] is None and b["efa"] is None
+    failing = [g["name"] for g in b["gates"] if not g["passed"]]
+    assert failing == ["adequacy_completed", "efa_completed"]
+    for stage in ("reliability and sampling adequacy", "factor extraction"):
+        warning = f"{stage} failed: no usable item left for {stage}: every item is constant or never rated"
+        assert warning in b["warnings"]
+    assert "no factor assignment; model fitting skipped" in b["warnings"]
+    assert "no factor assignment; questionnaire reduction skipped" in b["warnings"]
+    assert b["cfa"] is None and b["sem"] is None and b["probit"] is None
+    assert b["entropy"]["ranking"] == [] and b["ahp"] is not None
 
 
 def test_probit_refits_converge_at_the_noise_floor(tmp_path):

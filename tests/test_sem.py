@@ -248,6 +248,38 @@ def test_standardize_closed_form():
         assert std.smc[i] == pytest.approx(expected**2, rel=1e-12)
 
 
+def test_standardize_refuses_a_latent_without_variance():
+    # a fit whose latent variance reached zero has no unit-sd latent scale;
+    # dividing by it would put NaN into the correlations and validity tables
+    model = MeasurementModel(("g",), {"g": (1, 2, 3)})
+    lam = np.array([[1.0], [0.9], [1.1]])
+    theta = np.array([0.36, 0.40, 0.30])
+    nanv = np.full_like(lam, np.nan)
+    est = SemEstimate(
+        model=model,
+        lam=lam,
+        beta=np.zeros((1, 1)),
+        psi=np.zeros((1, 1)),
+        theta=theta,
+        se_lam=nanv,
+        se_beta=np.full((1, 1), np.nan),
+        se_psi=np.full((1, 1), np.nan),
+        se_theta=np.full(3, np.nan),
+        sample=np.diag(theta),
+        n=100,
+        f_min=0.0,
+        chi2=0.0,
+        df=0,
+        n_iter=0,
+        converged=False,
+        grad_max=0.0,
+        heywood=(),
+        warnings=(),
+    )
+    with pytest.raises(ValueError, match="^latent variance collapsed to zero for: g$"):
+        standardize(est)
+
+
 def test_standardized_paths_and_correlations_bounded():
     model = _two_factor_path_model()
     lam, _, _, theta = _truth_cov()
