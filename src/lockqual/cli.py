@@ -16,10 +16,6 @@ import sys
 from dataclasses import replace
 from typing import Mapping, Sequence
 
-from . import ahp as ahp_mod
-from . import scoring as scoring_mod
-from . import sem as sem_mod
-from . import synth
 from .catalog import DEFAULT_CATALOG, load_catalog
 from .dataset import describe, load_survey, split, write_survey
 from .pipeline import (
@@ -123,6 +119,8 @@ def _cmd_efa(args: argparse.Namespace) -> int:
 
 
 def _cmd_sem(args: argparse.Namespace) -> int:
+    from . import sem as sem_mod
+
     catalog = _catalog(args)
     d = load_survey(args.input, catalog)
     n_train = args.n_train if args.n_train is not None else round(0.6 * d.n)
@@ -165,6 +163,8 @@ def _load_weight_doc(path: str) -> Mapping[str, float]:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
+    from . import scoring as scoring_mod
+
     catalog = _catalog(args)
     d = load_survey(args.input, catalog)
     with open(args.weights, "r", encoding="utf-8") as fh:
@@ -242,6 +242,8 @@ def _cmd_probit(args: argparse.Namespace) -> int:
 
 
 def _cmd_bias(args: argparse.Namespace) -> int:
+    from . import ahp as ahp_mod
+
     sw = ahp_mod.normalized_weights(
         _load_weight_doc(args.sw), labels=ahp_mod.DEFAULT_HIERARCHY.leaves
     )
@@ -250,6 +252,8 @@ def _cmd_bias(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth
+
     meta: dict[str, object] = {
         "kind": args.kind,
         "seed": args.seed,

@@ -606,9 +606,24 @@ def split(d: SurveyDataset, n_train: int, seed: int) -> tuple[SurveyDataset, Sur
     """
     if not 0 < n_train < d.n:
         raise ValueError(f"n_train must be in (0, {d.n})")
-    ids = sorted(d.respondent_ids)
-    rng = random.Random(seed)
-    rng.shuffle(ids)
-    train_ids = set(ids[:n_train])
-    in_train = np.fromiter((rid in train_ids for rid in d.respondent_ids), dtype=bool, count=d.n)
+    ids = d.respondent_ids
+    # Random.shuffle is Fisher-Yates from the last slot down, and a slot is
+    # final once its swap is made, so the holdout slots n_train.. are settled
+    # by the first n - n_train swaps. Only those are drawn, with the rejection
+    # loop of Random._randbelow, on the rows in the order of their sorted ids.
+    rows = sorted(range(d.n), key=ids.__getitem__)
+    getrandbits = random.Random(seed).getrandbits
+    for i in range(d.n - 1, n_train - 1, -1):
+        bound = i + 1
+        k = bound.bit_length()
+        j = getrandbits(k)
+        while j >= bound:
+            j = getrandbits(k)
+        rows[i], rows[j] = rows[j], rows[i]
+    in_train = np.ones(d.n, dtype=bool)
+    in_train[rows[n_train:]] = False
+    if len(set(ids)) < d.n:
+        # a repeated id goes to training when any of its copies drew a training slot
+        train_ids = set(compress(ids, in_train.tolist()))
+        in_train = np.fromiter((rid in train_ids for rid in ids), dtype=bool, count=d.n)
     return d._take(in_train), d._take(~in_train)

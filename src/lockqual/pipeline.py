@@ -21,20 +21,20 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from . import ahp as ahp_mod
-from . import efa as efa_mod
-from . import oprobit
-from . import psychometrics
-from . import scoring as scoring_mod
-from . import sem as sem_mod
 from .catalog import DISPLAY_NAMES, SATI_AFTER, SATI_BEFORE, VariableCatalog, load_catalog
 from .catalog import DEFAULT_CATALOG
 from .dataset import DescriptiveReport, SurveyDataset, describe, load_survey, split
 from .moments import Moments, dependent_sets
+
+if TYPE_CHECKING:
+    from . import ahp as ahp_mod
+    from . import efa as efa_mod
+    from . import scoring as scoring_mod
+    from . import sem as sem_mod
 
 __all__ = [
     "GateThresholds",
@@ -219,6 +219,8 @@ def synthesize_models(
     quality construct measured by the two satisfaction bookends, with
     one path from every factor.
     """
+    from . import sem as sem_mod
+
     usable = [j for j in sorted(assignment.factor_items) if len(assignment.factor_items[j]) >= 2]
     thin = [j for j in sorted(assignment.factor_items) if j not in usable]
     for j in thin:
@@ -245,6 +247,8 @@ def synthesize_models(
 
 def _cfa_from_structural(model: sem_mod.MeasurementModel) -> sem_mod.MeasurementModel | None:
     """Measurement part of a user-supplied structural model."""
+    from . import sem as sem_mod
+
     endo = {dst for _, dst in model.structural_paths}
     lat = tuple(name for name in model.latents if name not in endo)
     if len(lat) < 2:
@@ -418,6 +422,8 @@ def adequacy_section(
     dependent items are left out too; the items analysed come back with
     the document.
     """
+    from . import psychometrics
+
     stage = "reliability and sampling adequacy"
     if data.n == 0:
         raise TooFewRowsError(f"no valid respondent rows ({len(data.rejected)} rejected by screening)")
@@ -453,6 +459,9 @@ def efa_section(
     ("duplicate of qJ" or "linearly dependent on [qJ, ...]").
     Returns the document, the assignment and the factor labels.
     """
+    from . import efa as efa_mod
+    from . import psychometrics
+
     stage = "factor extraction"
     items, m, reasons = _rated_moments(sample, catalog.indices, stage, warnings)
     items, m, screened = _screen(items, m, stage, warnings)
@@ -493,6 +502,8 @@ def _fit(
     warnings: list[str],
 ) -> tuple[dict, sem_mod.SemEstimate]:
     """ML fit on the complete rows: fit document and standardized estimate."""
+    from . import sem as sem_mod
+
     m = sample.moments(model.observed)
     est = sem_mod.standardize(sem_mod.fit_ml(model, m.cov(), n=m.n))
     fi = sem_mod.fit_indices(est)
@@ -503,6 +514,8 @@ def _fit(
 
 def validity_doc(est: sem_mod.SemEstimate, warnings: list[str]) -> dict:
     """Composite reliability, AVE and Fornell-Larcker of a fitted model."""
+    from . import sem as sem_mod
+
     v = sem_mod.construct_validity(est)
     for name in v.factors:
         if not v.convergent_pass[name]:
@@ -544,6 +557,8 @@ def sem_section(
     The weights are null when they cannot be drawn from the estimate or
     any of them is nonpositive or non-finite. The estimate comes back as well.
     """
+    from . import scoring as scoring_mod
+
     doc, est = _fit(sample, model, "sem", "structural fit", g, gates, warnings)
     try:
         weights = scoring_mod.weights_from_estimate(est)
@@ -564,6 +579,8 @@ def scoring_section(
     sample: SurveyDataset, weights: scoring_mod.ScoreWeights
 ) -> tuple[dict, scoring_mod.ValidationSummary]:
     """Two-stage scores checked against the post-trip rating; the summary comes back too."""
+    from . import scoring as scoring_mod
+
     s = scoring_mod.validation_summary(sample, weights)
     doc = {
         "n_scored": s.n_scored,
@@ -576,6 +593,8 @@ def scoring_section(
 
 def entropy_section(data: SurveyDataset, groups: Mapping[str, Sequence[int]]) -> dict:
     """Response entropy per item, per group of items and of the two bookends."""
+    from . import scoring as scoring_mod
+
     ent = scoring_mod.entropy_report(data, groups)
     return {
         "per_item": {str(i): _jsonable(e) for i, e in sorted(ent.per_item.items())},
@@ -595,6 +614,8 @@ def delay_section(data: SurveyDataset, groups: Mapping[str, Sequence[int]]) -> d
     The alternative per-band reading leaves out every group whose name
     starts with "time_convenience": those items measure the delay itself.
     """
+    from . import scoring as scoring_mod
+
     time_groups = {name for name in groups if name.startswith("time_convenience")}
     alt_items = sorted(i for name, items in groups.items() if name not in time_groups for i in items)
     strata = scoring_mod.delay_strata(data, alt_items=alt_items or None)
@@ -624,6 +645,8 @@ def ahp_section(
     warnings: list[str],
 ) -> dict:
     """Supplier-side weights from the pairwise judgments, gated by g.consistency_ratio."""
+    from . import ahp as ahp_mod
+
     cr_gate = g.consistency_ratio
     h = ahp_mod.DEFAULT_HIERARCHY
     experts = ahp_mod.load_judgments(judgments_path, h)
@@ -672,6 +695,8 @@ def ahp_section(
 
 def bias_section(ow_raw: Mapping[str, float], sw: ahp_mod.WeightVector) -> dict:
     """Demand-side weights, normalized over sw's labels, set against the supplier's."""
+    from . import ahp as ahp_mod
+
     if set(ow_raw) != set(sw.labels):
         raise ValueError("factor names from the survey side do not match the hierarchy leaves")
     rep = ahp_mod.bias_report(ahp_mod.normalized_weights(ow_raw, labels=tuple(sw.labels)), sw)
@@ -704,6 +729,8 @@ def probit_section(
     `constructs` maps each candidate item, in column order, to the
     construct its questionnaire entry is filed under.
     """
+    from . import oprobit
+
     stage = "questionnaire reduction"
     items, m, _ = _rated_moments(sample, list(constructs), stage, warnings)
     if not items:
@@ -766,6 +793,8 @@ def probit_section(
 
 def write_questionnaire(rows: Sequence[Mapping], path: str) -> None:
     """Write the `questionnaire` rows of a probit document as CSV."""
+    from . import oprobit
+
     entries = tuple(
         oprobit.QuestionnaireEntry(
             construct=e["construct"],
@@ -781,6 +810,10 @@ def write_questionnaire(rows: Sequence[Mapping], path: str) -> None:
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Execute every stage, write the bundle and reports, return the result."""
+    from . import ahp as ahp_mod
+    from . import scoring as scoring_mod
+    from . import sem as sem_mod
+
     g = cfg.gates
     gates: list[GateCheck] = []
     warnings: list[str] = []
@@ -895,6 +928,8 @@ def _write_outputs(cfg, bundle, weights, scores) -> dict[str, str]:
         fh.write(render_summary(bundle))
     paths["summary"] = summary_path
     if weights is not None and scores is not None:
+        from . import scoring as scoring_mod
+
         scores_path = os.path.join(cfg.out_dir, "scores.csv")
         scoring_mod.write_scores_csv(scores, weights, scores_path)
         paths["scores"] = scores_path

@@ -15,13 +15,15 @@ import math
 import re
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
 from .catalog import SATI_AFTER
 from .dataset import RespondentRecord, SurveyDataset
-from .sem import SemEstimate
+
+if TYPE_CHECKING:
+    from .sem import SemEstimate
 
 __all__ = [
     "ScoreWeights",

@@ -10,6 +10,8 @@ import pytest
 
 from lockqual.catalog import DEFAULT_CATALOG, VariableCatalog
 from lockqual.dataset import (
+    DEMOGRAPHICS,
+    SurveyDataset,
     SurveyFormatError,
     describe,
     load_survey,
@@ -188,6 +190,52 @@ def test_split_partitions_and_is_deterministic():
     assert t1.n == 36 and h1.n == 24
     t3, _ = split(d, 36, seed=8)
     assert t3.respondents != t1.respondents
+
+
+def _dataset_with_ids(ids: list[str]) -> SurveyDataset:
+    n = len(ids)
+    codes = np.arange(n * (len(DEFAULT_CATALOG) + 2), dtype=np.int64).reshape(n, -1) % 5 + 1
+    demo = {name: [f"{name}-{r}" for r in range(n)] for name in DEMOGRAPHICS}
+    return SurveyDataset(DEFAULT_CATALOG, ids, codes.astype(np.int8), np.arange(n, dtype=float), demo)
+
+
+def _shuffled_training_ids(ids: list[str], n_train: int, seed: int) -> set[str]:
+    """The definition split keeps: the first n_train of the seeded shuffle of the sorted ids."""
+    shuffled = sorted(ids)
+    random.Random(seed).shuffle(shuffled)
+    return set(shuffled[:n_train])
+
+
+def _assert_split_matches_shuffle(d: SurveyDataset, n_train: int, seed: int) -> None:
+    train, hold = split(d, n_train, seed)
+    in_train = _shuffled_training_ids(d.respondent_ids, n_train, seed)
+    rows = np.array([rid in in_train for rid in d.respondent_ids])
+    for part, mask in ((train, rows), (hold, ~rows)):
+        assert part.respondent_ids == [rid for rid, m in zip(d.respondent_ids, mask) if m]
+        assert np.array_equal(part.codes, d.codes[mask])
+        assert np.array_equal(part.delay_hours, d.delay_hours[mask])
+        assert part.demographics["gender"] == [g for g, m in zip(d.demographics["gender"], mask) if m]
+
+
+@pytest.mark.parametrize("n, n_train, seed", [(5000, 1200, 3), (5000, 3800, 11), (8193, 4096, 0), (8193, 4097, 7)])
+def test_split_equals_the_full_shuffle_on_large_surveys(n, n_train, seed):
+    rng = random.Random(n + seed)
+    ids = [f"r{v:07d}" for v in rng.sample(range(10**7), n)]
+    _assert_split_matches_shuffle(_dataset_with_ids(ids), n_train, seed)
+
+
+def test_split_sends_a_repeated_id_to_training_when_any_copy_draws_a_training_slot():
+    rng = random.Random(5)
+    ids = [f"r{rng.randrange(40):02d}" for _ in range(60)]
+    d = _dataset_with_ids(ids)
+    straddling = 0
+    for n_train in range(1, 60):
+        for seed in range(5):
+            _assert_split_matches_shuffle(d, n_train, seed)
+            shuffled = sorted(ids)
+            random.Random(seed).shuffle(shuffled)
+            straddling += bool(set(shuffled[:n_train]) & set(shuffled[n_train:]))
+    assert straddling  # some repeated id had copies on both sides of the cut
 
 
 def test_split_bounds():

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -246,11 +247,19 @@ def test_bartlett_chi_square_of_the_fixture_underflows_to_zero():
     assert chi2_sf(1e300, 3) == 0.0
 
 
+# `import lockqual` runs no submodule, so the import guards below import each
+# one by name and so execute every module's top level
+IMPORT_ALL = "import sys, " + ", ".join(
+    sorted(f"lockqual.{m.name}" for m in pkgutil.iter_modules(lockqual.__path__))
+)
+
+
 def test_import_loads_neither_scipy_stats_nor_optimize():
+    assert "lockqual.cli" in IMPORT_ALL and "lockqual.sem" in IMPORT_ALL
     src = os.path.dirname(os.path.dirname(lockqual.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
-        "import sys, lockqual, lockqual.cli\n"
+        f"{IMPORT_ALL}\n"
         "print(' '.join(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -269,7 +278,7 @@ def _python(code: str) -> str:
 
 
 def test_import_loads_neither_scipy_special_nor_linalg():
-    out = _python(f"import sys, lockqual, lockqual.cli\nprint({SCIPY_LOADED})")
+    out = _python(f"{IMPORT_ALL}\nprint({SCIPY_LOADED})")
     assert out.strip() == "[]"
 
 
