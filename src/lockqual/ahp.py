@@ -304,7 +304,11 @@ def load_judgments(path: str, hierarchy: Hierarchy = DEFAULT_HIERARCHY) -> Judgm
 
 
 def aggregate_geomean(matrices: Sequence[JudgmentMatrix]) -> JudgmentMatrix:
-    """Element-wise geometric mean; keeps reciprocity exactly."""
+    """Element-wise geometric mean, made reciprocal again.
+
+    The diagonal is exactly 1 and |a_ij * a_ji - 1| <= 2 * eps off it;
+    about one pair in four is off by one ulp after rounding.
+    """
     if not matrices:
         raise ValueError("nothing to aggregate")
     if not isinstance(matrices, JudgmentStack):
@@ -313,7 +317,7 @@ def aggregate_geomean(matrices: Sequence[JudgmentMatrix]) -> JudgmentMatrix:
             raise ValueError("all matrices must share the same labels")
         matrices = JudgmentStack(labels, np.array([m.values for m in matrices]))
     g = np.exp(np.log(matrices.values).mean(axis=0))
-    g = np.sqrt(g / g.T)  # wash out round-off so a_ij * a_ji is exactly 1
+    g = np.sqrt(g / g.T)  # wash out the mean's round-off: a_ij * a_ji is 1 to within 2 eps
     np.fill_diagonal(g, 1.0)
     return JudgmentMatrix(matrices.labels, g)
 

@@ -21,6 +21,7 @@ from .dataset import describe, load_survey, split, write_survey
 from .pipeline import (
     GateThresholds,
     PipelineConfig,
+    _json_text,
     _stage,
     adequacy_section,
     ahp_section,
@@ -52,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(doc: object, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = _json_text(doc)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -280,9 +281,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             for row, yi in zip(X, y):
                 writer.writerow([repr(float(v)) for v in row] + [int(yi)])
         meta.update({"n": n, "beta": list(beta), "kappa": list(kappa)})
-    with open(args.out_file + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _emit(meta, args.out_file + ".meta.json")
     sys.stdout.write(f"wrote {args.out_file}\n")
     return 0
 

@@ -19,7 +19,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -144,46 +144,37 @@ def _check(name: str, value: float, threshold: float, mode: str) -> GateCheck:
 
 
 def _jsonable(value):
-    """Coerce numpy scalars/arrays and dataclass-ish values for json."""
+    """The one JSON type policy: str keys, lists for tuples and arrays, Python scalars
+    for NumPy ones, None for non-finite floats, and a dataclass as {field: value} in
+    field order. The tests run in the order they hit on a bundle, the rarest last."""
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, float)):
+    if isinstance(value, (float, np.floating)):
         v = float(value)
         return v if math.isfinite(v) else None
-    if isinstance(value, (np.integer,)):
+    if value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, np.ndarray):
+        return _jsonable(value.tolist())  # a 0-d array lists to a scalar
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (np.bool_,)):
+    if isinstance(value, np.bool_):
         return bool(value)
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
     return value
+
+
+def _json_text(doc) -> str:
+    """The text of every JSON output file; raises ValueError on NaN or Infinity, so make it first."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def gates_doc(checks: Sequence[GateCheck]) -> list[dict]:
     """JSON form of gate checks, in the order they were made."""
-    return [
-        {
-            "name": c.name,
-            "value": _jsonable(c.value),
-            "threshold": _jsonable(c.threshold),
-            "mode": c.mode,
-            "passed": c.passed,
-        }
-        for c in checks
-    ]
-
-
-def _stats_doc(s) -> dict:
-    return {
-        "n": s.n,
-        "mean": _jsonable(s.mean),
-        "std": _jsonable(s.std),
-        "skewness": _jsonable(s.skewness),
-        "kurtosis": _jsonable(s.kurtosis),
-        "normal": s.normal,
-    }
+    return _jsonable(checks)
 
 
 def _label_factors(assignment: efa_mod.FactorAssignment, catalog: VariableCatalog) -> dict[int, str]:
@@ -255,32 +246,6 @@ def _cfa_from_structural(model: sem_mod.MeasurementModel) -> sem_mod.Measurement
         return None
     pairs = tuple((a, b) for i, a in enumerate(lat) for b in lat[i + 1 :])
     return sem_mod.MeasurementModel(lat, {name: model.indicators[name] for name in lat}, (), pairs)
-
-
-def _fit_doc(est: sem_mod.SemEstimate, fi: sem_mod.FitIndices) -> dict:
-    return {
-        "n": est.n,
-        "converged": est.converged,
-        "n_iter": est.n_iter,
-        "f_min": _jsonable(est.f_min),
-        "heywood": list(est.heywood),
-        "warnings": list(est.warnings),
-        "param_table": _jsonable(est.param_table()),
-        "fit_indices": {
-            "chi2": _jsonable(fi.chi2),
-            "df": fi.df,
-            "baseline_chi2": _jsonable(fi.baseline_chi2),
-            "baseline_df": fi.baseline_df,
-            "cmin_df": _jsonable(fi.cmin_df),
-            "rmsea": _jsonable(fi.rmsea),
-            "gfi": _jsonable(fi.gfi),
-            "agfi": _jsonable(fi.agfi),
-            "nfi": _jsonable(fi.nfi),
-            "tli": _jsonable(fi.tli),
-            "ifi": _jsonable(fi.ifi),
-            "cfi": _jsonable(fi.cfi),
-        },
-    }
 
 
 def _fit_index_gates(fi: sem_mod.FitIndices, prefix: str, g: GateThresholds) -> list[GateCheck]:
@@ -399,13 +364,7 @@ def descriptives_section(rep: DescriptiveReport, warnings: list[str]) -> dict:
     non_normal = sorted(i for i, s in rep.items.items() if s.normal is False)
     if non_normal:
         warnings.append(f"items outside the skew/kurtosis screen: {non_normal}")
-    return {
-        "items": {str(i): _stats_doc(s) for i, s in sorted(rep.items.items())},
-        "sati_before": _stats_doc(rep.sati_before),
-        "sati_after": _stats_doc(rep.sati_after),
-        "overall_sati_after": _jsonable(rep.overall_sati_after),
-        "non_normal_items": non_normal,
-    }
+    return {**_jsonable(rep), "non_normal_items": non_normal}
 
 
 def adequacy_section(
@@ -438,15 +397,7 @@ def adequacy_section(
     gates.append(_check("cronbach_alpha", adq.cronbach_alpha, g.alpha, "at_least"))
     gates.append(_check("kmo", adq.kmo, g.kmo, "at_least"))
     gates.append(_check("bartlett_p", adq.bartlett_p, g.bartlett_p, "below"))
-    doc = {
-        "n_complete": m.n,
-        "cronbach_alpha": _jsonable(adq.cronbach_alpha),
-        "kmo": _jsonable(adq.kmo),
-        "bartlett_chi2": _jsonable(adq.bartlett_chi2),
-        "bartlett_df": adq.bartlett_df,
-        "bartlett_p": _jsonable(adq.bartlett_p),
-    }
-    return doc, items
+    return {"n_complete": m.n, **_jsonable(adq)}, items
 
 
 def efa_section(
@@ -476,20 +427,18 @@ def efa_section(
     doc = {
         "n_rows": m.n,
         "n_factors": rotated.n_factors,
-        "eigenvalues": _jsonable(rotated.eigenvalues),
-        "variance_explained": _jsonable(rotated.variance_explained),
-        "cumulative_explained": _jsonable(rotated.cumulative_explained),
-        "loadings": {
-            str(item): _jsonable(rotated.loadings[k, :]) for k, item in enumerate(rotated.items)
-        },
+        "eigenvalues": rotated.eigenvalues,
+        "variance_explained": rotated.variance_explained,
+        "cumulative_explained": rotated.cumulative_explained,
+        "loadings": dict(zip(rotated.items, rotated.loadings)),
         "assignment": {
-            "factor_labels": {str(j): labels[j] for j in sorted(labels)},
-            "factor_items": {labels[j]: list(items) for j, items in assignment.factor_items.items()},
-            "dropped": [{"item": di.item, "reason": di.reason} for di in assignment.dropped_items],
-            "per_factor_alpha": {labels[j]: _jsonable(a) for j, a in assignment.per_factor_alpha.items()},
+            "factor_labels": {j: labels[j] for j in sorted(labels)},
+            "factor_items": {labels[j]: items for j, items in assignment.factor_items.items()},
+            "dropped": assignment.dropped_items,
+            "per_factor_alpha": {labels[j]: a for j, a in assignment.per_factor_alpha.items()},
         },
     }
-    return doc, assignment, labels
+    return _jsonable(doc), assignment, labels
 
 
 def _fit(
@@ -509,7 +458,17 @@ def _fit(
     fi = sem_mod.fit_indices(est)
     warnings.extend(f"{what}: {w}" for w in est.warnings)
     gates.extend(_fit_index_gates(fi, prefix, g))
-    return _fit_doc(est, fi), est
+    doc = {
+        "n": est.n,
+        "converged": est.converged,
+        "n_iter": est.n_iter,
+        "f_min": est.f_min,
+        "heywood": est.heywood,
+        "warnings": est.warnings,
+        "param_table": est.param_table(),
+        "fit_indices": fi,
+    }
+    return _jsonable(doc), est
 
 
 def validity_doc(est: sem_mod.SemEstimate, warnings: list[str]) -> dict:
@@ -522,14 +481,7 @@ def validity_doc(est: sem_mod.SemEstimate, warnings: list[str]) -> dict:
             warnings.append(f"convergent validity short of the gate for {name!r}")
         if not v.discriminant_pass[name]:
             warnings.append(f"discriminant validity short of the gate for {name!r}")
-    return {
-        "factors": list(v.factors),
-        "composite_reliability": _jsonable(dict(v.composite_reliability)),
-        "ave": _jsonable(dict(v.ave)),
-        "convergent_pass": _jsonable(dict(v.convergent_pass)),
-        "discriminant_pass": _jsonable(dict(v.discriminant_pass)),
-        "fornell_larcker": _jsonable(v.fornell_larcker),
-    }
+    return _jsonable(v)
 
 
 def cfa_section(
@@ -585,10 +537,10 @@ def scoring_section(
     doc = {
         "n_scored": s.n_scored,
         "n_skipped": s.n_skipped,
-        "mean_error": _jsonable(s.mean_error),
-        "share_within_10pct": _jsonable(s.share_within_10pct),
+        "mean_error": s.mean_error,
+        "share_within_10pct": s.share_within_10pct,
     }
-    return doc, s
+    return _jsonable(doc), s
 
 
 def entropy_section(data: SurveyDataset, groups: Mapping[str, Sequence[int]]) -> dict:
@@ -596,16 +548,8 @@ def entropy_section(data: SurveyDataset, groups: Mapping[str, Sequence[int]]) ->
     from . import scoring as scoring_mod
 
     ent = scoring_mod.entropy_report(data, groups)
-    return {
-        "per_item": {str(i): _jsonable(e) for i, e in sorted(ent.per_item.items())},
-        "per_latent": _jsonable(dict(ent.per_latent)),
-        "variability": _jsonable(dict(ent.variability)),
-        "ranking": list(ent.ranking),
-        "bookends": {
-            str(idx): _jsonable(scoring_mod.entropy(data.observed(idx)))
-            for idx in (SATI_BEFORE, SATI_AFTER)
-        },
-    }
+    bookends = {idx: scoring_mod.entropy(data.observed(idx)) for idx in (SATI_BEFORE, SATI_AFTER)}
+    return {**_jsonable(ent), "bookends": _jsonable(bookends)}
 
 
 def delay_section(data: SurveyDataset, groups: Mapping[str, Sequence[int]]) -> dict:
@@ -619,22 +563,7 @@ def delay_section(data: SurveyDataset, groups: Mapping[str, Sequence[int]]) -> d
     time_groups = {name for name in groups if name.startswith("time_convenience")}
     alt_items = sorted(i for name, items in groups.items() if name not in time_groups for i in items)
     strata = scoring_mod.delay_strata(data, alt_items=alt_items or None)
-    return {
-        "bands": [
-            {
-                "label": b.label,
-                "n": b.n,
-                "share_pct": _jsonable(b.share_pct),
-                "s_mean": _jsonable(b.s_mean),
-                "s_mean_alt": _jsonable(b.s_mean_alt),
-            }
-            for b in strata.bands
-        ],
-        "n_with_delay": strata.n_with_delay,
-        "n_missing_delay": strata.n_missing_delay,
-        "alt_items": alt_items,
-        "alt_excludes": sorted(time_groups),
-    }
+    return {**_jsonable(strata), "alt_items": alt_items, "alt_excludes": sorted(time_groups)}
 
 
 def ahp_section(
@@ -677,20 +606,21 @@ def ahp_section(
         agg = ahp_mod.aggregate_geomean(experts.leaves[c][keep])
         wv, _ = ahp_mod.weights_eigen(agg)
         leaf_wv[c] = wv
-        local[c] = {k: _jsonable(v) for k, v in wv.weights.items()}
+        local[c] = wv.weights
     sw = ahp_mod.global_weights(h, crit_wv, leaf_wv)
-    return {
+    doc = {
         "n_respondents": len(experts),
-        "n_included": int(keep.sum()),
+        "n_included": keep.sum(),
         "n_inconsistent": n_fail,
-        "respondents": per_resp,
-        "criteria_weights": {k: _jsonable(v) for k, v in crit_wv.weights.items()},
-        "criteria_lambda_max": _jsonable(crit_lam),
-        "criteria_cr": _jsonable(crit_cons.cr),
+        "criteria_weights": crit_wv.weights,
+        "criteria_lambda_max": crit_lam,
+        "criteria_cr": crit_cons.cr,
         "local_weights": local,
-        "global_weights": {k: _jsonable(v) for k, v in sw.weights.items()},
-        "ranks": {k: int(v) for k, v in sw.ranks.items()},
+        "global_weights": sw.weights,
+        "ranks": sw.ranks,
     }
+    # the per-respondent rows are coerced as they are made: one pass over them
+    return {**_jsonable(doc), "respondents": per_resp}
 
 
 def bias_section(ow_raw: Mapping[str, float], sw: ahp_mod.WeightVector) -> dict:
@@ -700,20 +630,7 @@ def bias_section(ow_raw: Mapping[str, float], sw: ahp_mod.WeightVector) -> dict:
     if set(ow_raw) != set(sw.labels):
         raise ValueError("factor names from the survey side do not match the hierarchy leaves")
     rep = ahp_mod.bias_report(ahp_mod.normalized_weights(ow_raw, labels=tuple(sw.labels)), sw)
-    return {
-        "rows": [
-            {
-                "factor": r.factor,
-                "ow": _jsonable(r.ow),
-                "ow_rank": r.ow_rank,
-                "sw": _jsonable(r.sw),
-                "sw_rank": r.sw_rank,
-            }
-            for r in rep.rows
-        ],
-        "spearman": _jsonable(rep.spearman),
-        "dominance": _jsonable(dict(rep.dominance)),
-    }
+    return _jsonable(rep)
 
 
 def probit_section(
@@ -747,22 +664,22 @@ def probit_section(
     warnings.extend(f"questionnaire reduction: {w}" for w in out.warnings)
     doc: dict[str, object] = {
         "n_obs": out.initial.n_obs,
-        "alpha": _jsonable(g.probit_alpha),
-        "initial_loglik": _jsonable(out.initial.loglik),
-        "initial_pseudo_r2": _jsonable(out.initial.pseudo_r2),
-        "steps": [{"dropped": s.dropped, "p_value": _jsonable(s.p_value)} for s in out.steps],
-        "survivors": list(out.survivors),
+        "alpha": g.probit_alpha,
+        "initial_loglik": out.initial.loglik,
+        "initial_pseudo_r2": out.initial.pseudo_r2,
+        "steps": out.steps,
+        "survivors": out.survivors,
         "final": None,
         "questionnaire": None,
     }
     if out.final is not None:
         doc["final"] = {
-            "coef_table": _jsonable(out.final.coef_table()),
-            "kappa": _jsonable(out.final.kappa),
-            "loglik": _jsonable(out.final.loglik),
-            "pseudo_r2": _jsonable(out.final.pseudo_r2),
-            "lr_chi2": _jsonable(out.final.lr_chi2),
-            "lr_p": _jsonable(out.final.lr_p),
+            "coef_table": out.final.coef_table(),
+            "kappa": out.final.kappa,
+            "loglik": out.final.loglik,
+            "pseudo_r2": out.final.pseudo_r2,
+            "lr_chi2": out.final.lr_chi2,
+            "lr_p": out.final.lr_p,
             "converged": out.final.converged,
         }
         abbrev_to_item = dict(zip(names, items))
@@ -788,7 +705,7 @@ def probit_section(
             }
             for e in q.entries
         ]
-    return doc
+    return _jsonable(doc)
 
 
 def write_questionnaire(rows: Sequence[Mapping], path: str) -> None:
@@ -919,9 +836,9 @@ def _write_outputs(cfg, bundle, weights, scores) -> dict[str, str]:
     os.makedirs(cfg.out_dir, exist_ok=True)
     paths: dict[str, str] = {}
     report_path = os.path.join(cfg.out_dir, "report.json")
+    text = _json_text(bundle)
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(bundle, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
     paths["report"] = report_path
     summary_path = os.path.join(cfg.out_dir, "summary.md")
     with open(summary_path, "w", encoding="utf-8") as fh:

@@ -477,6 +477,20 @@ def test_entropy_with_custom_groups(tmp_path):
     assert doc["delay"]["alt_items"] == [1, 2, 3, 22, 23]
 
 
+def test_delay_schemas_refuse_an_unknown_key(tmp_path):
+    rc, doc = _run_json(["entropy", "--input", SURVEY], tmp_path / "ent.json")
+    assert rc == 0
+    report_delay = _schema("report")["properties"]["delay"]
+    jsonschema.validate(doc["delay"], report_delay)
+    doc["delay"]["extra"] = 1
+    for part, schema in ((doc, _schema("entropy")), (doc["delay"], report_delay)):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(part, schema)
+    del doc["delay"]["extra"], doc["delay"]["alt_excludes"]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc["delay"], report_delay)
+
+
 def test_ahp_aggregation_document(ahp_doc):
     _, doc = ahp_doc
     assert doc["n_respondents"] == 49

@@ -27,6 +27,7 @@ from lockqual.ahp import (
     load_judgments,
     SCALE,
     Hierarchy,
+    aggregate_geomean,
     JudgmentMatrix,
     JudgmentStack,
     parse_judgments,
@@ -639,6 +640,14 @@ def reciprocal_stacks(draw):
                 a[k, i, j] = draw(values)
                 a[k, j, i] = 1.0 / a[k, i, j]
     return JudgmentStack(tuple("abcde"[:n]), a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=reciprocal_stacks())
+def test_aggregate_geomean_is_reciprocal_to_two_ulp(stack):
+    g = aggregate_geomean(stack).values
+    assert np.all(np.diag(g) == 1.0)
+    assert np.all(np.abs(g * g.T - 1.0) <= 2 * np.finfo(float).eps)
 
 
 # (tol, max_iter): the defaults, stops at max_iter, and a loose tolerance

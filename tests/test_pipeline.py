@@ -3,13 +3,17 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lockqual.ahp import DEFAULT_HIERARCHY
 from lockqual.catalog import CatalogItem, DEFAULT_CATALOG, VariableCatalog
@@ -516,5 +520,75 @@ def test_jsonable_maps_every_nonfinite_float_to_null():
 
 def test_report_json_refuses_nonfinite_floats(tmp_path):
     cfg = PipelineConfig(survey_path=SURVEY, out_dir=str(tmp_path))
+    bad = {"a": 1.0, "b": [1, 2, 3], "x": float("inf")}
     with pytest.raises(ValueError):
-        _write_outputs(cfg, {"x": float("inf")}, None, None)
+        _write_outputs(cfg, bad, None, None)
+    # the text is made before the file is opened: no truncated report.json
+    assert not (tmp_path / "report.json").exists()
+    (tmp_path / "report.json").write_text("{}\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        _write_outputs(cfg, bad, None, None)
+    assert (tmp_path / "report.json").read_text("utf-8") == "{}\n"
+
+
+@dataclass(frozen=True)
+class _Row:
+    name: str
+    value: float
+    flag: bool
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**40), 2**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.floats(allow_nan=True, allow_infinity=True, width=32).map(np.float32),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_ARRAYS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(np.array),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=4).map(np.array),
+    st.lists(st.integers(-5, 5), max_size=4).map(lambda v: np.array(v, dtype=np.int64)),
+)
+_ROWS = st.builds(_Row, st.text(max_size=3), st.floats(allow_nan=True, allow_infinity=True), st.booleans())
+_KEYS = st.one_of(st.text(max_size=3), st.integers(-9, 99))
+_DOCS = st.recursive(
+    st.one_of(_SCALARS, _ARRAYS, _ROWS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def _only_json_types(doc) -> bool:
+    if isinstance(doc, dict):
+        return all(type(k) is str and _only_json_types(v) for k, v in doc.items())
+    if isinstance(doc, list):
+        return all(_only_json_types(v) for v in doc)
+    if type(doc) is float:
+        return math.isfinite(doc)
+    return doc is None or type(doc) in (bool, int, str)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCS)
+def test_jsonable_yields_only_strict_json_types(doc):
+    out = _jsonable(doc)
+    assert _only_json_types(out)
+    json.dumps(out, allow_nan=False)
+
+
+@given(row=_ROWS)
+def test_jsonable_maps_a_dataclass_to_its_fields_in_order(row):
+    out = _jsonable(row)
+    assert list(out) == ["name", "value", "flag"]
+    value = row.value if math.isfinite(row.value) else None
+    assert out == {"name": row.name, "value": value, "flag": row.flag}
+    assert _jsonable([row, (row,)]) == [out, [out]]
