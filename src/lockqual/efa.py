@@ -41,9 +41,6 @@ class LoadingMatrix:
     def n_factors(self) -> int:
         return self.loadings.shape[1]
 
-    def communalities(self) -> np.ndarray:
-        return (self.loadings**2).sum(axis=1)
-
 
 def _fix_signs(L: np.ndarray) -> np.ndarray:
     """Flip column signs so the largest-magnitude loading is positive."""

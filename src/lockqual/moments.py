@@ -28,8 +28,9 @@ import numpy as np
 
 __all__ = ["Moments", "as_moments", "dependent_sets"]
 
-# Rows per block of `of_codes`: a float64 block of 32 items is 2 MB, where
-# the whole complete-row matrix of a 100k survey is 21 MB.
+# Rows per block of `of_codes`, `of_matrix` and the ordered probit's design:
+# a float64 block of 32 items is 2 MB, where the whole complete-row matrix of
+# a 100k survey is 21 MB.
 _BLOCK_ROWS = 8192
 
 _EPS = float(np.finfo(float).eps)
@@ -67,14 +68,24 @@ class Moments:
 
     @classmethod
     def of_matrix(cls, X: np.ndarray) -> "Moments":
-        """Moments of the columns of a finite n x k matrix, taken about its first row."""
-        X = np.asarray(X, dtype=float)
+        """Moments of the columns of a finite n x k matrix, taken about its first row.
+
+        The rows are read one block at a time, each block less the first
+        row as float64, so an integer X is never copied to float whole.
+        """
+        X = np.asarray(X)
         if X.ndim != 2:
             raise ValueError("X must be 2-dimensional")
         if not np.all(np.isfinite(X)):
             raise ValueError("X contains non-finite values")
-        d = X - X[:1]
-        return cls(X.shape[0], d.sum(axis=0), d.T @ d)
+        first = X[:1].astype(float)
+        sums = np.zeros(X.shape[1])
+        cross = np.zeros((X.shape[1], X.shape[1]))
+        for start in range(0, X.shape[0], _BLOCK_ROWS):
+            d = X[start : start + _BLOCK_ROWS] - first
+            sums += d.sum(axis=0)
+            cross += d.T @ d
+        return cls(X.shape[0], sums, cross)
 
     @property
     def k(self) -> int:

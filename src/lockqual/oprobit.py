@@ -15,17 +15,26 @@ observed information at the optimum in the raw (beta, kappa) space.
 Much of each Newton step depends on y alone: which rows have a finite
 upper or lower cut, the cutpoint of each such term, and the null model.
 A `_Design` holds those arrays. Sums over rows that carry a column of
-X are BLAS products: the Hessian's beta x kappa block is one product of
-X with an (n, C - 1) W that holds each row's weights at its upper and
-lower cut in the columns of those cuts. `backward_eliminate` validates
-its inputs, checks the full design's centred cross products for
-collinearity and builds the `_Design` once; every re-fit on a subset of
+X are BLAS products of X: X beta, X'(g / p), X'WX with a diagonal
+weight, and the Hessian's beta x kappa block W'X, where W is (n, C - 1)
+and holds each row's weights at its upper and lower cut in the columns
+of those cuts.
+
+The design X may be float or integer, such as the int8 rating codes of
+a survey. Every product runs over row blocks of `_BLOCK_ROWS` rows, each
+block converted to float64 once per pass over X, so no (n, k) float
+array is formed; a design that fits in one block is converted once,
+when it is validated, and then used whole. `backward_eliminate`
+validates X and y once and checks X for collinearity once: on
+`Moments.of_matrix(X)`, which reads X in row blocks too, or on the exact
+moments the caller passes in. It builds the `_Design` once; every re-fit on a subset of
 the columns reuses it, and starts from the previous solution, moved to
 where it predicts the optimum without the dropped coefficients.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -33,7 +42,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._dist import chi2_sf, expit, norm_cdf, norm_pdf, norm_ppf, norm_sf
-from .moments import Moments, dependent_sets
+from .moments import _BLOCK_ROWS, Moments, dependent_sets
 
 __all__ = [
     "ProbitModel",
@@ -49,14 +58,22 @@ __all__ = [
     "write_questionnaire_csv",
 ]
 
-def _validate_xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
+def _as_design(X: np.ndarray) -> np.ndarray:
+    """X as a 2-dimensional array: integer codes as they are, anything else as float64."""
+    X = np.asarray(X)
+    if X.dtype.kind not in "iu":
+        X = X.astype(float, copy=False)
     if X.ndim != 2:
         raise ValueError("X must be 2-dimensional")
+    return X
+
+
+def _validate_xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    X = _as_design(X)
+    y = np.asarray(y)
     if y.ndim != 1 or y.shape[0] != X.shape[0]:
         raise ValueError("y must be a vector matching the rows of X")
-    if not np.all(np.isfinite(X)):
+    if X.dtype == float and not np.all(np.isfinite(X)):
         raise ValueError("X contains non-finite values")
     yi = y.astype(int)
     if np.any(yi != y):
@@ -73,8 +90,24 @@ def _validate_xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return X, yi, c
 
 
-def _check_collinear(X: np.ndarray) -> None:
-    sets = dependent_sets(Moments.of_matrix(X).centred())
+def _blocks(X: np.ndarray):
+    """(rows, block) over X in row blocks of `_BLOCK_ROWS`, each block as float64.
+
+    A float X's blocks are views of it; an integer X's are converted, and
+    each pass over X converts every block once.
+    """
+    for start in range(0, X.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        yield rows, X[rows].astype(float, copy=False)
+
+
+def _eta(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """X beta, one row block at a time."""
+    return np.concatenate([b @ beta for _, b in _blocks(X)])
+
+
+def _check_collinear(m: Moments) -> None:
+    sets = dependent_sets(m.centred())
     if sets:
         named = ", ".join(map(str, sets))
         raise ValueError(f"predictors are collinear: columns {named} are linearly dependent")
@@ -90,7 +123,7 @@ class _Design:
     whose cuts meet in the off-diagonal of the kappa block at the lower
     one, `both_cut`. A design built by `_prepare` also carries the null
     fit, and stands for a y that passed validation against a design
-    matrix that passed `_check_collinear`.
+    matrix whose moments passed `_check_collinear`.
     """
 
     def __init__(self, y: np.ndarray, c: int, null: NullFit | None = None) -> None:
@@ -105,12 +138,15 @@ class _Design:
         self.both_cut = y[self.both] - 2
 
 
-def _prepare(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, _Design]:
+def _prepare(X: np.ndarray, y: np.ndarray, moments: Moments | None = None) -> tuple[np.ndarray, _Design]:
     """Validate X and y, check X for collinearity, and build y's design.
 
     The check is `dependent_sets`: no eigenvalue of the correlations at
     or below k * eps times the largest. Any subset of the columns passes
     it too, as a principal submatrix's eigenvalues interlace the whole's.
+    It reads `moments`, the moments of X's rows and columns when the
+    caller has them, or else `Moments.of_matrix(X)`. An X that
+    fits in one row block is returned as float64.
     """
     X, yi, c = _validate_xy(X, y)
     n, k = X.shape
@@ -118,7 +154,13 @@ def _prepare(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, _Design]:
         raise ValueError("need at least one predictor")
     if n <= k + c - 1:
         raise ValueError("too few observations for the parameter count")
-    _check_collinear(X)
+    if n <= _BLOCK_ROWS:
+        X = X.astype(float, copy=False)
+    if moments is None:
+        moments = Moments.of_matrix(X)
+    elif (moments.n, moments.k) != (n, k):
+        raise ValueError("moments must be taken over the rows and columns of X")
+    _check_collinear(moments)
     return X, _Design(yi, c, null_fit(yi))
 
 
@@ -129,9 +171,8 @@ def _cell_probs(eta: np.ndarray, y: np.ndarray, kappa: np.ndarray):
     upper tails Phi(-z_lo) - Phi(-z_hi) when z_lo > 0, the lower ones
     Phi(z_hi) - Phi(z_lo) otherwise. Flipping the signs of those rows
     first evaluates each row's branch alone, in two passes of Phi over
-    (n,) arrays: one pass over the stacked (2, n) cuts doubles the size
-    of Phi's temporaries, and makes the peak RSS of a warm process on
-    100k respondents vary by 16 MB with the input.
+    (n,) arrays: one pass over the stacked (2, n) cuts would double the
+    size of Phi's temporaries.
     """
     kext = np.concatenate(([-np.inf], kappa, [np.inf]))
     z = np.empty((2, eta.shape[0]))
@@ -163,10 +204,11 @@ def _grad_hess_raw(
 
     `design` holds the arrays of y alone; it is built here when not given.
     `cells` is `_cell_probs(X @ beta, y, kappa)`, when the caller has it.
+    The products with X take one pass over its row blocks.
     """
     d = _Design(y, c) if design is None else design
     n, k = X.shape
-    p, z = _cell_probs(X @ beta, y, kappa) if cells is None else cells
+    p, z = _cell_probs(_eta(X, beta), y, kappa) if cells is None else cells
     ll = float(np.log(p).sum())
     phi = norm_pdf(z)  # 0 at the infinite outer cuts
     phi_hi, phi_lo = phi
@@ -183,7 +225,8 @@ def _grad_hess_raw(
         return s_xy / p - g_x * g_y / p2
 
     grad = np.zeros(k + c - 1)
-    grad[:k] = X.T @ (g_eta / p)
+    g_beta = g_eta / p
+    h_bb = h(-zphi_hi + zphi_lo, g_eta, g_eta)
     # Each kappa sum runs over the upper-cut terms, then the lower-cut terms,
     # in row order: one bincount over both term lists in turn.
     hi_ok, lo_ok = d.hi_ok, d.lo_ok
@@ -193,14 +236,15 @@ def _grad_hess_raw(
 
     grad[k:] = per_cut(phi_hi / p, g_lo / p)
     hess = np.zeros((k + c - 1, k + c - 1))
-    hess[:k, :k] = X.T @ (X * h(-zphi_hi + zphi_lo, g_eta, g_eta)[:, None])
     # beta x kappa: row i adds x_i times its upper-cut weight to cut y_i - 1
     # and x_i times its lower-cut weight to cut y_i - 2, so the block is W'X,
-    # one BLAS product, with those weights in an (n, C - 1) W; W' is built
-    # row-major, which BLAS multiplies faster than X' W
+    # one BLAS product per row block, with those weights in an (n, C - 1) W;
+    # W' is built row-major, which BLAS multiplies faster than X' W
     wt = np.zeros((c - 1, n))
     wt[d.cut, d.rows] = np.concatenate((h(zphi_hi, g_eta, phi_hi)[hi_ok], h(-zphi_lo, g_eta, g_lo)[lo_ok]))
-    hkb = wt @ X
+    # summed over the row blocks in order; one block gives its products as they are
+    parts = [(b.T @ g_beta[rows], b.T @ (b * h_bb[rows, None]), wt[:, rows] @ b) for rows, b in _blocks(X)]
+    grad[:k], hess[:k, :k], hkb = (functools.reduce(np.add, terms) for terms in zip(*parts))
     hess[k:, :k] = hkb
     hess[:k, k:] = hkb.T
     hkk = np.diag(per_cut(h(-zphi_hi, phi_hi, phi_hi), h(zphi_lo, g_lo, g_lo)))
@@ -346,18 +390,19 @@ def fit(
     where a step near the optimum can round the sum down, the full
     Newton step still passes, and the next gradient lands below gtol.
 
-    y is a vector of category codes 1..C, or the `_Design` that
-    `backward_eliminate` built once from its codes and full design
-    matrix; X is then a subset of that matrix's columns, which is
-    neither validated nor checked for collinearity again. Newton starts
-    at beta = 0 and the null model's cutpoints, or at `start`, a raw
-    (beta, kappa) vector of length k + C - 1 with ascending cutpoints.
+    X is an n x k float or integer design. y is a vector of category
+    codes 1..C, or the `_Design` that `backward_eliminate` built once
+    from its codes and full design matrix; X is then a subset of that
+    matrix's columns, which is neither validated nor checked for
+    collinearity again. Newton starts at beta = 0 and the null model's
+    cutpoints, or at `start`, a raw (beta, kappa) vector of length
+    k + C - 1 with ascending cutpoints.
     """
     if isinstance(y, _Design):
         design = y
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[0] != design.y.shape[0]:
-            raise ValueError("X must be 2-dimensional with one row per response")
+        X = _as_design(X)
+        if X.shape[0] != design.y.shape[0]:
+            raise ValueError("X must have one row per response")
         if X.shape[1] < 1:
             raise ValueError("need at least one predictor")
     else:
@@ -411,7 +456,7 @@ def fit(
         accepted = False
         for _ in range(60):
             cand = t + step * d
-            trial = _cell_probs(X @ cand[:k], yi, _kappa_of(cand[k:]))
+            trial = _cell_probs(_eta(X, cand[:k]), yi, _kappa_of(cand[k:]))
             ll_new = float(np.log(trial[0]).sum())
             # sufficient increase, less the rounding error of the n-term sum ll
             if math.isfinite(ll_new) and ll_new >= ll + 1e-4 * step * slope - noise * abs(ll):
@@ -539,6 +584,7 @@ def backward_eliminate(
     names: Sequence,
     alpha: float = 0.01,
     single_pass: bool = False,
+    moments: Moments | None = None,
 ) -> EliminationResult:
     """Drop insignificant predictors until every survivor has p < alpha.
 
@@ -547,16 +593,18 @@ def backward_eliminate(
     re-fits once. An empty survivor set is returned with a warning
     rather than an error.
 
-    X and y are validated, and X checked for collinearity, once: every
-    re-fit shares the design built from them, and starts where the last
-    fit's solution puts the optimum without the dropped coefficients
-    (`_restart`).
+    X and y are validated, and X checked for collinearity, once: on
+    `moments` when given, the `Moments` of X's rows and columns, such as
+    the exact moments of rating codes that a caller has screened
+    already. Every re-fit shares the design built from them, and starts
+    where the last fit's solution puts the optimum without the dropped
+    coefficients (`_restart`).
     """
-    X = np.asarray(X, dtype=float)
+    X = _as_design(X)
     names = list(names)
     if X.shape[1] != len(names):
         raise ValueError("names must match the number of predictors")
-    X, design = _prepare(X, y)
+    X, design = _prepare(X, y, moments)
     initial = fit(X, design, names)
     if not initial.converged:
         raise ValueError("initial fit did not converge; elimination would be meaningless")

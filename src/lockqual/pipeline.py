@@ -644,23 +644,23 @@ def probit_section(
     """Ordered-probit backward elimination of the post-trip rating.
 
     `constructs` maps each candidate item, in column order, to the
-    construct its questionnaire entry is filed under.
+    construct its questionnaire entry is filed under. The design is the
+    int8 rating codes of the items `_screen` keeps, over the rows where
+    every rated item is rated, and the exact moments `_screen` tested
+    are the elimination's collinearity check.
     """
     from . import oprobit
 
     stage = "questionnaire reduction"
-    items, m, _ = _rated_moments(sample, list(constructs), stage, warnings)
-    if not items:
+    rated, m, _ = _rated_moments(sample, list(constructs), stage, warnings)
+    if not rated:
         raise ValueError("no retained items")
-    kept, _, dropped = _screen(items, m, stage, warnings)
-    _, X = sample.matrix(items)
-    y = sample.column(SATI_AFTER)[sample.complete(items)].astype(int)
-    if dropped:
-        # row-major, as the fits have always summed it
-        X = np.ascontiguousarray(X[:, [j for j, i in enumerate(items) if i not in dropped]])
-        items = list(kept)
+    items, m, _ = _screen(rated, m, stage, warnings)
+    rows = sample.complete(rated)
+    X = np.stack([sample.column(i)[rows] for i in items], axis=1)
+    y = sample.column(SATI_AFTER)[rows].astype(int)
     names = tuple(catalog.abbreviation_of(i) for i in items)
-    out = oprobit.backward_eliminate(X, y, names, alpha=g.probit_alpha, single_pass=single_pass)
+    out = oprobit.backward_eliminate(X, y, names, alpha=g.probit_alpha, single_pass=single_pass, moments=m)
     warnings.extend(f"questionnaire reduction: {w}" for w in out.warnings)
     doc: dict[str, object] = {
         "n_obs": out.initial.n_obs,

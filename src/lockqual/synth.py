@@ -276,6 +276,10 @@ class AhpSpec:
     true_weights: Mapping[str, float] = field(default_factory=lambda: dict(_DEFAULT_TRUE_WEIGHTS))
     hierarchy: Hierarchy = DEFAULT_HIERARCHY
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.noise_level <= 1.0:
+            raise ValueError(f"noise_level is a rung-slip probability in [0, 1], got {self.noise_level}")
+
 
 def _nearest_ladder(ratio: float) -> int:
     logs = np.log(np.asarray(_LADDER))

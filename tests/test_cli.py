@@ -580,6 +580,15 @@ def test_synth_writes_data_and_sidecar(tmp_path):
         jsonschema.validate(meta, _schema("synth-meta"))
 
 
+@pytest.mark.parametrize("noise", ["-1", "2", "nan"])
+def test_synth_refuses_a_noise_outside_the_unit_interval_before_writing(tmp_path, capsys, noise):
+    out = tmp_path / "ahp.csv"
+    rc = cli.main(["synth", "--kind", "ahp", "--n", "5", "--seed", "1", "--noise", noise, "--out-file", str(out)])
+    assert rc == 1
+    assert "noise_level" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_synth_is_deterministic_per_seed(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):

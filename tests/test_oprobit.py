@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lockqual import cli, oprobit, synth
 from lockqual.oprobit import (
@@ -25,6 +29,7 @@ from lockqual.oprobit import (
     write_questionnaire_csv,
 )
 from lockqual.catalog import SATI_AFTER
+from lockqual.moments import _BLOCK_ROWS, Moments
 from lockqual.pipeline import PipelineConfig, run_pipeline
 
 
@@ -477,3 +482,87 @@ def test_carried_cell_probabilities_change_no_bit_of_the_fits(monkeypatch, n, se
         assert (a.n_iter, a.loglik, a.converged) == (b.n_iter, b.loglik, b.converged)
         for attr in ("beta", "se", "p", "kappa", "cov"):
             assert np.array_equal(getattr(a, attr), getattr(b, attr), equal_nan=True), attr
+
+
+def _codes(n, k, seed, beta_scale=0.5):
+    """int8 ratings 1..5 in k columns, and a 4-category response on a weighted sum of them."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(1, 6, size=(n, k)).astype(np.int8)
+    beta = beta_scale * np.linspace(1.0, -0.5, k) / math.sqrt(k)
+    y = np.searchsorted([-0.7, 0.0, 0.7], (X - 3.0) @ beta + rng.normal(size=n)) + 1
+    return X, y
+
+
+def _assert_permuted(model, permuted, perm):
+    for attr in ("beta", "se", "p"):
+        np.testing.assert_allclose(getattr(permuted, attr), getattr(model, attr)[perm], rtol=0, atol=1e-8, err_msg=attr)
+    np.testing.assert_allclose(permuted.kappa, model.kappa, rtol=0, atol=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(80, 200), data=st.data())
+def test_permuting_the_columns_permutes_the_fit(seed, n, data):
+    k = data.draw(st.integers(1, 5))
+    perm = data.draw(st.permutations(range(k)))
+    X, y = _simulate(n, np.linspace(0.8, -0.6, k), [-0.8, 0.0, 0.8], seed)
+    assume(len(set(y.tolist())) == 4)
+    model = fit(X, y)
+    assume(model.converged)
+    permuted = fit(X[:, perm], y)
+    assert permuted.converged
+    _assert_permuted(model, permuted, perm)
+
+
+def test_a_design_of_several_row_blocks_fits_as_its_float_copy():
+    # the int8 design is converted one row block at a time, the float copy
+    # read in the same blocks: every field of the fit is the same float
+    n = 20_000
+    assert n > 2 * _BLOCK_ROWS
+    X, y = _codes(n, 4, seed=5)
+    model = fit(X, y)
+    assert model.converged
+    copy = fit(X.astype(float), y)
+    for f in dataclasses.fields(model):
+        a, b = getattr(model, f.name), getattr(copy, f.name)
+        assert np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b, f.name
+    perm = [2, 0, 3, 1]
+    _assert_permuted(model, fit(X[:, perm], y), perm)
+
+
+def test_supplied_moments_stand_in_for_the_collinearity_check(monkeypatch):
+    X, y = _codes(500, 3, seed=2)
+    names = ("a", "b", "c")
+    m = Moments.of_codes(X, range(3))
+    # the moments are tested, not recomputed from X
+    monkeypatch.setattr(Moments, "of_matrix", lambda X: pytest.fail("moments recomputed"))
+    out = backward_eliminate(X, y, names, moments=m)
+    monkeypatch.undo()
+    assert out.initial.beta.tolist() == backward_eliminate(X, y, names).initial.beta.tolist()
+    dependent = Moments.of_codes(X[:, [0, 1, 1]], range(3))
+    with pytest.raises(ValueError, match="collinear"):
+        backward_eliminate(X, y, names, moments=dependent)
+    with pytest.raises(ValueError, match="moments"):
+        backward_eliminate(X, y, names, moments=m.take([0, 1]))
+
+
+def test_an_integer_design_adds_no_float_copy_of_its_columns():
+    # 35 more int8 columns may not cost a float copy of them at the traced
+    # peak of the elimination (NumPy reports its buffers to tracemalloc): the
+    # design is read in row blocks, with no (n, k) float array
+    n = 60_000
+
+    def traced_peak(k):
+        X, y = _codes(n, k, seed=k, beta_scale=1.0)
+        X[:, -1] = np.random.default_rng(k + 1).integers(1, 6, size=n)  # noise, so that a refit runs
+        names = tuple(f"x{j}" for j in range(k))
+        tracemalloc.start()
+        try:
+            out = backward_eliminate(X, y, names)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.final is not None and out.final.n_obs == n
+        return peak
+
+    growth = traced_peak(40) - traced_peak(5)
+    assert growth < n * 35 * 8 / 2, growth

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lockqual.catalog import DEFAULT_CATALOG
 from lockqual.dataset import RespondentRecord, SurveyDataset
@@ -189,6 +191,42 @@ def test_validation_summary_counts_and_error():
     assert out.scores[1].error == pytest.approx(0.25)
     assert out.mean_error == pytest.approx(0.125)
     assert out.share_within_10pct == pytest.approx(0.5)
+
+
+# A weighted mean of m positive terms, each sum taken left to right, is within
+# (m + 1) * eps of the exact mean relative to it, to first order; the SQR of
+# L latents adds (L + 1) * eps. With m <= 6 items and L <= 4 latents that is
+# 5 * 12 * eps = 15 ulp of 5.0 at most; the test allows 16.
+_SCORE_SLACK = 16 * float(np.spacing(5.0))
+
+
+@st.composite
+def _holdouts(draw):
+    items = draw(st.permutations(DEFAULT_CATALOG.indices))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    weight = st.floats(min_value=1e-3, max_value=1e3)
+    item_weights, start = {}, 0
+    for j, size in enumerate(sizes):
+        item_weights[f"l{j}"] = {item: draw(weight) for item in items[start : start + size]}
+        start += size
+    latents = tuple(item_weights)
+    w = ScoreWeights(latents, item_weights, {name: draw(weight) for name in latents})
+    rating = st.integers(1, 5)
+    n = draw(st.integers(1, 20))
+    records = [
+        _resp(f"r{r}", {item: draw(rating) for item in items[:start]}, sati_after=draw(rating)) for r in range(n)
+    ]
+    return w, SurveyDataset.from_records(records, DEFAULT_CATALOG)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_holdouts())
+def test_holdout_scores_stay_on_the_rating_scale(case):
+    w, ds = case
+    out = validation_summary(ds, w)
+    assert out.n_scored == ds.n
+    for values in (out.lvr, out.sqr):
+        assert np.all(values >= 1.0 - _SCORE_SLACK) and np.all(values <= 5.0 + _SCORE_SLACK)
 
 
 def test_scores_csv_round_trip(tmp_path):
