@@ -39,11 +39,12 @@ def main() -> None:
         f"Bartlett chi2 {adq.bartlett_chi2:.1f} (p {adq.bartlett_p:.2e})"
     )
 
-    train, holdout = split(data, round(0.6 * data.n), args.seed)
-    print(f"train/holdout split: {train.n}/{holdout.n}")
+    # the training rows' mask; the holdout is ~train
+    train = split(data, round(0.6 * data.n), args.seed)
+    print(f"train/holdout split: {train.sum()}/{(~train).sum()}")
 
-    # exploratory structure on the training part only
-    _, xt = train.matrix(DEFAULT_CATALOG.indices)
+    # exploratory structure on the training part only, from its complete rows' moments
+    xt = data.moments(DEFAULT_CATALOG.indices, train)
     rotated = efa.rotate_varimax(
         efa.extract_pca(psychometrics.correlation_matrix(xt), items=DEFAULT_CATALOG.indices)
     )
@@ -62,8 +63,8 @@ def main() -> None:
     # confirmatory fit of the synthesized structural model
     warnings: list[str] = []
     cfa, structural = synthesize_models(assignment, labels, warnings)
-    _, xs = train.matrix(structural.observed)
-    est = sem.standardize(sem.fit_ml(structural, sem.sample_cov(xs), n=xs.shape[0]))
+    ms = data.moments(structural.observed, train)
+    est = sem.standardize(sem.fit_ml(structural, ms.cov(), n=ms.n))
     fi = sem.fit_indices(est)
     print(
         f"\nstructural fit: chi2 {fi.chi2:.1f}/{fi.df} df "
@@ -76,7 +77,7 @@ def main() -> None:
     for name in weights.latents:
         print(f"  {DISPLAY_NAMES.get(name, name)}: {weights.latent_weights[name]:.3f}")
 
-    summary = scoring.validation_summary(holdout, weights)
+    summary = scoring.validation_summary(data, weights, ~train)
     print(
         f"\nholdout scoring: n {summary.n_scored}, mean relative error "
         f"{summary.mean_error:.3f}, within 10%: {summary.share_within_10pct:.1%}"

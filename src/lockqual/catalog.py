@@ -97,11 +97,6 @@ class VariableCatalog:
     def hint_of(self, index: int) -> str:
         return self.item(index).latent_hint
 
-    def of_kind(self, kind: str) -> tuple[int, ...]:
-        if kind not in KINDS:
-            raise ValueError(f"unknown question kind {kind!r}")
-        return tuple(it.index for it in self.items if it.kind == kind)
-
     def to_json(self) -> str:
         rows = [
             {

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from typing import Mapping, Sequence
 
 from .catalog import DEFAULT_CATALOG, load_catalog
@@ -21,8 +22,10 @@ from .dataset import describe, load_survey, split, write_survey
 from .pipeline import (
     GateThresholds,
     PipelineConfig,
-    _json_text,
+    _dump_json,
     _stage,
+    _write_all,
+    _write_json,
     adequacy_section,
     ahp_section,
     bias_section,
@@ -53,12 +56,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(doc: object, out: str | None) -> None:
-    text = _json_text(doc)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_all({out: partial(_write_json, doc)})
     else:
-        sys.stdout.write(text)
+        _dump_json(doc, sys.stdout)
 
 
 def _catalog(args: argparse.Namespace):
@@ -125,21 +126,21 @@ def _cmd_sem(args: argparse.Namespace) -> int:
     catalog = _catalog(args)
     d = load_survey(args.input, catalog)
     n_train = args.n_train if args.n_train is not None else round(0.6 * d.n)
-    train, _ = split(d, n_train, args.seed)
+    train = split(d, n_train, args.seed)
     g = GateThresholds()
     checks: list = []
     warnings: list[str] = []
     if args.model:
         model = sem_mod.load_model(args.model)
     else:
-        _, assignment, labels = efa_section(train, catalog, g, warnings)
+        _, assignment, labels = efa_section(d, catalog, g, warnings, train)
         _, model = synthesize_models(assignment, labels, warnings)
         if model is None:
             raise ValueError("factor extraction left no usable model; supply --model")
-    doc, est = sem_section(train, model, g, checks, warnings)
+    doc, est = sem_section(d, model, g, checks, warnings, train)
     doc["validity"] = validity_doc(est, warnings)
     doc["model"] = json.loads(model.to_json())
-    doc["split"] = {"seed": args.seed, "n_train": train.n}
+    doc["split"] = {"seed": args.seed, "n_train": int(train.sum())}
     doc["cli_warnings"] = warnings
     return _finish(args, doc, checks, args.out)
 

@@ -1,4 +1,4 @@
-"""Survey ingestion, screening, descriptives and train/holdout splitting.
+"""Survey ingestion, screening, descriptives and the train/holdout row mask.
 
 The on-disk format is a flat CSV with header
 
@@ -10,7 +10,9 @@ scale; an empty cell is a missing rating. delay_hours may be empty.
 
 A screened survey is held column by column (see SurveyDataset): one
 int8 code array for all ratings, a float delay array and one list per
-text field, so every summary is a numpy reduction over a column.
+text field, so every summary is a numpy reduction over a column. The
+training and holdout parts are not copied out of it: split draws a
+boolean row mask, and `complete` and `moments` read the rows it sets.
 
 load_survey reads the file in blocks of whole lines and screens each
 block with NumPy over the byte positions of its line ends and commas;
@@ -89,6 +91,9 @@ class SurveyDataset:
                    are the overall satisfaction bookends. 0 means missing.
     delay_hours  : float64 array of shape (n,), NaN where no delay was given.
     demographics : field name (see DEMOGRAPHICS) -> one string per row.
+
+    A part of the rows, such as split's training part, is a boolean row
+    mask passed as `rows`; None means every row.
 
     Two datasets are equal when their rows are; ``rejected`` is not compared.
     """
@@ -180,9 +185,10 @@ class SurveyDataset:
         col = self.column(index)
         return col[col != 0].astype(float)
 
-    def complete(self, indices: Sequence[int]) -> np.ndarray:
-        """Row mask: True where every one of the observed variables is rated."""
-        return (self.codes[:, [self._col(i) for i in indices]] != 0).all(axis=1)
+    def complete(self, indices: Sequence[int], rows: np.ndarray | None = None) -> np.ndarray:
+        """Row mask: True where every one of the observed variables is rated (and `rows` is set)."""
+        keep = (self.codes[:, [self._col(i) for i in indices]] != 0).all(axis=1)
+        return keep if rows is None else keep & rows
 
     def matrix(self, indices: Sequence[int]) -> tuple[list[str], np.ndarray]:
         """Ratings as a float matrix, one row per respondent.
@@ -194,23 +200,13 @@ class SurveyDataset:
         X = self.codes[np.ix_(keep, [self._col(i) for i in indices])].astype(float)
         return list(compress(self.respondent_ids, keep.tolist())), X
 
-    def moments(self, indices: Sequence[int]) -> Moments:
+    def moments(self, indices: Sequence[int], rows: np.ndarray | None = None) -> Moments:
         """n, column sums and cross products of the ratings over the complete rows.
 
-        The same rows as `matrix(indices)`, without building it.
+        The same rows as `matrix(indices)`, without building it; with a row
+        mask, only the complete rows it sets.
         """
-        return Moments.of_codes(self.codes, [self._col(i) for i in indices])
-
-    def _take(self, rows: np.ndarray) -> "SurveyDataset":
-        """The rows where the boolean mask is set, in their original order."""
-        keep = rows.tolist()
-        return SurveyDataset(
-            self.catalog,
-            list(compress(self.respondent_ids, keep)),
-            self.codes[rows],
-            self.delay_hours[rows],
-            {name: list(compress(col, keep)) for name, col in self.demographics.items()},
-        )
+        return Moments.of_codes(self.codes, [self._col(i) for i in indices], rows)
 
 
 def _parse_rating(cell: str) -> tuple[int | None, str | None]:
@@ -597,12 +593,13 @@ def describe(d: SurveyDataset) -> DescriptiveReport:
     return DescriptiveReport(items, before, after, after.mean)
 
 
-def split(d: SurveyDataset, n_train: int, seed: int) -> tuple[SurveyDataset, SurveyDataset]:
-    """Deterministic train/holdout split.
+def split(d: SurveyDataset, n_train: int, seed: int) -> np.ndarray:
+    """Deterministic train/holdout split, as the boolean mask of the training rows.
 
     Respondent ids are sorted lexicographically, shuffled with the
-    seeded generator, and the first n_train go to the training part.
-    Original row order is preserved inside each part.
+    seeded generator, and the first n_train go to the training part; a
+    repeated id goes there when any of its copies does. The holdout is
+    the rest, `~mask`. Each part keeps the dataset's row order.
     """
     if not 0 < n_train < d.n:
         raise ValueError(f"n_train must be in (0, {d.n})")
@@ -626,4 +623,4 @@ def split(d: SurveyDataset, n_train: int, seed: int) -> tuple[SurveyDataset, Sur
         # a repeated id goes to training when any of its copies drew a training slot
         train_ids = set(compress(ids, in_train.tolist()))
         in_train = np.fromiter((rid in train_ids for rid in ids), dtype=bool, count=d.n)
-    return d._take(in_train), d._take(~in_train)
+    return in_train

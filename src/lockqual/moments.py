@@ -52,15 +52,22 @@ class Moments:
     cross: np.ndarray
 
     @classmethod
-    def of_codes(cls, codes: np.ndarray, cols: Sequence[int]) -> "Moments":
-        """Moments of the columns `cols` of int8 codes over the rows with no 0 among them."""
+    def of_codes(cls, codes: np.ndarray, cols: Sequence[int], rows: np.ndarray | None = None) -> "Moments":
+        """Moments of the columns `cols` of int8 codes over the rows with no 0 among them.
+
+        With a boolean row mask `rows`, only the rows it sets are taken: the
+        same integer sums as of `codes[rows]`, without copying those rows.
+        """
         cols = list(cols)
         n = 0
         sums = np.zeros(len(cols))
         cross = np.zeros((len(cols), len(cols)))
         for start in range(0, codes.shape[0], _BLOCK_ROWS):
             block = codes[start : start + _BLOCK_ROWS, cols]
-            b = block[(block != 0).all(axis=1)].astype(float)
+            keep = (block != 0).all(axis=1)
+            if rows is not None:
+                keep &= rows[start : start + _BLOCK_ROWS]
+            b = block[keep].astype(float)
             n += b.shape[0]
             sums += b.sum(axis=0)
             cross += b.T @ b

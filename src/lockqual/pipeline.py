@@ -18,10 +18,10 @@ import datetime
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -167,9 +167,43 @@ def _jsonable(value):
     return value
 
 
-def _json_text(doc) -> str:
-    """The text of every JSON output file; raises ValueError on NaN or Infinity, so make it first."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _dump_json(doc, fh) -> None:
+    """Stream doc into a text file: the one JSON writer of the command line and the bundle.
+
+    Keys sorted, two-space indent, a final newline; raises ValueError on NaN or Infinity.
+    """
+    json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+    fh.write("\n")
+
+
+def _write_json(doc, path: str) -> None:
+    """Write doc to the JSON file at path (see _dump_json)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        _dump_json(doc, fh)
+
+
+def _write_all(writers: Mapping[str, Callable[[str], None]]) -> None:
+    """Write every file of `writers` (path -> writer(path)), or none of them.
+
+    Each writer writes to a temporary name beside its path (the same file
+    system, so os.replace can move it), and the files are moved into place
+    only once all of them are written. If a writer fails, the
+    temporaries are removed, the files already at the paths are left as they
+    were, and the error propagates.
+    """
+    temps: dict[str, str] = {}
+    try:
+        for path, write in writers.items():
+            head, name = os.path.split(path)
+            temps[path] = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+            write(temps[path])
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps.values():
+            with suppress(FileNotFoundError):
+                os.remove(temp)
+        raise
 
 
 def gates_doc(checks: Sequence[GateCheck]) -> list[dict]:
@@ -268,20 +302,20 @@ def _fit_index_gates(fi: sem_mod.FitIndices, prefix: str, g: GateThresholds) -> 
 
 
 def _rated_moments(
-    sample: SurveyDataset, items: Sequence[int], stage: str, warnings: list[str]
+    data: SurveyDataset, items: Sequence[int], stage: str, warnings: list[str], rows: np.ndarray | None
 ) -> tuple[list[int], Moments, dict[int, str]]:
-    """The moments of the complete rows, after leaving out the items no row rates.
+    """The moments of the complete rows among `rows`, after leaving out the items no such row rates.
 
     Such an item leaves no complete row, and while a row is complete every
     item is rated. Returns the items kept, their moments and "no responses"
     for each item left out.
     """
-    m = sample.moments(items)
-    dropped = {i: "no responses" for i in items if m.n == 0 and not sample.column(i).any()}
+    m = data.moments(items, rows)
+    dropped = {i: "no responses" for i in items if m.n == 0 and not data.complete([i], rows).any()}
     if dropped:
         warnings.append(f"items {list(dropped)} have no rating in the sample; left out of {stage}")
         items = [i for i in items if i not in dropped]
-        m = sample.moments(items)
+        m = data.moments(items, rows)
     return list(items), m, dropped
 
 
@@ -346,6 +380,8 @@ def _stage(doc: dict, gates: list[GateCheck], warnings: list[str], section: str,
 # One builder per report section. Each returns its section's document,
 # raises ValueError when it cannot produce it, and appends to the caller's
 # gate checks and warnings; run_pipeline and the command line share them.
+# A builder that takes `rows` reads only the rows that boolean mask sets
+# (split's training part or its holdout), or every row when it is None.
 
 
 def screening_section(data: SurveyDataset) -> dict:
@@ -386,7 +422,7 @@ def adequacy_section(
     stage = "reliability and sampling adequacy"
     if data.n == 0:
         raise TooFewRowsError(f"no valid respondent rows ({len(data.rejected)} rejected by screening)")
-    items, m, _ = _rated_moments(data, items, stage, warnings)
+    items, m, _ = _rated_moments(data, items, stage, warnings, None)
     if m.n <= len(items):
         raise TooFewRowsError(
             f"only {m.n} complete respondents for {len(items)} items; too few for "
@@ -401,7 +437,11 @@ def adequacy_section(
 
 
 def efa_section(
-    sample: SurveyDataset, catalog: VariableCatalog, g: GateThresholds, warnings: list[str]
+    data: SurveyDataset,
+    catalog: VariableCatalog,
+    g: GateThresholds,
+    warnings: list[str],
+    rows: np.ndarray | None = None,
 ) -> tuple[dict, efa_mod.FactorAssignment, dict[int, str]]:
     """PCA, varimax and pruning (g.loading, g.cross_margin) on the complete rows.
 
@@ -414,7 +454,7 @@ def efa_section(
     from . import psychometrics
 
     stage = "factor extraction"
-    items, m, reasons = _rated_moments(sample, catalog.indices, stage, warnings)
+    items, m, reasons = _rated_moments(data, catalog.indices, stage, warnings, rows)
     items, m, screened = _screen(items, m, stage, warnings)
     reasons.update(screened)
     r = psychometrics.correlation_matrix(m)
@@ -442,18 +482,19 @@ def efa_section(
 
 
 def _fit(
-    sample: SurveyDataset,
+    data: SurveyDataset,
     model: sem_mod.MeasurementModel,
     prefix: str,
     what: str,
     g: GateThresholds,
     gates: list[GateCheck],
     warnings: list[str],
+    rows: np.ndarray | None,
 ) -> tuple[dict, sem_mod.SemEstimate]:
-    """ML fit on the complete rows: fit document and standardized estimate."""
+    """ML fit on the complete rows among `rows`: fit document and standardized estimate."""
     from . import sem as sem_mod
 
-    m = sample.moments(model.observed)
+    m = data.moments(model.observed, rows)
     est = sem_mod.standardize(sem_mod.fit_ml(model, m.cov(), n=m.n))
     fi = sem_mod.fit_indices(est)
     warnings.extend(f"{what}: {w}" for w in est.warnings)
@@ -485,24 +526,26 @@ def validity_doc(est: sem_mod.SemEstimate, warnings: list[str]) -> dict:
 
 
 def cfa_section(
-    sample: SurveyDataset,
+    data: SurveyDataset,
     model: sem_mod.MeasurementModel,
     g: GateThresholds,
     gates: list[GateCheck],
     warnings: list[str],
+    rows: np.ndarray | None = None,
 ) -> dict:
     """Measurement-model fit, its fit-index gates and construct validity."""
-    doc, est = _fit(sample, model, "cfa", "measurement fit", g, gates, warnings)
+    doc, est = _fit(data, model, "cfa", "measurement fit", g, gates, warnings, rows)
     doc["validity"] = validity_doc(est, warnings)
     return doc
 
 
 def sem_section(
-    sample: SurveyDataset,
+    data: SurveyDataset,
     model: sem_mod.MeasurementModel,
     g: GateThresholds,
     gates: list[GateCheck],
     warnings: list[str],
+    rows: np.ndarray | None = None,
 ) -> tuple[dict, sem_mod.SemEstimate]:
     """Structural-model fit, its fit-index gates and the score weights.
 
@@ -511,7 +554,7 @@ def sem_section(
     """
     from . import scoring as scoring_mod
 
-    doc, est = _fit(sample, model, "sem", "structural fit", g, gates, warnings)
+    doc, est = _fit(data, model, "sem", "structural fit", g, gates, warnings, rows)
     try:
         weights = scoring_mod.weights_from_estimate(est)
     except ValueError as exc:
@@ -528,12 +571,12 @@ def sem_section(
 
 
 def scoring_section(
-    sample: SurveyDataset, weights: scoring_mod.ScoreWeights
+    data: SurveyDataset, weights: scoring_mod.ScoreWeights, rows: np.ndarray | None = None
 ) -> tuple[dict, scoring_mod.ValidationSummary]:
     """Two-stage scores checked against the post-trip rating; the summary comes back too."""
     from . import scoring as scoring_mod
 
-    s = scoring_mod.validation_summary(sample, weights)
+    s = scoring_mod.validation_summary(data, weights, rows)
     doc = {
         "n_scored": s.n_scored,
         "n_skipped": s.n_skipped,
@@ -634,12 +677,13 @@ def bias_section(ow_raw: Mapping[str, float], sw: ahp_mod.WeightVector) -> dict:
 
 
 def probit_section(
-    sample: SurveyDataset,
+    data: SurveyDataset,
     constructs: Mapping[int, str],
     catalog: VariableCatalog,
     g: GateThresholds,
     single_pass: bool,
     warnings: list[str],
+    rows: np.ndarray | None = None,
 ) -> dict:
     """Ordered-probit backward elimination of the post-trip rating.
 
@@ -652,13 +696,13 @@ def probit_section(
     from . import oprobit
 
     stage = "questionnaire reduction"
-    rated, m, _ = _rated_moments(sample, list(constructs), stage, warnings)
+    rated, m, _ = _rated_moments(data, list(constructs), stage, warnings, rows)
     if not rated:
         raise ValueError("no retained items")
     items, m, _ = _screen(rated, m, stage, warnings)
-    rows = sample.complete(rated)
-    X = np.stack([sample.column(i)[rows] for i in items], axis=1)
-    y = sample.column(SATI_AFTER)[rows].astype(int)
+    keep = data.complete(rated, rows)
+    X = np.stack([data.column(i)[keep] for i in items], axis=1)
+    y = data.column(SATI_AFTER)[keep].astype(int)
     names = tuple(catalog.abbreviation_of(i) for i in items)
     out = oprobit.backward_eliminate(X, y, names, alpha=g.probit_alpha, single_pass=single_pass, moments=m)
     warnings.extend(f"questionnaire reduction: {w}" for w in out.warnings)
@@ -748,11 +792,12 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     with stage("adequacy", "reliability and sampling adequacy"):
         bundle["adequacy"], _ = adequacy_section(data, catalog.indices, g, gates, warnings)
     n_train = cfg.n_train if cfg.n_train is not None else round(0.6 * data.n)
-    train, holdout = split(data, n_train, cfg.seed)
-    bundle["split"] = {"seed": cfg.seed, "n_train": train.n, "n_holdout": holdout.n}
+    train = split(data, n_train, cfg.seed)  # the training rows' mask; the holdout is ~train
+    n_train = int(train.sum())
+    bundle["split"] = {"seed": cfg.seed, "n_train": n_train, "n_holdout": data.n - n_train}
     assignment = labels = None
     with stage("efa", "factor extraction"):
-        bundle["efa"], assignment, labels = efa_section(train, catalog, g, warnings)
+        bundle["efa"], assignment, labels = efa_section(data, catalog, g, warnings, train)
     if cfg.model_path:
         structural = sem_mod.load_model(cfg.model_path)
         cfa = _cfa_from_structural(structural)
@@ -765,16 +810,16 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         cfa, structural = synthesize_models(assignment, labels, warnings)
     if cfa is not None:
         with stage("cfa", "measurement fit"):
-            bundle["cfa"] = cfa_section(train, cfa, g, gates, warnings)
+            bundle["cfa"] = cfa_section(data, cfa, g, gates, warnings, train)
     if structural is not None:
         with stage("sem", "structural fit"):
-            bundle["sem"], _ = sem_section(train, structural, g, gates, warnings)
+            bundle["sem"], _ = sem_section(data, structural, g, gates, warnings, train)
     sw_doc = bundle["sem"] and bundle["sem"]["score_weights"]
     weights = scoring_mod.ScoreWeights.from_jsonable(sw_doc) if sw_doc else None
     scores = None
     if weights is not None:
         with stage("scoring", "scoring"):
-            bundle["scoring"], scores = scoring_section(holdout, weights)
+            bundle["scoring"], scores = scoring_section(data, weights, ~train)
     groups = bundle["efa"]["assignment"]["factor_items"] if bundle["efa"] else {}
     with stage("entropy", "response entropy"):
         bundle["entropy"] = entropy_section(data, groups)
@@ -801,7 +846,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         constructs = {i: labels[assignment.factor_of[i]] for i in sorted(assignment.retained_items)}
         with stage("probit", "questionnaire reduction"):
             bundle["probit"] = probit_section(
-                train, constructs, catalog, g, cfg.probit_single_pass, warnings
+                data, constructs, catalog, g, cfg.probit_single_pass, warnings, train
             )
 
     bundle["gates"] = gates_doc(gates)
@@ -833,29 +878,24 @@ def _tool_version() -> str:
 
 
 def _write_outputs(cfg, bundle, weights, scores) -> dict[str, str]:
+    """Write report.json, summary.md and, when there are any, scores.csv and
+    questionnaire.csv into cfg.out_dir, all or none; returns kind -> path."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    paths: dict[str, str] = {}
-    report_path = os.path.join(cfg.out_dir, "report.json")
-    text = _json_text(bundle)
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    paths["report"] = report_path
-    summary_path = os.path.join(cfg.out_dir, "summary.md")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(render_summary(bundle))
-    paths["summary"] = summary_path
+
+    def write_summary(path: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(render_summary(bundle))
+
+    files = {"report": ("report.json", partial(_write_json, bundle)), "summary": ("summary.md", write_summary)}
     if weights is not None and scores is not None:
         from . import scoring as scoring_mod
 
-        scores_path = os.path.join(cfg.out_dir, "scores.csv")
-        scoring_mod.write_scores_csv(scores, weights, scores_path)
-        paths["scores"] = scores_path
+        files["scores"] = ("scores.csv", partial(scoring_mod.write_scores_csv, scores, weights))
     probit = bundle.get("probit")
     if probit and probit.get("questionnaire"):
-        q_path = os.path.join(cfg.out_dir, "questionnaire.csv")
-        write_questionnaire(probit["questionnaire"], q_path)
-        paths["questionnaire"] = q_path
-    return paths
+        files["questionnaire"] = ("questionnaire.csv", partial(write_questionnaire, probit["questionnaire"]))
+    _write_all({os.path.join(cfg.out_dir, name): write for name, write in files.values()})
+    return {kind: os.path.join(cfg.out_dir, name) for kind, (name, _) in files.items()}
 
 
 def _fmt(x, digits: int = 3) -> str:

@@ -247,24 +247,35 @@ class ValidationSummary:
         )
 
 
-def validation_summary(d: SurveyDataset, w: ScoreWeights) -> ValidationSummary:
-    """Score every scoreable respondent and summarize the relative error."""
-    actual = d.column(SATI_AFTER)
-    lvrs, s, signed = _score_rows(d.column, actual, w)
+def validation_summary(d: SurveyDataset, w: ScoreWeights, rows: np.ndarray | None = None) -> ValidationSummary:
+    """Score every scoreable respondent and summarize the relative error.
+
+    With a boolean row mask, only the rows it sets are offered. Their codes
+    are taken once, and the ids of the scored rows in one pass.
+    """
+    at = None if rows is None else np.flatnonzero(rows)
+    # one row per observed variable, so that each item's codes are contiguous
+    codes = (d.codes if at is None else d.codes.take(at, axis=0)).T.copy()
+    actual = codes[d._col(SATI_AFTER)]
+    lvrs, s, signed = _score_rows(lambda item: codes[d._col(item)], actual, w)
     scored = ~np.isnan(s)
     n_scored = int(scored.sum())
     if n_scored == 0:
         raise ValueError("no respondent could be scored (missing ratings)")
+    kept = scored
+    if at is not None:
+        kept = np.zeros(d.n, dtype=bool)
+        kept[at[scored]] = True
     signed = signed[scored]
     return ValidationSummary(
-        ids=tuple(compress(d.respondent_ids, scored.tolist())),
+        ids=tuple(compress(d.respondent_ids, kept.tobytes())),  # a bool's byte is 0 or 1
         latents=w.latents,
         lvr=lvrs[scored],
         sqr=s[scored],
         actual=actual[scored].astype(int),
         signed_error=signed,
         n_scored=n_scored,
-        n_skipped=d.n - n_scored,
+        n_skipped=s.size - n_scored,
         mean_error=float(np.abs(signed).mean()),
         share_within_10pct=float(np.mean(np.abs(signed) <= 0.10)),
     )

@@ -616,3 +616,4 @@ def test_emit_refuses_nonfinite_floats(tmp_path):
         cli._emit({"x": float("nan")}, str(tmp_path / "out.json"))
     cli._emit(_jsonable({"x": float("-inf")}), str(tmp_path / "ok.json"))
     assert json.loads((tmp_path / "ok.json").read_text("utf-8")) == {"x": None}
+    assert [p.name for p in tmp_path.iterdir()] == ["ok.json"]  # no file from the refused document

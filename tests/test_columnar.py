@@ -222,12 +222,16 @@ def test_delay_strata_matches_record_loop(recs, alt):
 def test_validation_summary_matches_record_loop(recs, data):
     w = _weights(data.draw, data.draw(item_groups))
     d = SurveyDataset.from_records(recs, DEFAULT_CATALOG)
+    rows = data.draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=len(recs), max_size=len(recs))))
+    if rows is not None:  # score only the rows of a mask, as the holdout is scored
+        recs = tuple(r for r, offered in zip(recs, rows) if offered)
+        rows = np.array(rows, dtype=bool)
     expect = ref_scores(recs, w)
     if not expect:
         with pytest.raises(ValueError):
-            validation_summary(d, w)
+            validation_summary(d, w, rows)
         return
-    out = validation_summary(d, w)
+    out = validation_summary(d, w, rows)
     assert (out.n_scored, out.n_skipped) == (len(expect), len(recs) - len(expect))
     got = [(s.id, [s.lvr[name] for name in w.latents], s.sqr, s.error) for s in out.scores]
     assert got == expect
@@ -242,14 +246,13 @@ def test_split_is_an_order_preserving_partition(recs, data):
     d = SurveyDataset.from_records(recs, DEFAULT_CATALOG)
     n_train = data.draw(st.integers(1, d.n - 1))
     seed = data.draw(st.integers(0, 1000))
-    train, hold = split(d, n_train, seed)
+    train = split(d, n_train, seed)
     shuffled = sorted(d.ids())
     random.Random(seed).shuffle(shuffled)
-    assert set(train.ids()) == set(shuffled[:n_train])
-    assert set(hold.ids()).isdisjoint(train.ids())
-    assert train.n + hold.n == d.n
-    for part in (train, hold):
-        assert part.respondents == tuple(r for r in recs if r.id in set(part.ids()))
+    assert train.dtype == bool and train.shape == (d.n,)
+    # the training part is the records whose id drew a training slot; the holdout is the rest
+    assert train.tolist() == [r.id in set(shuffled[:n_train]) for r in recs]
+    assert int(train.sum()) == n_train
 
 
 @settings(max_examples=40, deadline=None)

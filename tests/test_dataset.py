@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -171,25 +173,23 @@ def test_describe_report_covers_catalog():
 
 def test_split_is_seeded_shuffle_of_sorted_ids():
     d = gen_sem_survey(default_sem_truth(n=25, seed=9))
-    train, hold = split(d, 10, seed=42)
+    train = split(d, 10, seed=42)
     ids = sorted(r.id for r in d.respondents)
     rng = random.Random(42)
     rng.shuffle(ids)
-    assert set(r.id for r in train.respondents) == set(ids[:10])
-    assert set(r.id for r in hold.respondents) == set(ids[10:])
+    assert set(compress(d.respondent_ids, train)) == set(ids[:10])
+    assert set(compress(d.respondent_ids, ~train)) == set(ids[10:])
 
 
 def test_split_partitions_and_is_deterministic():
     d = gen_sem_survey(default_sem_truth(n=60, seed=2))
-    t1, h1 = split(d, 36, seed=7)
-    t2, h2 = split(d, 36, seed=7)
-    assert t1.respondents == t2.respondents
-    assert h1.respondents == h2.respondents
-    merged = sorted((r.id for r in t1.respondents + h1.respondents))
-    assert merged == sorted(d.ids())
-    assert t1.n == 36 and h1.n == 24
-    t3, _ = split(d, 36, seed=8)
-    assert t3.respondents != t1.respondents
+    t1 = split(d, 36, seed=7)
+    t2 = split(d, 36, seed=7)
+    assert t1.dtype == bool and t1.shape == (d.n,)
+    assert np.array_equal(t1, t2)
+    assert np.count_nonzero(t1) == 36 and np.count_nonzero(~t1) == 24
+    t3 = split(d, 36, seed=8)
+    assert not np.array_equal(t3, t1)
 
 
 def _dataset_with_ids(ids: list[str]) -> SurveyDataset:
@@ -207,14 +207,10 @@ def _shuffled_training_ids(ids: list[str], n_train: int, seed: int) -> set[str]:
 
 
 def _assert_split_matches_shuffle(d: SurveyDataset, n_train: int, seed: int) -> None:
-    train, hold = split(d, n_train, seed)
+    train = split(d, n_train, seed)
     in_train = _shuffled_training_ids(d.respondent_ids, n_train, seed)
-    rows = np.array([rid in in_train for rid in d.respondent_ids])
-    for part, mask in ((train, rows), (hold, ~rows)):
-        assert part.respondent_ids == [rid for rid, m in zip(d.respondent_ids, mask) if m]
-        assert np.array_equal(part.codes, d.codes[mask])
-        assert np.array_equal(part.delay_hours, d.delay_hours[mask])
-        assert part.demographics["gender"] == [g for g, m in zip(d.demographics["gender"], mask) if m]
+    assert train.dtype == bool
+    assert train.tolist() == [rid in in_train for rid in d.respondent_ids]
 
 
 @pytest.mark.parametrize("n, n_train, seed", [(5000, 1200, 3), (5000, 3800, 11), (8193, 4096, 0), (8193, 4097, 7)])
@@ -238,6 +234,21 @@ def test_split_sends_a_repeated_id_to_training_when_any_copy_draws_a_training_sl
     assert straddling  # some repeated id had copies on both sides of the cut
 
 
+def test_split_retains_only_its_row_mask():
+    # the parts are read through the mask, so no copy of their rows outlives split
+    n = 60_000
+    d = _dataset_with_ids([f"r{k:06d}" for k in range(n)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        train = split(d, round(0.6 * n), seed=7)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 4 * n
+    assert np.count_nonzero(train) == round(0.6 * n)
+
+
 def test_split_bounds():
     d = gen_sem_survey(default_sem_truth(n=10, seed=1))
     with pytest.raises(ValueError):
@@ -251,8 +262,9 @@ def test_catalog_round_trip_and_validation():
     c2 = VariableCatalog.from_json(text)
     assert c2 == DEFAULT_CATALOG
     assert len(DEFAULT_CATALOG) == 32
-    assert DEFAULT_CATALOG.of_kind("frequency") == (1, 2, 3)
-    assert set(DEFAULT_CATALOG.of_kind("subjective")) == {7, 11, 15, 16, 17, 20, 22, 24, 26, 27, 29, 30}
+    assert tuple(it.index for it in DEFAULT_CATALOG.items if it.kind == "frequency") == (1, 2, 3)
+    subjective = {it.index for it in DEFAULT_CATALOG.items if it.kind == "subjective"}
+    assert subjective == {7, 11, 15, 16, 17, 20, 22, 24, 26, 27, 29, 30}
     with pytest.raises(ValueError):
         VariableCatalog.from_rows(
             [

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lockqual.catalog import DEFAULT_CATALOG
 from lockqual.dataset import DEMOGRAPHICS, SurveyDataset
+from lockqual.moments import _BLOCK_ROWS, Moments
 
 FIELDS = tuple(range(0, len(DEFAULT_CATALOG) + 2))  # q0..q33
 
@@ -60,3 +61,28 @@ def test_moments_match_the_complete_row_matrix(point):
         r = m.take(np.flatnonzero(live)).corr()
         ref_r = np.corrcoef(X[:, live], rowvar=False)
         assert np.all(np.abs(r - ref_r) <= 1e-13)
+
+
+def _assert_same_bits(got: Moments, want: Moments) -> None:
+    assert got.n == want.n
+    assert got.sums.tobytes() == want.sums.tobytes()
+    assert got.cross.tobytes() == want.cross.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(surveys(), st.data())
+def test_masked_moments_equal_the_moments_of_the_masked_rows(point, data):
+    d, indices = point
+    rows = np.array(data.draw(st.lists(st.booleans(), min_size=d.n, max_size=d.n)), dtype=bool)
+    _assert_same_bits(Moments.of_codes(d.codes, indices, rows), Moments.of_codes(d.codes[rows], indices))
+
+
+def test_masked_moments_span_row_blocks():
+    n = 20_000  # more than two blocks of _BLOCK_ROWS, cut at other rows than the masked copy's
+    assert n > 2 * _BLOCK_ROWS
+    rng = np.random.default_rng(11)
+    codes = rng.integers(1, 6, size=(n, len(FIELDS)), dtype=np.int8)
+    codes[rng.random(codes.shape) < 0.02] = 0
+    rows = rng.random(n) < 0.6
+    cols = [0, 3, 4, 17, 32, 33]
+    _assert_same_bits(Moments.of_codes(codes, cols, rows), Moments.of_codes(codes[rows], cols))

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import math
+import shutil
 import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -523,12 +525,44 @@ def test_report_json_refuses_nonfinite_floats(tmp_path):
     bad = {"a": 1.0, "b": [1, 2, 3], "x": float("inf")}
     with pytest.raises(ValueError):
         _write_outputs(cfg, bad, None, None)
-    # the text is made before the file is opened: no truncated report.json
-    assert not (tmp_path / "report.json").exists()
+    # the report is streamed into a temporary file, removed on the failure
+    assert list(tmp_path.iterdir()) == []
     (tmp_path / "report.json").write_text("{}\n", encoding="utf-8")
     with pytest.raises(ValueError):
         _write_outputs(cfg, bad, None, None)
     assert (tmp_path / "report.json").read_text("utf-8") == "{}\n"
+
+
+def _fail_part_way(*args):
+    """An output writer that writes a little into its file, when it is given one, then fails."""
+    out = args[-1]
+    if hasattr(out, "write"):
+        out.write("partial")
+    elif isinstance(out, str):
+        Path(out).write_text("partial", encoding="utf-8")
+    raise OSError("injected failure")
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("lockqual.pipeline", "_dump_json"),
+        ("lockqual.pipeline", "render_summary"),
+        ("lockqual.scoring", "write_scores_csv"),
+        ("lockqual.pipeline", "write_questionnaire"),
+    ],
+)
+def test_a_failing_writer_leaves_the_earlier_bundle_whole(full_run, tmp_path, monkeypatch, module, name):
+    for path in full_run.out_paths.values():
+        shutil.copy(path, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["questionnaire.csv", "report.json", "scores.csv", "summary.md"]
+    monkeypatch.setattr(importlib.import_module(module), name, _fail_part_way)
+    cfg = PipelineConfig(survey_path=SURVEY, out_dir=str(tmp_path), judgments_path=JUDGMENTS)
+    with pytest.raises(OSError, match="injected failure"):
+        run_pipeline(cfg)
+    # every file as it was, and no temporary left beside them
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @dataclass(frozen=True)

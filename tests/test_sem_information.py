@@ -41,12 +41,12 @@ def fixture_fits():
     """(model, S, n) of the report's measurement and structural fits on the fixture."""
     data = load_survey(SURVEY, DEFAULT_CATALOG)
     cfg = pipeline.PipelineConfig(survey_path=SURVEY, out_dir="")
-    train, _ = split(data, round(0.6 * data.n), cfg.seed)
+    train = split(data, round(0.6 * data.n), cfg.seed)
     warnings: list[str] = []
-    _, assignment, labels = pipeline.efa_section(train, DEFAULT_CATALOG, cfg.gates, warnings)
+    _, assignment, labels = pipeline.efa_section(data, DEFAULT_CATALOG, cfg.gates, warnings, train)
     out = []
     for model in pipeline.synthesize_models(assignment, labels, warnings):
-        m = train.moments(model.observed)
+        m = data.moments(model.observed, train)
         out.append((model, m.cov(), m.n))
     return out
 
