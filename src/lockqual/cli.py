@@ -253,36 +253,31 @@ def _cmd_bias(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_probit_csv(X, y, path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j + 1}" for j in range(X.shape[1])] + ["y"])
+        writer.writerows([repr(float(v)) for v in row] + [int(yi)] for row, yi in zip(X, y))
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
     from . import synth
 
-    meta: dict[str, object] = {
-        "kind": args.kind,
-        "seed": args.seed,
-        "random_generator": "numpy default_rng (PCG64)",
-    }
+    n = args.n if args.n is not None else {"sem": 750, "ahp": 49, "probit": 600}[args.kind]
+    meta = {"kind": args.kind, "seed": args.seed, "n": n, "random_generator": "numpy default_rng (PCG64)"}
     if args.kind == "sem":
-        n = args.n if args.n is not None else 750
-        spec = synth.default_sem_truth(n=n, seed=args.seed)
-        write_survey(synth.gen_sem_survey(spec), args.out_file)
-        meta.update({"n": n, "structure": "six correlated factors, 29 strong items, 3 fillers"})
+        write = partial(write_survey, synth.gen_sem_survey(synth.default_sem_truth(n=n, seed=args.seed)))
+        meta["structure"] = "six correlated factors, 29 strong items, 3 fillers"
     elif args.kind == "ahp":
-        n = args.n if args.n is not None else 49
         spec = synth.AhpSpec(n_respondents=n, seed=args.seed, noise_level=args.noise)
-        synth.write_judgments_csv(synth.gen_ahp_judgments(spec), args.out_file)
-        meta.update({"n": n, "noise_level": args.noise})
+        write = partial(synth.write_judgments_csv, synth.gen_ahp_judgments(spec))
+        meta["noise_level"] = args.noise
     else:
-        n = args.n if args.n is not None else 600
-        beta = (0.9, 0.7, 0.0, 0.0, 0.0, 0.0)
-        kappa = (-2.2, -0.9, 0.6, 2.0)
-        X, y = synth.gen_probit(synth.ProbitSpec(beta=beta, kappa=kappa, n=n, seed=args.seed))
-        with open(args.out_file, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{j + 1}" for j in range(X.shape[1])] + ["y"])
-            for row, yi in zip(X, y):
-                writer.writerow([repr(float(v)) for v in row] + [int(yi)])
-        meta.update({"n": n, "beta": list(beta), "kappa": list(kappa)})
-    _emit(meta, args.out_file + ".meta.json")
+        beta, kappa = (0.9, 0.7, 0.0, 0.0, 0.0, 0.0), (-2.2, -0.9, 0.6, 2.0)
+        write = partial(_write_probit_csv, *synth.gen_probit(synth.ProbitSpec(beta, kappa, n=n, seed=args.seed)))
+        meta.update({"beta": list(beta), "kappa": list(kappa)})
+    # the data file and its sidecar together, or neither
+    _write_all({args.out_file: write, args.out_file + ".meta.json": partial(_write_json, meta)})
     sys.stdout.write(f"wrote {args.out_file}\n")
     return 0
 

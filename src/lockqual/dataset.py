@@ -109,6 +109,8 @@ class SurveyDataset:
         n = len(self.respondent_ids)
         if self.codes.dtype != np.int8 or self.codes.shape != (n, len(self.catalog) + 2):
             raise ValueError(f"codes must be int8 of shape ({n}, {len(self.catalog) + 2})")
+        if self.codes.size and not 0 <= self.codes.min() <= self.codes.max() <= 5:
+            raise ValueError("codes must be 0 (missing) or a rating 1..5")
         if self.delay_hours.shape != (n,):
             raise ValueError(f"delay_hours must have shape ({n},)")
         if set(self.demographics) != set(DEMOGRAPHICS) or any(len(v) != n for v in self.demographics.values()):
@@ -148,9 +150,6 @@ class SurveyDataset:
     def n(self) -> int:
         return len(self.respondent_ids)
 
-    def ids(self) -> tuple[str, ...]:
-        return tuple(self.respondent_ids)
-
     @property
     def respondents(self) -> tuple[RespondentRecord, ...]:
         """The rows as records, built anew on each access."""
@@ -180,10 +179,11 @@ class SurveyDataset:
         """int8 codes of one observed variable, 0 where missing."""
         return self.codes[:, self._col(index)]
 
-    def observed(self, index: int) -> np.ndarray:
-        """The non-missing ratings of one observed variable, in row order."""
-        col = self.column(index)
-        return col[col != 0].astype(float)
+    def rating_counts(self) -> np.ndarray:
+        """int64 (len(catalog) + 2, 6): row `_col(index)` counts each code 0..5 of that variable.
+
+        Counted column by column, so the widest copy made is one column as intp."""
+        return np.stack([np.bincount(col, minlength=6) for col in self.codes.T])
 
     def complete(self, indices: Sequence[int], rows: np.ndarray | None = None) -> np.ndarray:
         """Row mask: True where every one of the observed variables is rated (and `rows` is set)."""
@@ -563,33 +563,30 @@ class DescriptiveReport:
     overall_sati_after: float
 
 
-def _column_stats(values: Sequence[int]) -> ItemStats:
-    """Moments of one column of ratings (integers on the 1..5 scale)."""
-    x = np.asarray(values, dtype=float)
-    n = x.size
+def _column_stats(counts: Sequence[int]) -> ItemStats:
+    """Moments of one column of ratings from the counts of its codes 0..5 (0, missing, left out).
+
+    n and the mean are integer sums; each level's deviation powers are weighted by its count."""
+    c = np.asarray(counts, dtype=np.int64)[1:]
+    n, levels = int(c.sum()), np.arange(1, 6)
     if n == 0:
         return ItemStats(0, math.nan, math.nan, None, None, None)
-    mean = float(np.mean(x))
-    std = float(np.std(x, ddof=1)) if n >= 2 else 0.0
-    if n < 2 or x.min() == x.max():
+    mean = int(c @ levels) / n
+    s2, s3, s4 = (float(np.sum(c * (levels - mean) ** p)) for p in (2, 3, 4))
+    std = math.sqrt(s2 / (n - 1)) if n >= 2 else 0.0
+    if np.count_nonzero(c) < 2:
         return ItemStats(n, mean, std, None, None, None)
-    level = x.astype(np.intp)
-    if x.min() < 1 or x.max() > 5 or not np.array_equal(level, x):
-        raise ValueError("ratings must be integers in 1..5")
-    # each power of a deviation is computed once per level, then looked up
-    dev = np.arange(6) - mean
-    m2, m3, m4 = (float(np.mean((dev**p)[level])) for p in (2, 3, 4))
-    skew = m3 / m2**1.5
-    kurt = m4 / m2**2 - 3.0
-    normal = abs(skew) <= 1.5 and abs(kurt) <= 1.5
-    return ItemStats(n, mean, std, skew, kurt, normal)
+    skew = s3 / n / (s2 / n) ** 1.5
+    kurt = s4 / n / (s2 / n) ** 2 - 3.0
+    return ItemStats(n, mean, std, skew, kurt, abs(skew) <= 1.5 and abs(kurt) <= 1.5)
 
 
 def describe(d: SurveyDataset) -> DescriptiveReport:
-    """Per-item moment summaries plus the overall satisfaction bookends."""
-    items = {idx: _column_stats(d.observed(idx)) for idx in d.catalog.indices}
-    before = _column_stats(d.observed(SATI_BEFORE))
-    after = _column_stats(d.observed(SATI_AFTER))
+    """Per-item moment summaries plus the overall satisfaction bookends, from d.rating_counts()."""
+    counts = d.rating_counts()
+    items = {idx: _column_stats(counts[d._col(idx)]) for idx in d.catalog.indices}
+    before = _column_stats(counts[d._col(SATI_BEFORE)])
+    after = _column_stats(counts[d._col(SATI_AFTER)])
     return DescriptiveReport(items, before, after, after.mean)
 
 

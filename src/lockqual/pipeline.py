@@ -591,7 +591,8 @@ def entropy_section(data: SurveyDataset, groups: Mapping[str, Sequence[int]]) ->
     from . import scoring as scoring_mod
 
     ent = scoring_mod.entropy_report(data, groups)
-    bookends = {idx: scoring_mod.entropy(data.observed(idx)) for idx in (SATI_BEFORE, SATI_AFTER)}
+    counts = data.rating_counts()
+    bookends = {idx: scoring_mod.count_entropy(counts[data._col(idx)]) for idx in (SATI_BEFORE, SATI_AFTER)}
     return {**_jsonable(ent), "bookends": _jsonable(bookends)}
 
 
@@ -879,7 +880,8 @@ def _tool_version() -> str:
 
 def _write_outputs(cfg, bundle, weights, scores) -> dict[str, str]:
     """Write report.json, summary.md and, when there are any, scores.csv and
-    questionnaire.csv into cfg.out_dir, all or none; returns kind -> path."""
+    questionnaire.csv into cfg.out_dir, all or none, then remove an earlier
+    run's scores.csv or questionnaire.csv this run did not write; returns kind -> path."""
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     def write_summary(path: str) -> None:
@@ -895,6 +897,9 @@ def _write_outputs(cfg, bundle, weights, scores) -> dict[str, str]:
     if probit and probit.get("questionnaire"):
         files["questionnaire"] = ("questionnaire.csv", partial(write_questionnaire, probit["questionnaire"]))
     _write_all({os.path.join(cfg.out_dir, name): write for name, write in files.values()})
+    for name in {"scores.csv", "questionnaire.csv"}.difference(name for name, _ in files.values()):
+        with suppress(FileNotFoundError):
+            os.remove(os.path.join(cfg.out_dir, name))
     return {kind: os.path.join(cfg.out_dir, name) for kind, (name, _) in files.items()}
 
 

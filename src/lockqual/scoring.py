@@ -39,6 +39,7 @@ __all__ = [
     "validation_summary",
     "write_scores_csv",
     "entropy",
+    "count_entropy",
     "entropy_report",
     "delay_strata",
 ]
@@ -236,16 +237,6 @@ class ValidationSummary:
     mean_error: float
     share_within_10pct: float
 
-    @property
-    def scores(self) -> tuple[RespondentScore, ...]:
-        """The scores as records, built anew on each access."""
-        return tuple(
-            RespondentScore(rid, dict(zip(self.latents, row)), s, a, abs(e), e)
-            for rid, row, s, a, e in zip(
-                self.ids, self.lvr.tolist(), self.sqr.tolist(), self.actual.tolist(), self.signed_error.tolist()
-            )
-        )
-
 
 def validation_summary(d: SurveyDataset, w: ScoreWeights, rows: np.ndarray | None = None) -> ValidationSummary:
     """Score every scoreable respondent and summarize the relative error.
@@ -335,6 +326,17 @@ def entropy(values: Sequence[float]) -> float:
     return float(-(p[nz] * np.log(p[nz])).sum() / math.log(y.size))
 
 
+def count_entropy(counts: Sequence[int]) -> float:
+    """entropy() of one item's ratings from the counts of its codes 0..5 (0, missing, left out).
+
+    With c_l ratings l, N = sum_l c_l and T = sum_l l c_l: E = -(1 / ln N) sum_l c_l (l / T) ln(l / T)."""
+    c = np.asarray(counts, dtype=np.int64)[1:]
+    if c.sum() < 2:
+        raise ValueError("entropy needs at least 2 respondents")
+    p = np.arange(1, 6) / int(c @ np.arange(1, 6))
+    return float(-np.sum(c * (p * np.log(p))) / math.log(c.sum()))
+
+
 @dataclass(frozen=True)
 class EntropyReport:
     """Per-item and per-latent response entropy.
@@ -350,12 +352,13 @@ class EntropyReport:
 
 
 def entropy_report(d: SurveyDataset, latent_items: Mapping[str, Sequence[int]]) -> EntropyReport:
+    """Entropy of each item of each latent, from d.rating_counts(), and their mean per latent."""
+    counts = d.rating_counts()
     per_item: dict[int, float] = {}
     for items in latent_items.values():
         for item in items:
-            if item in per_item:
-                continue
-            per_item[item] = entropy(d.observed(item))
+            if item not in per_item:
+                per_item[item] = count_entropy(counts[d._col(item)])
     per_latent = {
         name: float(np.mean([per_item[i] for i in items])) for name, items in latent_items.items() if items
     }
@@ -405,24 +408,23 @@ def delay_strata(
     rating over those items, which reads satisfaction with delay
     exposure removed from the instrument itself.
     """
-    reported = ~np.isnan(d.delay_hours)
-    total = int(reported.sum())
+    # band x post-trip code counts; a row without a delay (NaN) sorts one band past the last
+    band = np.searchsorted(_BAND_TOPS, d.delay_hours)
+    counts = np.bincount(band * 6 + d.column(SATI_AFTER), minlength=6 * (len(_DELAY_BANDS) + 1)).reshape(-1, 6)
+    total = int(counts[: len(_DELAY_BANDS)].sum())
     if total == 0:
         raise ValueError("no respondent reports a delay")
-    band = np.where(reported, np.searchsorted(_BAND_TOPS, d.delay_hours), -1)
-    after = d.column(SATI_AFTER)
     if alt_items:
         codes = np.column_stack([d.column(i) for i in alt_items])
         n_rated = (codes != 0).sum(axis=1)
         alt_mean = codes.sum(axis=1, dtype=np.int64) / np.maximum(n_rated, 1)
     bands: list[DelayBand] = []
     for k, (label, _, _) in enumerate(_DELAY_BANDS):
-        members = band == k
-        n = int(members.sum())
-        s_mean = float(np.mean(after[members])) if n else None
+        n = int(counts[k].sum())
+        s_mean = int(counts[k] @ np.arange(6)) / n if n else None
         s_alt: float | None = None
         if alt_items and n:
-            per_resp = alt_mean[members & (n_rated > 0)]
+            per_resp = alt_mean[(band == k) & (n_rated > 0)]
             s_alt = float(np.mean(per_resp)) if per_resp.size else None
         bands.append(DelayBand(label, n, 100.0 * n / total, s_mean, s_alt))
     return DelayStrata(tuple(bands), total, d.n - total)

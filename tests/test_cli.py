@@ -589,6 +589,26 @@ def test_synth_refuses_a_noise_outside_the_unit_interval_before_writing(tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind", ["sem", "ahp", "probit"])
+@pytest.mark.parametrize("earlier", [None, b"an earlier file\n"], ids=["new", "over-earlier"])
+def test_synth_writes_its_file_and_sidecar_or_neither(tmp_path, monkeypatch, capsys, kind, earlier):
+    out = tmp_path / f"{kind}.csv"
+    if earlier is not None:
+        out.write_bytes(earlier)
+
+    def fail_part_way(doc, path):
+        Path(path).write_text("partial", encoding="utf-8")
+        raise OSError("injected failure")
+
+    monkeypatch.setattr(cli, "_write_json", fail_part_way)
+    assert cli.main(["synth", "--kind", kind, "--n", "20", "--seed", "3", "--out-file", str(out)]) == 1
+    assert "injected failure" in capsys.readouterr().err
+    # the data file absent or as it was, and no sidecar or temporary beside it
+    assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else [out.name])
+    if earlier is not None:
+        assert out.read_bytes() == earlier
+
+
 def test_synth_is_deterministic_per_seed(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):

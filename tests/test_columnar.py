@@ -2,12 +2,16 @@
 
 Each reference below walks RespondentRecord objects one at a time, the
 way the summaries are defined; the columnar code must match it exactly,
-float for float.
+float for float. The exceptions are the item descriptives and entropies,
+which the columnar code sums over the counts of each rating rather than
+over the rows: there n, the mean, the normality screen and the entropy
+ranking are exact, and the other floats agree within the bounds below.
 """
 from __future__ import annotations
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,17 @@ from lockqual.dataset import RespondentRecord, SurveyDataset, describe, load_sur
 from lockqual.scoring import ScoreWeights, delay_strata, entropy, entropy_report, validation_summary
 
 ITEMS = DEFAULT_CATALOG.indices
+FIXTURE = str(Path(__file__).resolve().parent.parent / "data" / "fixture_survey.csv")
 BAND_TOPS = (2.0, 4.0, 8.0, 16.0, math.inf)
+
+# How far a statistic summed over rating counts may lie from the row-by-row
+# reference, in units of eps. Over every count vector of n <= 25 ratings (the
+# columns these strategies draw), the largest distances are 2.15 (std,
+# relative), 5.4 (skewness, times 1 + |skewness|), 11.0 (kurtosis, times
+# kurtosis + 3, the ratio m4 / m2**2) and 3.1 (entropy, relative); each
+# bound below is about twice that.
+EPS = float(np.finfo(float).eps)
+STD_REL, SKEW, KURT, ENTROPY_REL = 4 * EPS, 12 * EPS, 24 * EPS, 8 * EPS
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +66,23 @@ def ref_stats(values):
     return (n, mean, std, skew, kurt, abs(skew) <= 1.5 and abs(kurt) <= 1.5)
 
 
-def stats_tuple(s):
-    return (s.n, s.mean, s.std, s.skewness, s.kurtosis, s.normal)
+def assert_stats_close(got, expect):
+    """got (an ItemStats) against a ref_stats tuple, within the bounds above."""
+    n, mean, std, skew, kurt, normal = expect
+    assert (got.n, repr(got.mean)) == (n, repr(mean))
+    if math.isnan(std) or std == 0:
+        assert repr(got.std) == repr(std)
+    else:
+        assert abs(got.std - std) <= STD_REL * std
+    if skew is None:
+        assert (got.skewness, got.kurtosis, got.normal) == (None, None, None)
+        return
+    skew_tol, kurt_tol = SKEW * (1 + abs(skew)), KURT * (kurt + 3)
+    assert abs(got.skewness - skew) <= skew_tol and abs(got.kurtosis - kurt) <= kurt_tol
+    # the screen is exact unless a statistic lies within its bound of the edge
+    # 1.5, which both can reach exactly (e.g. skewness of 1, 4, 4, 4, 4)
+    if abs(abs(skew) - 1.5) > skew_tol and abs(abs(kurt) - 1.5) > kurt_tol:
+        assert got.normal == normal
 
 
 def ref_entropy(recs, latent_items):
@@ -183,10 +212,40 @@ def test_matrix_matches_record_loop(recs, indices):
 def test_describe_matches_record_loop(recs):
     rep = describe(SurveyDataset.from_records(recs, DEFAULT_CATALOG))
     for idx in ITEMS:
-        expect = ref_stats([r.ratings[idx] for r in recs if idx in r.ratings])
-        assert repr(stats_tuple(rep.items[idx])) == repr(expect)
-    assert repr(stats_tuple(rep.sati_before)) == repr(ref_stats([r.sati_before for r in recs]))
-    assert repr(stats_tuple(rep.sati_after)) == repr(ref_stats([r.sati_after for r in recs]))
+        assert_stats_close(rep.items[idx], ref_stats([r.ratings[idx] for r in recs if idx in r.ratings]))
+    assert_stats_close(rep.sati_before, ref_stats([r.sati_before for r in recs]))
+    assert_stats_close(rep.sati_after, ref_stats([r.sati_after for r in recs]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(recs=records(min_size=0))
+def test_rating_counts_count_each_code_of_each_variable(recs):
+    d = SurveyDataset.from_records(recs, DEFAULT_CATALOG)
+    counts = d.rating_counts()
+    assert counts.dtype == np.int64 and counts.shape == (len(DEFAULT_CATALOG) + 2, 6)
+    for idx in (SATI_BEFORE, *ITEMS, SATI_AFTER):
+        ratings = [r.rating(idx) or 0 for r in recs]
+        assert counts[d._col(idx)].tolist() == [ratings.count(code) for code in range(6)]
+
+
+def test_fixture_descriptives_and_entropy_lie_within_the_bounds_measured_on_it():
+    # On the fixture the distances are smaller than the bounds above allow:
+    # at most 2.3e-16 relative on std, 1.8e-15 on skewness and kurtosis and
+    # 3.4e-16 relative on entropy; n, the means and the screens are exact.
+    d = load_survey(FIXTURE)
+    recs = d.respondents
+    rep = describe(d)
+    for idx, got in [*rep.items.items(), (SATI_BEFORE, rep.sati_before), (SATI_AFTER, rep.sati_after)]:
+        n, mean, std, skew, kurt, normal = ref_stats([r.rating(idx) for r in recs if r.rating(idx) is not None])
+        assert (got.n, got.mean, got.normal) == (n, mean, normal)
+        assert abs(got.std - std) <= 2.3e-16 * std
+        assert abs(got.skewness - skew) <= 1.8e-15 and abs(got.kurtosis - kurt) <= 1.8e-15
+    groups = {"a": ITEMS[:16], "b": ITEMS[16:]}
+    got = entropy_report(d, groups)
+    expect = ref_entropy(recs, groups)
+    assert all(abs(got.per_item[i] - e) <= 3.4e-16 * e for i, e in expect.items())
+    variability = {name: 1.0 - float(np.mean([expect[i] for i in items])) for name, items in groups.items()}
+    assert got.ranking == tuple(sorted(variability, key=lambda name: (-variability[name], name)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -200,7 +259,9 @@ def test_entropy_report_matches_record_loop(recs, groups):
         with pytest.raises(ValueError):
             entropy_report(d, latent_items)
         return
-    assert entropy_report(d, latent_items).per_item == expect
+    got = entropy_report(d, latent_items)
+    assert got.per_item.keys() == expect.keys()
+    assert all(abs(got.per_item[i] - e) <= ENTROPY_REL * e for i, e in expect.items())
 
 
 @settings(max_examples=150, deadline=None)
@@ -233,7 +294,8 @@ def test_validation_summary_matches_record_loop(recs, data):
         return
     out = validation_summary(d, w, rows)
     assert (out.n_scored, out.n_skipped) == (len(expect), len(recs) - len(expect))
-    got = [(s.id, [s.lvr[name] for name in w.latents], s.sqr, s.error) for s in out.scores]
+    assert out.latents == w.latents
+    got = list(zip(out.ids, out.lvr.tolist(), out.sqr.tolist(), np.abs(out.signed_error).tolist()))
     assert got == expect
     errors = np.array([e for *_, e in expect])
     assert out.mean_error == float(errors.mean())
@@ -247,7 +309,7 @@ def test_split_is_an_order_preserving_partition(recs, data):
     n_train = data.draw(st.integers(1, d.n - 1))
     seed = data.draw(st.integers(0, 1000))
     train = split(d, n_train, seed)
-    shuffled = sorted(d.ids())
+    shuffled = sorted(d.respondent_ids)
     random.Random(seed).shuffle(shuffled)
     assert train.dtype == bool and train.shape == (d.n,)
     # the training part is the records whose id drew a training slot; the holdout is the rest

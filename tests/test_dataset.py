@@ -20,6 +20,7 @@ from lockqual.dataset import (
     split,
     write_survey,
 )
+from lockqual.scoring import entropy_report
 from lockqual.synth import default_sem_truth, gen_sem_survey
 
 
@@ -136,7 +137,7 @@ def test_describe_matches_hand_stats():
     # sample std of (1,2,3,4,5) is sqrt(2.5) = 1.5811...
     from lockqual.dataset import _column_stats
 
-    st = _column_stats([1, 2, 3, 4, 5])
+    st = _column_stats([0, 1, 1, 1, 1, 1])  # one each of the ratings 1..5
     assert st.mean == pytest.approx(3.0)
     assert st.std == pytest.approx(1.5811, abs=1e-4)
     assert st.skewness == pytest.approx(0.0, abs=1e-12)
@@ -148,7 +149,7 @@ def test_describe_matches_hand_stats():
 def test_describe_flags_degenerate_column():
     from lockqual.dataset import _column_stats
 
-    st = _column_stats([4, 4, 4, 4])
+    st = _column_stats([0, 0, 0, 0, 4, 0])  # four 4s
     assert st.skewness is None and st.kurtosis is None and st.normal is None
     assert st.std == 0.0
 
@@ -157,7 +158,7 @@ def test_describe_skew_outside_gate():
     from lockqual.dataset import _column_stats
 
     # heavy pile-up at 1 with one 5: skewness far above 1.5
-    st = _column_stats([1] * 19 + [5])
+    st = _column_stats([0, 19, 0, 0, 0, 1])
     assert st.skewness is not None and st.skewness > 1.5
     assert st.normal is False
 
@@ -247,6 +248,31 @@ def test_split_retains_only_its_row_mask():
         tracemalloc.stop()
     assert retained < 4 * n
     assert np.count_nonzero(train) == round(0.6 * n)
+
+
+@pytest.mark.parametrize("code", [-1, 6])
+def test_dataset_refuses_a_code_outside_0_to_5(code):
+    # the rating counts would file such a code under another variable or band
+    d = _dataset_with_ids(["a", "b"])
+    codes = d.codes.copy()
+    codes[1, -1] = code
+    with pytest.raises(ValueError, match="rating 1..5"):
+        SurveyDataset(d.catalog, d.respondent_ids, codes, d.delay_hours, d.demographics)
+
+
+def test_describe_and_entropy_count_the_codes_without_a_wide_copy():
+    # one bincount over every column at once would convert all the codes to
+    # intp, n * 34 * 8 bytes; counting column by column holds one column's
+    n = 50_000
+    d = _dataset_with_ids([f"r{k:06d}" for k in range(n)])
+    tracemalloc.start()
+    try:
+        describe(d)
+        entropy_report(d, {"a": DEFAULT_CATALOG.indices[:16], "b": DEFAULT_CATALOG.indices[16:]})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 34 * 8 // 4
 
 
 def test_split_bounds():

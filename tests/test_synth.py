@@ -74,8 +74,8 @@ def test_survey_generation_deterministic_and_screened():
     d2 = gen_sem_survey(spec)
     assert d1 == d2
     assert d1.n == 120
-    assert d1.ids()[0] == "r0001"
-    assert d1.ids()[-1] == "r0120"
+    assert d1.respondent_ids[0] == "r0001"
+    assert d1.respondent_ids[-1] == "r0120"
     for r in d1.respondents:
         assert 1 <= r.sati_before <= 5
         assert 1 <= r.sati_after <= 5
