@@ -9,10 +9,11 @@ q1..q32 are the catalog items. Ratings are integers on a 1..5 Likert
 scale; an empty cell is a missing rating. delay_hours may be empty.
 
 A screened survey is held column by column (see SurveyDataset): one
-int8 code array for all ratings, a float delay array and one list per
-text field, so every summary is a numpy reduction over a column. The
-training and holdout parts are not copied out of it: split draws a
-boolean row mask, and `complete` and `moments` read the rows it sets.
+int8 code array for all ratings, a float delay array, one string array
+of ids and one number per row for its demographic cells, so every
+summary is a numpy reduction over a column. The training and holdout
+parts are not copied out of it: split draws a boolean row mask, and
+`complete` and `moments` read the rows it sets.
 
 load_survey reads the file in blocks of whole lines and screens each
 block with NumPy over the byte positions of its line ends and commas;
@@ -30,10 +31,10 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from .catalog import DEFAULT_CATALOG, SATI_AFTER, SATI_BEFORE, VariableCatalog
 from .moments import Moments
@@ -82,16 +83,67 @@ class RejectedRow:
     reason: str
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+class Demographics(Mapping[str, list[str]]):
+    """The demographic cells of each row, as the number of its distinct tuple of cells.
+
+    combos : the distinct tuples of cells, each in DEMOGRAPHICS order
+    number : read-only int64 array of shape (n,), each row's tuple in combos
+
+    As a mapping, field name (see DEMOGRAPHICS) -> one string per row, built
+    on each access.
+    """
+
+    def __init__(self, combos: Sequence[tuple[str, ...]], number: np.ndarray) -> None:
+        self.combos = tuple(combos)
+        self.number = _read_only(np.asarray(number, dtype=np.int64))
+
+    @classmethod
+    def of_columns(cls, columns: Mapping[str, Sequence[str]]) -> "Demographics":
+        """Number the rows of one string column per field in DEMOGRAPHICS."""
+        if set(columns) != set(DEMOGRAPHICS) or len({len(columns[name]) for name in DEMOGRAPHICS}) != 1:
+            raise ValueError("demographics must hold one column of length n per field in DEMOGRAPHICS")
+        combo: dict[tuple[str, ...], int] = {}
+        rows = zip(*(columns[name] for name in DEMOGRAPHICS))
+        number = np.fromiter((combo.setdefault(t, len(combo)) for t in rows), dtype=np.int64)
+        return cls(list(combo), number)
+
+    def __getitem__(self, name: str) -> list[str]:
+        if name not in DEMOGRAPHICS:
+            raise KeyError(name)
+        k = DEMOGRAPHICS.index(name)
+        return np.array([c[k] for c in self.combos], dtype=object)[self.number].tolist()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(DEMOGRAPHICS)
+
+    def __len__(self) -> int:
+        return len(DEMOGRAPHICS)
+
+    def rows(self) -> list[tuple[str, ...]]:
+        """Each row's cells, in DEMOGRAPHICS order."""
+        return list(map(self.combos.__getitem__, self.number.tolist()))
+
+
 @dataclass(frozen=True, eq=False)
 class SurveyDataset:
     """Screened respondents, stored as columns in row order.
 
-    codes        : int8 array of shape (n, len(catalog) + 2), one column per
-                   questionnaire field q0..q33; column 0 and the last column
-                   are the overall satisfaction bookends. 0 means missing.
-    delay_hours  : float64 array of shape (n,), NaN where no delay was given.
-    demographics : field name (see DEMOGRAPHICS) -> one string per row.
+    respondent_ids : StringDType array of shape (n,).
+    codes          : int8 array of shape (n, len(catalog) + 2), one column per
+                     questionnaire field q0..q33; column 0 and the last column
+                     are the overall satisfaction bookends. 0 means missing.
+    delay_hours    : float64 array of shape (n,), NaN where no delay was given.
+    demographics   : a Demographics, field name (see DEMOGRAPHICS) -> one
+                     string per row.
 
+    Ids and demographics given as string sequences (one per field) are
+    stored in these forms, and every array is held as a read-only view.
     A part of the rows, such as split's training part, is a boolean row
     mask passed as `rows`; None means every row.
 
@@ -99,32 +151,46 @@ class SurveyDataset:
     """
 
     catalog: VariableCatalog
-    respondent_ids: list[str]
+    respondent_ids: np.ndarray
     codes: np.ndarray
     delay_hours: np.ndarray
-    demographics: Mapping[str, list[str]]
+    demographics: Mapping[str, Sequence[str]]
     rejected: tuple[RejectedRow, ...] = ()
 
     def __post_init__(self) -> None:
-        n = len(self.respondent_ids)
+        ids = self.respondent_ids
+        if not isinstance(getattr(ids, "dtype", None), StringDType):  # each StringDType() casts by copy
+            ids = np.array(ids, dtype=StringDType())
+        if ids.ndim != 1:
+            raise ValueError("respondent_ids must hold one string per row")
+        n = ids.size
         if self.codes.dtype != np.int8 or self.codes.shape != (n, len(self.catalog) + 2):
             raise ValueError(f"codes must be int8 of shape ({n}, {len(self.catalog) + 2})")
         if self.codes.size and not 0 <= self.codes.min() <= self.codes.max() <= 5:
             raise ValueError("codes must be 0 (missing) or a rating 1..5")
         if self.delay_hours.shape != (n,):
             raise ValueError(f"delay_hours must have shape ({n},)")
-        if set(self.demographics) != set(DEMOGRAPHICS) or any(len(v) != n for v in self.demographics.values()):
+        demo = self.demographics
+        if not isinstance(demo, Demographics):
+            demo = Demographics.of_columns(demo)
+        if demo.number.shape != (n,):
             raise ValueError("demographics must hold one column of length n per field in DEMOGRAPHICS")
+        put = object.__setattr__  # the dataclass is frozen
+        put(self, "respondent_ids", _read_only(ids))
+        put(self, "codes", _read_only(self.codes))
+        put(self, "delay_hours", _read_only(self.delay_hours))
+        put(self, "demographics", demo)
+        put(self, "_counts", None)  # rating_counts(), once counted
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SurveyDataset):
             return NotImplemented
         return (
             self.catalog == other.catalog
-            and self.respondent_ids == other.respondent_ids
+            and np.array_equal(self.respondent_ids, other.respondent_ids)
             and np.array_equal(self.codes, other.codes)
             and np.array_equal(self.delay_hours, other.delay_hours, equal_nan=True)
-            and dict(self.demographics) == dict(other.demographics)
+            and self.demographics.rows() == other.demographics.rows()
         )
 
     @classmethod
@@ -148,12 +214,11 @@ class SurveyDataset:
 
     @property
     def n(self) -> int:
-        return len(self.respondent_ids)
+        return self.respondent_ids.size
 
     @property
     def respondents(self) -> tuple[RespondentRecord, ...]:
         """The rows as records, built anew on each access."""
-        demo = [self.demographics[name] for name in DEMOGRAPHICS]
         return tuple(
             RespondentRecord(
                 rid,
@@ -163,8 +228,11 @@ class SurveyDataset:
                 row[-1],
                 {i: row[i] for i in range(1, len(row) - 1) if row[i]},
             )
-            for rid, *fields, delay, row in zip(
-                self.respondent_ids, *demo, self.delay_hours.tolist(), self.codes.tolist()
+            for rid, fields, delay, row in zip(
+                self.respondent_ids.tolist(),
+                self.demographics.rows(),
+                self.delay_hours.tolist(),
+                self.codes.tolist(),
             )
         )
 
@@ -182,8 +250,13 @@ class SurveyDataset:
     def rating_counts(self) -> np.ndarray:
         """int64 (len(catalog) + 2, 6): row `_col(index)` counts each code 0..5 of that variable.
 
-        Counted column by column, so the widest copy made is one column as intp."""
-        return np.stack([np.bincount(col, minlength=6) for col in self.codes.T])
+        Counted column by column on the first call, so the widest copy made
+        is one column as intp; each later call returns the same read-only
+        table, which stays valid since the codes are read-only."""
+        if self._counts is None:
+            counts = np.stack([np.bincount(col, minlength=6) for col in self.codes.T])
+            object.__setattr__(self, "_counts", _read_only(counts))
+        return self._counts
 
     def complete(self, indices: Sequence[int], rows: np.ndarray | None = None) -> np.ndarray:
         """Row mask: True where every one of the observed variables is rated (and `rows` is set)."""
@@ -198,7 +271,7 @@ class SurveyDataset:
         """
         keep = self.complete(indices)
         X = self.codes[np.ix_(keep, [self._col(i) for i in indices])].astype(float)
-        return list(compress(self.respondent_ids, keep.tolist())), X
+        return self.respondent_ids[keep].tolist(), X
 
     def moments(self, indices: Sequence[int], rows: np.ndarray | None = None) -> Moments:
         """n, column sums and cross products of the ratings over the complete rows.
@@ -464,16 +537,12 @@ class _Reader:
             self.codes += codes[i:j].tobytes()
 
     def dataset(self, catalog: VariableCatalog) -> SurveyDataset:
-        number = np.frombuffer(self.demo, dtype=np.int64)
         return SurveyDataset(
             catalog,
             self.ids,
             np.frombuffer(self.codes, dtype=np.int8).reshape(len(self.ids), len(catalog) + 2),
             np.frombuffer(self.delays, dtype=float),
-            {
-                name: np.array([combo[k] for combo in self.combos], dtype=object)[number].tolist()
-                for k, name in enumerate(DEMOGRAPHICS)
-            },
+            Demographics(self.combos, np.frombuffer(self.demo, dtype=np.int64)),
             tuple(self.rejected),
         )
 
@@ -529,9 +598,8 @@ def write_survey(d: SurveyDataset, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_expected_header(len(d.catalog)))
-        demo = [d.demographics[name] for name in DEMOGRAPHICS]
-        for rid, *fields, delay, row in zip(
-            d.respondent_ids, *demo, d.delay_hours.tolist(), d.codes.tolist()
+        for rid, fields, delay, row in zip(
+            d.respondent_ids.tolist(), d.demographics.rows(), d.delay_hours.tolist(), d.codes.tolist()
         ):
             cells = [_CELL_OF[v] for v in row]
             writer.writerow([rid, *fields, "" if math.isnan(delay) else repr(delay), *cells])
@@ -600,12 +668,13 @@ def split(d: SurveyDataset, n_train: int, seed: int) -> np.ndarray:
     """
     if not 0 < n_train < d.n:
         raise ValueError(f"n_train must be in (0, {d.n})")
-    ids = d.respondent_ids
     # Random.shuffle is Fisher-Yates from the last slot down, and a slot is
     # final once its swap is made, so the holdout slots n_train.. are settled
     # by the first n - n_train swaps. Only those are drawn, with the rejection
-    # loop of Random._randbelow, on the rows in the order of their sorted ids.
-    rows = sorted(range(d.n), key=ids.__getitem__)
+    # loop of Random._randbelow, on the rows in the order of their sorted ids
+    # (a stable sort by code point, as sorted() orders str).
+    order = np.argsort(d.respondent_ids, kind="stable")
+    rows = order.tolist()
     getrandbits = random.Random(seed).getrandbits
     for i in range(d.n - 1, n_train - 1, -1):
         bound = i + 1
@@ -616,8 +685,10 @@ def split(d: SurveyDataset, n_train: int, seed: int) -> np.ndarray:
         rows[i], rows[j] = rows[j], rows[i]
     in_train = np.ones(d.n, dtype=bool)
     in_train[rows[n_train:]] = False
-    if len(set(ids)) < d.n:
+    ids = d.respondent_ids[order]
+    first = np.ones(d.n, dtype=bool)  # where a run of equal ids starts, in sorted order
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    if not first.all():
         # a repeated id goes to training when any of its copies drew a training slot
-        train_ids = set(compress(ids, in_train.tolist()))
-        in_train = np.fromiter((rid in train_ids for rid in ids), dtype=bool, count=d.n)
+        in_train[order] = np.logical_or.reduceat(in_train[order], np.flatnonzero(first))[np.cumsum(first) - 1]
     return in_train

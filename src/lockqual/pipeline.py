@@ -702,7 +702,7 @@ def probit_section(
         raise ValueError("no retained items")
     items, m, _ = _screen(rated, m, stage, warnings)
     keep = data.complete(rated, rows)
-    X = np.stack([data.column(i)[keep] for i in items], axis=1)
+    X = data.codes[keep].take([data._col(i) for i in items], axis=1)
     y = data.column(SATI_AFTER)[keep].astype(int)
     names = tuple(catalog.abbreviation_of(i) for i in items)
     out = oprobit.backward_eliminate(X, y, names, alpha=g.probit_alpha, single_pass=single_pass, moments=m)

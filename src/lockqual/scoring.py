@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
@@ -259,7 +258,7 @@ def validation_summary(d: SurveyDataset, w: ScoreWeights, rows: np.ndarray | Non
         kept[at[scored]] = True
     signed = signed[scored]
     return ValidationSummary(
-        ids=tuple(compress(d.respondent_ids, kept.tobytes())),  # a bool's byte is 0 or 1
+        ids=tuple(d.respondent_ids[kept].tolist()),
         latents=w.latents,
         lvr=lvrs[scored],
         sqr=s[scored],
@@ -415,7 +414,7 @@ def delay_strata(
     if total == 0:
         raise ValueError("no respondent reports a delay")
     if alt_items:
-        codes = np.column_stack([d.column(i) for i in alt_items])
+        codes = d.codes.take([d._col(i) for i in alt_items], axis=1)
         n_rated = (codes != 0).sum(axis=1)
         alt_mean = codes.sum(axis=1, dtype=np.int64) / np.maximum(n_rated, 1)
     bands: list[DelayBand] = []

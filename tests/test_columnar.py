@@ -385,7 +385,7 @@ def test_screening_rules_row_by_row(tmp_path):
         (14, "c6", "missing overall satisfaction"),
         (15, "c7", "invalid delay"),
     ]
-    assert d.respondent_ids == ["a1", "b1", "c8", "c9"]
+    assert d.respondent_ids.tolist() == ["a1", "b1", "c8", "c9"]
     expect = np.full((4, 34), 3, dtype=np.int8)
     expect[0, 33] = 4
     expect[1, 7] = 2

@@ -4,11 +4,15 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from itertools import compress
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.dtypes import StringDType
 
 from lockqual.catalog import DEFAULT_CATALOG, VariableCatalog
 from lockqual.dataset import (
@@ -235,6 +239,17 @@ def test_split_sends_a_repeated_id_to_training_when_any_copy_draws_a_training_sl
     assert straddling  # some repeated id had copies on both sides of the cut
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_split_matches_the_shuffle_on_any_text_ids_with_repeats(data):
+    # any text: NUL, accents, astral and private-use characters; sorted()
+    # orders str by code point, as the stable sort of the id array does
+    pool = data.draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=8, unique=True))
+    ids = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=30))
+    n_train = data.draw(st.integers(1, len(ids) - 1))
+    _assert_split_matches_shuffle(_dataset_with_ids(ids), n_train, data.draw(st.integers(0, 2**32 - 1)))
+
+
 def test_split_retains_only_its_row_mask():
     # the parts are read through the mask, so no copy of their rows outlives split
     n = 60_000
@@ -281,6 +296,52 @@ def test_split_bounds():
         split(d, 0, seed=1)
     with pytest.raises(ValueError):
         split(d, 10, seed=1)
+
+
+def test_a_loaded_survey_holds_no_python_object_per_row(tmp_path):
+    # a row is 34 codes (1 B each), a delay (8 B), an id inline in the
+    # StringDType array (16 B) and the number of its demographic cells
+    # (8 B): 66 B, plus what the growing buffers left over. A list of id
+    # strings alone would add about 63 B a row, five demographic lists 40 B.
+    n = 20_000
+    path = str(tmp_path / "survey.csv")
+    write_survey(gen_sem_survey(default_sem_truth(n=n, seed=1)), path)
+    load_survey(path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        d = load_survey(path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert d.n == n
+    assert retained < 85 * n
+
+
+def test_ids_and_demographics_given_as_lists_are_stored_as_arrays():
+    d = load_survey(str(Path(__file__).resolve().parent.parent / "data" / "fixture_survey.csv"))
+    e = SurveyDataset(d.catalog, d.respondent_ids.tolist(), d.codes, d.delay_hours, dict(d.demographics))
+    assert e == d
+    assert isinstance(e.respondent_ids.dtype, StringDType)
+    assert len(e.demographics.combos) == len(d.demographics.combos) < d.n
+    assert [r.gender for r in e.respondents] == d.demographics["gender"]
+    with pytest.raises(ValueError, match="demographics"):
+        SurveyDataset(d.catalog, d.respondent_ids, d.codes, d.delay_hours, {**d.demographics, "gender": []})
+
+
+def test_the_rating_counts_are_counted_once_over_read_only_arrays():
+    d = gen_sem_survey(default_sem_truth(n=50, seed=4))
+    counts = d.rating_counts()
+    assert d.rating_counts() is counts
+    for a in (counts, d.codes, d.delay_hours, d.respondent_ids, d.demographics.number):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        d.codes[0, 1] = 5
+    codes = d.codes.copy()
+    codes[:, 1] = 5
+    e = replace(d, codes=codes)
+    assert e.rating_counts()[1].tolist() == [0, 0, 0, 0, 0, 50]
+    assert d.rating_counts() is counts and counts[1, 5] < 50
 
 
 def test_catalog_round_trip_and_validation():

@@ -296,7 +296,7 @@ def _assert_same_survey(path: str, block_sizes=(1 << 18,)) -> None:
             continue
         ids, codes, delays, demo, rejected = want
         assert err is None, (size, err)
-        assert d.respondent_ids == ids, size
+        assert d.respondent_ids.tolist() == ids, size
         assert d.codes.dtype == np.int8 and np.array_equal(d.codes, codes), size
         assert np.array_equal(d.delay_hours, delays, equal_nan=True), size
         assert np.array_equal(np.signbit(d.delay_hours), np.signbit(delays)), size
@@ -429,7 +429,8 @@ def test_a_rejected_first_occurrence_leaves_its_id_free_in_the_next_block(tmp_pa
     path = _write_lines(tmp_path / "d.csv", lines)
     _assert_same_survey(path, EDGE_SIZES)
     d = load_survey(path)
-    assert d.respondent_ids.count("r05") == 1 and d.respondent_ids.count("r09") == 1
+    ids = d.respondent_ids.tolist()
+    assert ids.count("r05") == 1 and ids.count("r09") == 1
     assert [(r.row_number, r.respondent_id, r.reason) for r in d.rejected] == [
         (6, "r05", "rating out of range"),
         (11, "r09", "duplicate respondent id"),
@@ -468,7 +469,7 @@ def test_non_ascii_text_and_nul(tmp_path):
     _assert_same_survey(path, EDGE_SIZES)
     d = load_survey(path)
     assert {"航运", "r03", "é"} <= set(d.respondent_ids)
-    assert d.codes[d.respondent_ids.index("é"), 5] == 3
+    assert d.codes[d.respondent_ids.tolist().index("é"), 5] == 3
 
 
 def test_an_over_long_line_names_its_row_on_every_path(tmp_path):

@@ -24,9 +24,15 @@ SURVEY = str(ROOT / "data" / "fixture_survey.csv")
 JUDGMENTS = str(ROOT / "data" / "fixture_judgments.csv")
 
 
-_spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
-checks = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(checks)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+checks = _load("checks")
+inputs = _load("inputs")
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text("utf-8"))
 
 
@@ -34,6 +40,14 @@ def test_fixture_bundle_matches_the_reference_digest(tmp_path):
     run_pipeline(PipelineConfig(survey_path=SURVEY, judgments_path=JUDGMENTS, out_dir=str(tmp_path)))
     doc = json.loads((tmp_path / "report.json").read_text("utf-8"))
     assert checks.check_doc(SCHEMAS, "report", doc, REFERENCE["fixture"]) == []
+
+
+def test_the_survey_workload_inputs_match_their_pinned_digests(tmp_path):
+    # the benchmark refuses inputs whose SHA-256 moved: a change to the bytes
+    # write_survey writes or to what synth draws fails here first
+    paths = inputs.generate(2000, 0, str(tmp_path))
+    got = {os.path.basename(p): checks.file_sha256(p) for p in paths.values()}
+    assert got == REFERENCE["inputs"]["2000:0"]
 
 
 def test_probit_document_matches_the_reference_digest(tmp_path):
