@@ -96,8 +96,7 @@ def main() -> None:
 
     # supplier side: aggregate the pairwise judgments
     judgments = ahp.load_judgments(args.judgments)
-    crit = [r.criteria for r in judgments]
-    agg = ahp.aggregate_geomean(crit)
+    agg = ahp.aggregate_geomean(judgments.criteria)
     wv, lam = ahp.weights_eigen(agg)
     cns = ahp.consistency(agg, lam)
     print(
@@ -106,8 +105,7 @@ def main() -> None:
     )
     leaf_weights = {}
     for crit_name in ahp.DEFAULT_HIERARCHY.criteria:
-        mats = [r.leaves[crit_name] for r in judgments]
-        leaf_weights[crit_name], _ = ahp.weights_eigen(ahp.aggregate_geomean(mats))
+        leaf_weights[crit_name], _ = ahp.weights_eigen(ahp.aggregate_geomean(judgments.leaves[crit_name]))
     gw = ahp.global_weights(ahp.DEFAULT_HIERARCHY, wv, leaf_weights)
 
     ow = ahp.normalized_weights(dict(weights.latent_weights), labels=gw.labels)

@@ -1,8 +1,10 @@
 """Analytic hierarchy process weighting of the supplier-side survey.
 
 Experts compare factors pairwise on the odd 1-3-5-7-9 scale (with
-reciprocals). Individual judgment matrices are aggregated by the
-element-wise geometric mean, priorities come from the principal
+reciprocals). A judgment file is read into one (m, n, n) stack of
+matrices per hierarchy level, one slice per respondent (JudgmentSet).
+The chosen respondents' matrices are aggregated by the element-wise
+geometric mean over a stack, priorities come from the principal
 eigenvector (power iteration), and Saaty's consistency ratio gates the
 result. A two-level hierarchy (three criteria, two leaf factors each)
 turns local priorities into global factor weights, which are then
@@ -24,12 +26,10 @@ __all__ = [
     "JudgmentStack",
     "Hierarchy",
     "DEFAULT_HIERARCHY",
-    "RespondentJudgments",
     "JudgmentSet",
     "WeightVector",
     "ConsistencyResult",
     "BiasReport",
-    "parse_judgments",
     "load_judgments",
     "aggregate_geomean",
     "weights_eigen",
@@ -162,21 +162,13 @@ DEFAULT_HIERARCHY = Hierarchy(
     },
 )
 
-@dataclass(frozen=True)
-class RespondentJudgments:
-    respondent_id: str
-    criteria: JudgmentMatrix
-    leaves: Mapping[str, JudgmentMatrix]
-
-
 @dataclass(frozen=True, eq=False)
-class JudgmentSet(Sequence[RespondentJudgments]):
+class JudgmentSet:
     """Every respondent's judgments, one stack per hierarchy level.
 
     criteria holds the (m, n, n) criteria matrices and leaves[c] the
-    matrices of criterion c's children, both in respondent order. Item k
-    is respondent k's RespondentJudgments, built on access from views of
-    the stacks.
+    matrices of criterion c's children, both in the order of
+    respondent_ids; respondent k's matrices are slice k of each stack.
     """
 
     respondent_ids: tuple[str, ...]
@@ -190,12 +182,6 @@ class JudgmentSet(Sequence[RespondentJudgments]):
 
     def __len__(self) -> int:
         return len(self.respondent_ids)
-
-    def __getitem__(self, index):
-        leaves = {c: s[index] for c, s in self.leaves.items()}
-        if isinstance(index, slice):
-            return JudgmentSet(self.respondent_ids[index], self.criteria[index], leaves)
-        return RespondentJudgments(self.respondent_ids[index], self.criteria[index], leaves)
 
 
 def _row_error(line_no: int, level: str, left: str, right: str, sel: str, hierarchy: Hierarchy) -> ValueError:
@@ -268,21 +254,13 @@ def _judgment_set(records: Iterable[tuple], hierarchy: Hierarchy) -> JudgmentSet
 _FIELDS = ("respondent_id", "level", "left_factor", "right_factor", "selection")
 
 
-def parse_judgments(
-    rows: Iterable[Mapping[str, str]],
-    hierarchy: Hierarchy = DEFAULT_HIERARCHY,
-) -> JudgmentSet:
-    """Build per-respondent judgment matrices from flat comparison rows.
+def load_judgments(path: str, hierarchy: Hierarchy = DEFAULT_HIERARCHY) -> JudgmentSet:
+    """Read a judgment CSV into one stack of judgment matrices per hierarchy level.
 
     Each row carries respondent_id, level ("criteria" or a criterion
     code), the two factors compared and a selection code from SCALE.
     Every respondent must supply each comparison exactly once.
     """
-    return _judgment_set((tuple(str(row[f]) for f in _FIELDS) for row in rows), hierarchy)
-
-
-def load_judgments(path: str, hierarchy: Hierarchy = DEFAULT_HIERARCHY) -> JudgmentSet:
-    """Read a judgment CSV; the result is a sequence of per-respondent views."""
     rows: list[list[str]] = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -303,19 +281,14 @@ def load_judgments(path: str, hierarchy: Hierarchy = DEFAULT_HIERARCHY) -> Judgm
     return _judgment_set((take(row if len(row) >= len(header) else row + pad) for row in rows), hierarchy)
 
 
-def aggregate_geomean(matrices: Sequence[JudgmentMatrix]) -> JudgmentMatrix:
-    """Element-wise geometric mean, made reciprocal again.
+def aggregate_geomean(matrices: JudgmentStack) -> JudgmentMatrix:
+    """Element-wise geometric mean of a stack of matrices, made reciprocal again.
 
     The diagonal is exactly 1 and |a_ij * a_ji - 1| <= 2 * eps off it;
     about one pair in four is off by one ulp after rounding.
     """
-    if not matrices:
+    if not len(matrices):
         raise ValueError("nothing to aggregate")
-    if not isinstance(matrices, JudgmentStack):
-        labels = matrices[0].labels
-        if any(m.labels != labels for m in matrices[1:]):
-            raise ValueError("all matrices must share the same labels")
-        matrices = JudgmentStack(labels, np.array([m.values for m in matrices]))
     g = np.exp(np.log(matrices.values).mean(axis=0))
     g = np.sqrt(g / g.T)  # wash out the mean's round-off: a_ij * a_ji is 1 to within 2 eps
     np.fill_diagonal(g, 1.0)

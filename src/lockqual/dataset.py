@@ -11,9 +11,10 @@ scale; an empty cell is a missing rating. delay_hours may be empty.
 A screened survey is held column by column (see SurveyDataset): one
 int8 code array for all ratings, a float delay array, one string array
 of ids and one number per row for its demographic cells, so every
-summary is a numpy reduction over a column. The training and holdout
-parts are not copied out of it: split draws a boolean row mask, and
-`complete` and `moments` read the rows it sets.
+summary is a numpy reduction over a column. A dataset is read with
+load_survey or built from such columns; it has no per-row record form.
+The training and holdout parts are not copied out of it: split draws a
+boolean row mask, and `complete` and `moments` read the rows it sets.
 
 load_survey reads the file in blocks of whole lines and screens each
 block with NumPy over the byte positions of its line ends and commas;
@@ -31,7 +32,7 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.dtypes import StringDType
@@ -54,7 +55,8 @@ def _expected_header(n_items: int) -> list[str]:
 
 @dataclass(frozen=True)
 class RespondentRecord:
-    """One screened questionnaire row."""
+    """One questionnaire row as a record, the form that scoring.lvr and
+    scoring.score_respondent score; a SurveyDataset holds its rows as columns."""
 
     id: str
     age_band: str
@@ -193,48 +195,9 @@ class SurveyDataset:
             and self.demographics.rows() == other.demographics.rows()
         )
 
-    @classmethod
-    def from_records(cls, records: Iterable[RespondentRecord], catalog: VariableCatalog) -> "SurveyDataset":
-        """Build a dataset from row records (ratings must lie in 1..5)."""
-        records = tuple(records)
-        n_items = len(catalog)
-        rows: list[list[int]] = []
-        for r in records:
-            ratings = (r.sati_before, r.sati_after, *r.ratings.values())
-            if not set(r.ratings) <= set(catalog.indices) or not all(1 <= v <= 5 for v in ratings):
-                raise ValueError(f"respondent {r.id!r}: ratings must lie in 1..5 and name catalog items")
-            rows.append([r.sati_before, *(r.ratings.get(i, 0) for i in range(1, n_items + 1)), r.sati_after])
-        return cls(
-            catalog,
-            [r.id for r in records],
-            np.array(rows, dtype=np.int8).reshape(len(records), n_items + 2),
-            np.array([math.nan if r.delay_hours is None else r.delay_hours for r in records], dtype=float),
-            {name: [getattr(r, name) for r in records] for name in DEMOGRAPHICS},
-        )
-
     @property
     def n(self) -> int:
         return self.respondent_ids.size
-
-    @property
-    def respondents(self) -> tuple[RespondentRecord, ...]:
-        """The rows as records, built anew on each access."""
-        return tuple(
-            RespondentRecord(
-                rid,
-                *fields,
-                None if math.isnan(delay) else delay,
-                row[0],
-                row[-1],
-                {i: row[i] for i in range(1, len(row) - 1) if row[i]},
-            )
-            for rid, fields, delay, row in zip(
-                self.respondent_ids.tolist(),
-                self.demographics.rows(),
-                self.delay_hours.tolist(),
-                self.codes.tolist(),
-            )
-        )
 
     def _col(self, index: int) -> int:
         if index == SATI_AFTER:

@@ -30,33 +30,38 @@ validates X and y once and checks X for collinearity once: on
 moments the caller passes in. It builds the `_Design` once; every re-fit on a subset of
 the columns reuses it, and starts from the previous solution, moved to
 where it predicts the optimum without the dropped coefficients.
+
+This module holds the statistics only: the questionnaire that a
+reduction leaves is laid out by `pipeline.probit_section`.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ._dist import chi2_sf, expit, norm_cdf, norm_pdf, norm_ppf, norm_sf
-from .moments import _BLOCK_ROWS, Moments, dependent_sets
+from .moments import Moments, dependent_sets
 
 __all__ = [
     "ProbitModel",
     "NullFit",
     "EliminationResult",
-    "QuestionnaireEntry",
-    "SimplifiedQuestionnaire",
     "fit",
     "null_fit",
-    "predict_proba",
     "backward_eliminate",
-    "build_questionnaire",
-    "write_questionnaire_csv",
 ]
+
+# Rows per block of the design's float products. With OpenBLAS 0.3.31, the
+# products of 512-row blocks came out the same under 1, 2 and 4 threads, and
+# those of 2,048- or 8,192-row blocks did not; this rests on how that build
+# splits a small product, not on a documented guarantee. moments._BLOCK_ROWS
+# stays larger, as its integer sums are exact in any order.
+_BLOCK_ROWS = 512
+
 
 def _as_design(X: np.ndarray) -> np.ndarray:
     """X as a 2-dimensional array: integer codes as they are, anything else as float64."""
@@ -526,16 +531,6 @@ def fit(
     )
 
 
-def predict_proba(model: ProbitModel, X: np.ndarray) -> np.ndarray:
-    """Category probabilities per row; each row sums to 1."""
-    X = np.asarray(X, dtype=float)
-    eta = X @ model.beta
-    c = model.n_categories
-    kext = np.concatenate(([-np.inf], model.kappa, [np.inf]))
-    cdf = norm_cdf(kext[None, :] - eta[:, None])
-    return np.diff(cdf, axis=1)
-
-
 @dataclass(frozen=True)
 class EliminationStep:
     dropped: object
@@ -636,63 +631,3 @@ def backward_eliminate(
         warnings.append("all predictors eliminated; only the cutpoints-only model remains")
         return EliminationResult(None, (), tuple(steps), initial, tuple(warnings))
     return EliminationResult(model, tuple(names[i] for i in cols), tuple(steps), initial, tuple(warnings))
-
-
-@dataclass(frozen=True)
-class QuestionnaireEntry:
-    construct: str
-    number: int
-    description: str
-    abbreviation: str
-    item: object
-
-
-@dataclass(frozen=True)
-class SimplifiedQuestionnaire:
-    entries: tuple[QuestionnaireEntry, ...]
-
-
-def build_questionnaire(
-    survivors: Sequence,
-    metadata: Mapping[object, Mapping[str, str]] | None = None,
-    construct_order: Sequence[str] | None = None,
-) -> SimplifiedQuestionnaire:
-    """Arrange surviving items into a short questionnaire.
-
-    metadata may carry construct/abbreviation/description per item;
-    items are grouped by construct (in construct_order when given) and
-    renumbered sequentially.
-    """
-    metadata = metadata or {}
-    info = []
-    for item in survivors:
-        meta = metadata.get(item, {})
-        info.append(
-            (
-                str(meta.get("construct", "")),
-                str(meta.get("description", "")),
-                str(meta.get("abbreviation", item)),
-                item,
-            )
-        )
-    if construct_order is None:
-        seen: list[str] = []
-        for construct, _, _, _ in info:
-            if construct not in seen:
-                seen.append(construct)
-        construct_order = seen
-    rank = {c: i for i, c in enumerate(construct_order)}
-    info.sort(key=lambda rec: rank.get(rec[0], len(rank)))  # stable: input order within construct
-    entries = tuple(
-        QuestionnaireEntry(construct=c, number=i + 1, description=d, abbreviation=a, item=item)
-        for i, (c, d, a, item) in enumerate(info)
-    )
-    return SimplifiedQuestionnaire(entries)
-
-
-def write_questionnaire_csv(q: SimplifiedQuestionnaire, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["construct", "question_number", "description", "abbreviation"])
-        for e in q.entries:
-            writer.writerow([e.construct, e.number, e.description, e.abbreviation])

@@ -14,6 +14,7 @@ on the bundle so callers (and the command line's --strict mode) can decide.
 """
 from __future__ import annotations
 
+import csv
 import datetime
 import json
 import math
@@ -727,47 +728,30 @@ def probit_section(
             "lr_p": out.final.lr_p,
             "converged": out.final.converged,
         }
-        abbrev_to_item = dict(zip(names, items))
-        metadata = {}
-        order: list[str] = []
+        # one row per survivor, grouped by construct in the order the
+        # constructs first appear among the survivors, and numbered from 1
+        item_of = dict(zip(names, items))
+        filed: dict[str, list[str]] = {}
         for name in out.survivors:
-            idx = abbrev_to_item[name]
-            construct = DISPLAY_NAMES.get(constructs[idx], constructs[idx])
-            metadata[name] = {
-                "construct": construct,
-                "abbreviation": name,
-                "description": f"survey item {idx}",
-            }
-            if construct not in order:
-                order.append(construct)
-        q = oprobit.build_questionnaire(out.survivors, metadata, construct_order=order)
+            construct = constructs[item_of[name]]
+            filed.setdefault(DISPLAY_NAMES.get(construct, construct), []).append(name)
+        entries = [(c, name) for c, group in filed.items() for name in group]
         doc["questionnaire"] = [
-            {
-                "construct": e.construct,
-                "question_number": e.number,
-                "description": e.description,
-                "abbreviation": e.abbreviation,
-            }
-            for e in q.entries
+            {"construct": c, "question_number": k, "description": f"survey item {item_of[name]}", "abbreviation": name}
+            for k, (c, name) in enumerate(entries, 1)
         ]
     return _jsonable(doc)
 
 
+_QUESTIONNAIRE_COLUMNS = ("construct", "question_number", "description", "abbreviation")
+
+
 def write_questionnaire(rows: Sequence[Mapping], path: str) -> None:
     """Write the `questionnaire` rows of a probit document as CSV."""
-    from . import oprobit
-
-    entries = tuple(
-        oprobit.QuestionnaireEntry(
-            construct=e["construct"],
-            number=e["question_number"],
-            description=e["description"],
-            abbreviation=e["abbreviation"],
-            item=e["abbreviation"],
-        )
-        for e in rows
-    )
-    oprobit.write_questionnaire_csv(oprobit.SimplifiedQuestionnaire(entries), path)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_QUESTIONNAIRE_COLUMNS)
+        writer.writerows([row[c] for c in _QUESTIONNAIRE_COLUMNS] for row in rows)
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:

@@ -221,11 +221,12 @@ def score_respondent(r: RespondentRecord, w: ScoreWeights) -> RespondentScore | 
 class ValidationSummary:
     """Holdout scores of the scoreable respondents, in row order.
 
-    lvr holds one column per name in ``latents``; actual is the post-trip
-    bookend and signed_error is (sqr - actual) / actual.
+    ids is the scored rows of the dataset's respondent_ids; lvr holds one
+    column per name in ``latents``; actual is the post-trip bookend and
+    signed_error is (sqr - actual) / actual.
     """
 
-    ids: tuple[str, ...] = field(repr=False)
+    ids: np.ndarray = field(repr=False)
     latents: tuple[str, ...] = field(repr=False)
     lvr: np.ndarray = field(repr=False)
     sqr: np.ndarray = field(repr=False)
@@ -241,7 +242,7 @@ def validation_summary(d: SurveyDataset, w: ScoreWeights, rows: np.ndarray | Non
     """Score every scoreable respondent and summarize the relative error.
 
     With a boolean row mask, only the rows it sets are offered. Their codes
-    are taken once, and the ids of the scored rows in one pass.
+    are taken once, and the ids of the scored rows as one slice of respondent_ids.
     """
     at = None if rows is None else np.flatnonzero(rows)
     # one row per observed variable, so that each item's codes are contiguous
@@ -258,7 +259,7 @@ def validation_summary(d: SurveyDataset, w: ScoreWeights, rows: np.ndarray | Non
         kept[at[scored]] = True
     signed = signed[scored]
     return ValidationSummary(
-        ids=tuple(d.respondent_ids[kept].tolist()),
+        ids=d.respondent_ids[kept],
         latents=w.latents,
         lvr=lvrs[scored],
         sqr=s[scored],
@@ -288,7 +289,7 @@ def write_scores_csv(summary: ValidationSummary, w: ScoreWeights, path: str) -> 
     bits, where = np.unique(lvrs.view(np.int64), return_inverse=True)
     lvr_text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
     lvr_text = lvr_text[where.reshape(lvrs.shape)]
-    ids = summary.ids
+    ids = summary.ids.tolist()
     if _NEEDS_QUOTES("".join(ids)):
         ids = ['"' + r.replace('"', '""') + '"' if _NEEDS_QUOTES(r) else r for r in ids]
     columns = [

@@ -26,7 +26,6 @@ __all__ = [
     "ProbitSpec",
     "default_sem_truth",
     "true_cfa_model",
-    "true_structural_model",
     "gen_sem_survey",
     "gen_ahp_judgments",
     "write_judgments_csv",
@@ -167,19 +166,6 @@ def true_cfa_model() -> MeasurementModel:
         latents=_FACTOR_ORDER,
         indicators={name: _BLOCKS[name] for name in _FACTOR_ORDER},
         structural_paths=(),
-        latent_covariances=tuple(pairs),
-    )
-
-
-def true_structural_model() -> MeasurementModel:
-    """Full model: six factors predict the overall quality construct."""
-    pairs = [(a, b) for i, a in enumerate(_FACTOR_ORDER) for b in _FACTOR_ORDER[i + 1 :]]
-    indicators = {name: _BLOCKS[name] for name in _FACTOR_ORDER}
-    indicators["service_quality"] = (SATI_BEFORE, SATI_AFTER)
-    return MeasurementModel(
-        latents=_FACTOR_ORDER + ("service_quality",),
-        indicators=indicators,
-        structural_paths=tuple((name, "service_quality") for name in _FACTOR_ORDER),
         latent_covariances=tuple(pairs),
     )
 

@@ -14,6 +14,7 @@ from lockqual.ahp import (
     SCALE,
     Hierarchy,
     JudgmentMatrix,
+    JudgmentStack,
     WeightVector,
     aggregate_geomean,
     bias_report,
@@ -21,9 +22,9 @@ from lockqual.ahp import (
     global_weights,
     load_judgments,
     normalized_weights,
-    parse_judgments,
     weights_eigen,
 )
+from lockqual.synth import write_judgments_csv
 
 
 def _jm(labels, values):
@@ -174,19 +175,15 @@ def test_consistency_unknown_size_raises():
 def test_geomean_hand_value_and_reciprocity():
     m1 = _jm(("a", "b"), [[1, 2], [0.5, 1]])
     m2 = _jm(("a", "b"), [[1, 8], [0.125, 1]])
-    g = aggregate_geomean([m1, m2])
+    g = aggregate_geomean(JudgmentStack(("a", "b"), np.stack([m1.values, m2.values])))
     assert g.values[0, 1] == pytest.approx(4.0, rel=1e-12)  # sqrt(2 * 8)
     assert g.values[1, 0] == pytest.approx(0.25, rel=1e-12)
     assert g.values[0, 1] * g.values[1, 0] == pytest.approx(1.0, rel=1e-15)
 
 
-def test_geomean_label_mismatch():
-    m1 = _jm(("a", "b"), [[1, 2], [0.5, 1]])
-    m2 = _jm(("a", "c"), [[1, 2], [0.5, 1]])
-    with pytest.raises(ValueError):
-        aggregate_geomean([m1, m2])
-    with pytest.raises(ValueError):
-        aggregate_geomean([])
+def test_geomean_of_an_empty_stack():
+    with pytest.raises(ValueError, match="nothing to aggregate"):
+        aggregate_geomean(JudgmentStack(("a", "b"), np.empty((0, 2, 2))))
 
 
 def test_global_weights_hand_value():
@@ -245,6 +242,13 @@ def _rows_for(rid: str, picks: dict[tuple[str, str, str], str]) -> list[dict[str
     return rows
 
 
+def _load(tmp_path, rows: list[dict[str, str]]):
+    """The judgment set load_judgments reads from rows written as a judgment CSV."""
+    path = tmp_path / "judgments.csv"
+    write_judgments_csv(rows, str(path))
+    return load_judgments(str(path))
+
+
 def _complete_picks(sel: str = "E") -> dict[tuple[str, str, str], str]:
     picks: dict[tuple[str, str, str], str] = {}
     h = DEFAULT_HIERARCHY
@@ -258,21 +262,20 @@ def _complete_picks(sel: str = "E") -> dict[tuple[str, str, str], str]:
     return picks
 
 
-def test_parse_judgments_full_respondent():
+def test_parse_judgments_full_respondent(tmp_path):
     picks = _complete_picks("E")
     picks[("criteria", "WLOE", "WLFP")] = "L3"
-    out = parse_judgments(_rows_for("e1", picks))
+    out = _load(tmp_path, _rows_for("e1", picks))
     assert len(out) == 1
-    rj = out[0]
-    assert rj.respondent_id == "e1"
-    i = rj.criteria.labels.index("WLOE")
-    j = rj.criteria.labels.index("WLFP")
-    assert rj.criteria.values[i, j] == pytest.approx(3.0)
-    assert rj.criteria.values[j, i] == pytest.approx(1 / 3)
-    assert set(rj.leaves) == set(DEFAULT_HIERARCHY.criteria)
+    assert out.respondent_ids == ("e1",)
+    i = out.criteria.labels.index("WLOE")
+    j = out.criteria.labels.index("WLFP")
+    assert out.criteria.values[0, i, j] == pytest.approx(3.0)
+    assert out.criteria.values[0, j, i] == pytest.approx(1 / 3)
+    assert set(out.leaves) == set(DEFAULT_HIERARCHY.criteria)
 
 
-def test_parse_judgments_orientation_swap():
+def test_parse_judgments_orientation_swap(tmp_path):
     # the same comparison entered right-to-left with the mirrored code
     # must build the same matrix
     picks_a = _complete_picks("E")
@@ -280,27 +283,27 @@ def test_parse_judgments_orientation_swap():
     picks_b = _complete_picks("E")
     del picks_b[("criteria", "WLOE", "WLFP")]
     picks_b[("criteria", "WLFP", "WLOE")] = "R5"
-    m_a = parse_judgments(_rows_for("e1", picks_a))[0].criteria
-    m_b = parse_judgments(_rows_for("e1", picks_b))[0].criteria
+    m_a = _load(tmp_path, _rows_for("e1", picks_a)).criteria
+    m_b = _load(tmp_path, _rows_for("e1", picks_b)).criteria
     assert np.allclose(m_a.values, m_b.values)
 
 
-def test_parse_judgments_errors():
+def test_parse_judgments_errors(tmp_path):
     with pytest.raises(ValueError, match="unknown selection"):
-        parse_judgments(_rows_for("e1", {("criteria", "WLOE", "WLFP"): "X2"}))
+        _load(tmp_path, _rows_for("e1", {("criteria", "WLOE", "WLFP"): "X2"}))
     with pytest.raises(ValueError, match="unknown level"):
-        parse_judgments(_rows_for("e1", {("nowhere", "WLOE", "WLFP"): "E"}))
+        _load(tmp_path, _rows_for("e1", {("nowhere", "WLOE", "WLFP"): "E"}))
     with pytest.raises(ValueError, match="invalid pair"):
-        parse_judgments(_rows_for("e1", {("criteria", "WLOE", "safe_security"): "E"}))
+        _load(tmp_path, _rows_for("e1", {("criteria", "WLOE", "safe_security"): "E"}))
     picks = _complete_picks("E")
     rows = _rows_for("e1", picks)
     rows.append(rows[0].copy())
     with pytest.raises(ValueError, match="duplicate comparison"):
-        parse_judgments(rows)
+        _load(tmp_path, rows)
     incomplete = _complete_picks("E")
     del incomplete[("criteria", "WLOE", "WLMS")]
     with pytest.raises(ValueError, match="missing comparison"):
-        parse_judgments(_rows_for("e1", incomplete))
+        _load(tmp_path, _rows_for("e1", incomplete))
 
 
 def test_load_judgments_csv(tmp_path):
@@ -313,7 +316,7 @@ def test_load_judgments_csv(tmp_path):
         writer.writeheader()
         writer.writerows(rows)
     out = load_judgments(str(path))
-    assert tuple(r.respondent_id for r in out) == ("e1", "e2")
+    assert out.respondent_ids == ("e1", "e2")
     bad = tmp_path / "bad.csv"
     bad.write_text("respondent_id,level\n")
     with pytest.raises(ValueError):
@@ -361,7 +364,7 @@ def test_bias_report_label_mismatch():
         bias_report(ow, sw, h)
 
 
-def test_full_chain_consistent_experts():
+def test_full_chain_consistent_experts(tmp_path):
     # three experts with identical, perfectly consistent judgments:
     # the aggregate must reproduce each individual's priorities
     picks = _complete_picks("E")
@@ -374,15 +377,15 @@ def test_full_chain_consistent_experts():
     rows: list[dict[str, str]] = []
     for rid in ("e1", "e2", "e3"):
         rows += _rows_for(rid, picks)
-    experts = parse_judgments(rows)
-    agg = aggregate_geomean([e.criteria for e in experts])
+    experts = _load(tmp_path, rows)
+    agg = aggregate_geomean(experts.criteria)
     wv, lam = weights_eigen(agg)
     assert consistency(agg, lam).passed
     assert wv.weights["WLOE"] == pytest.approx(0.6, abs=1e-9)
     assert wv.weights["WLFP"] == pytest.approx(0.2, abs=1e-9)
     leaf_w = {}
     for c in DEFAULT_HIERARCHY.criteria:
-        wv_c, _ = weights_eigen(aggregate_geomean([e.leaves[c] for e in experts]))
+        wv_c, _ = weights_eigen(aggregate_geomean(experts.leaves[c]))
         leaf_w[c] = wv_c
     gw = global_weights(DEFAULT_HIERARCHY, wv, leaf_w)
     assert gw.weights["safe_security"] == pytest.approx(0.6 * 0.75, abs=1e-9)
@@ -395,6 +398,5 @@ def test_load_judgments_ignores_utf8_bom(tmp_path):
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + fixture.read_bytes())
     plain, with_bom = load_judgments(str(fixture)), load_judgments(str(bom))
-    assert [r.respondent_id for r in with_bom] == [r.respondent_id for r in plain]
-    for a, b in zip(with_bom, plain):
-        assert np.array_equal(a.criteria.values, b.criteria.values)
+    assert with_bom.respondent_ids == plain.respondent_ids
+    assert np.array_equal(with_bom.criteria.values, plain.criteria.values)

@@ -4,6 +4,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -637,3 +641,26 @@ def test_emit_refuses_nonfinite_floats(tmp_path):
     cli._emit(_jsonable({"x": float("-inf")}), str(tmp_path / "ok.json"))
     assert json.loads((tmp_path / "ok.json").read_text("utf-8")) == {"x": None}
     assert [p.name for p in tmp_path.iterdir()] == ["ok.json"]  # no file from the refused document
+
+
+def test_report_bundle_is_the_same_at_any_blas_thread_count(tmp_path):
+    # The probit's float products run over 512-row blocks. A 5,000-respondent
+    # synthetic survey (3,000 training rows in the probit's design) gave a
+    # different report.json under 1 and 2 OpenBLAS threads when the blocks
+    # held 8,192 rows. The thread count is read when numpy loads, so each run
+    # is a fresh process.
+    survey = tmp_path / "survey.csv"
+    assert cli.main(["synth", "--kind", "sem", "--n", "5000", "--seed", "7", "--out-file", str(survey)]) == 0
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    bundles = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["report", "--input", str(survey), "--judgments", JUDGMENTS, "--out-dir", str(out)]
+        subprocess.run([sys.executable, "-m", "lockqual.cli", *argv], env=env, check=True, capture_output=True)
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        files["report.json"] = re.sub(rb'\n *"generated_at": "[^"]*",?', b"", files["report.json"])
+        bundles.append(files)
+    assert sorted(bundles[0]) == ["questionnaire.csv", "report.json", "scores.csv", "summary.md"]
+    assert bundles[0] == bundles[1]

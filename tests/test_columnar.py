@@ -1,7 +1,8 @@
 """The columnar SurveyDataset against record-by-record references.
 
 Each reference below walks RespondentRecord objects one at a time, the
-way the summaries are defined; the columnar code must match it exactly,
+way the summaries are defined, and each dataset is built from columns
+drawn alongside those records; the columnar code must match it exactly,
 float for float. The exceptions are the item descriptives and entropies,
 which the columnar code sums over the counts of each rating rather than
 over the rows: there n, the mean, the normality screen and the entropy
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lockqual.catalog import DEFAULT_CATALOG, SATI_AFTER, SATI_BEFORE
-from lockqual.dataset import RespondentRecord, SurveyDataset, describe, load_survey, split, write_survey
+from lockqual.dataset import DEMOGRAPHICS, RespondentRecord, SurveyDataset, describe, load_survey, split, write_survey
 from lockqual.scoring import ScoreWeights, delay_strata, entropy, entropy_report, validation_summary
 
 ITEMS = DEFAULT_CATALOG.indices
@@ -152,8 +153,11 @@ DELAY_EDGES = (0.0, -0.0, 2.0, 4.0, 8.0, 16.0)
 
 
 @st.composite
-def records(draw, min_size=2, max_size=25):
-    """Records with blank item cells, missing delays and band-edge delays."""
+def surveys(draw, min_size=2, max_size=25):
+    """(records, dataset): the same rows, with blank item cells, missing delays and band-edge delays.
+
+    The dataset holds the drawn codes as they are, and the records' ids,
+    delays and demographic cells as columns."""
     n = draw(st.integers(min_size, max_size))
     blank = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -178,7 +182,14 @@ def records(draw, min_size=2, max_size=25):
                 ratings={i: row[i] for i in ITEMS if row[i]},
             )
         )
-    return tuple(recs)
+    d = SurveyDataset(
+        DEFAULT_CATALOG,
+        [r.id for r in recs],
+        codes.astype(np.int8),
+        np.array([math.nan if r.delay_hours is None else r.delay_hours for r in recs]),
+        {name: [getattr(r, name) for r in recs] for name in DEMOGRAPHICS},
+    )
+    return tuple(recs), d
 
 
 index_lists = st.lists(st.sampled_from((SATI_BEFORE, *ITEMS, SATI_AFTER)), min_size=0, max_size=6, unique=True)
@@ -197,20 +208,20 @@ def _weights(draw, groups):
 
 
 @settings(max_examples=150, deadline=None)
-@given(recs=records(min_size=0), indices=index_lists)
-def test_matrix_matches_record_loop(recs, indices):
-    d = SurveyDataset.from_records(recs, DEFAULT_CATALOG)
+@given(survey=surveys(min_size=0), indices=index_lists)
+def test_matrix_matches_record_loop(survey, indices):
+    recs, d = survey
     ids, X = d.matrix(indices)
     ref_ids, ref_X = ref_matrix(recs, indices)
     assert ids == ref_ids
     assert X.shape == ref_X.shape and np.array_equal(X, ref_X)
-    assert d.respondents == recs
 
 
 @settings(max_examples=150, deadline=None)
-@given(recs=records(min_size=0))
-def test_describe_matches_record_loop(recs):
-    rep = describe(SurveyDataset.from_records(recs, DEFAULT_CATALOG))
+@given(survey=surveys(min_size=0))
+def test_describe_matches_record_loop(survey):
+    recs, d = survey
+    rep = describe(d)
     for idx in ITEMS:
         assert_stats_close(rep.items[idx], ref_stats([r.ratings[idx] for r in recs if idx in r.ratings]))
     assert_stats_close(rep.sati_before, ref_stats([r.sati_before for r in recs]))
@@ -218,9 +229,9 @@ def test_describe_matches_record_loop(recs):
 
 
 @settings(max_examples=150, deadline=None)
-@given(recs=records(min_size=0))
-def test_rating_counts_count_each_code_of_each_variable(recs):
-    d = SurveyDataset.from_records(recs, DEFAULT_CATALOG)
+@given(survey=surveys(min_size=0))
+def test_rating_counts_count_each_code_of_each_variable(survey):
+    recs, d = survey
     counts = d.rating_counts()
     assert counts.dtype == np.int64 and counts.shape == (len(DEFAULT_CATALOG) + 2, 6)
     for idx in (SATI_BEFORE, *ITEMS, SATI_AFTER):
@@ -233,25 +244,26 @@ def test_fixture_descriptives_and_entropy_lie_within_the_bounds_measured_on_it()
     # at most 2.3e-16 relative on std, 1.8e-15 on skewness and kurtosis and
     # 3.4e-16 relative on entropy; n, the means and the screens are exact.
     d = load_survey(FIXTURE)
-    recs = d.respondents
+    # each variable's given ratings, from its column of codes
+    ratings = {idx: d.column(idx)[d.column(idx) != 0].tolist() for idx in (SATI_BEFORE, *ITEMS, SATI_AFTER)}
     rep = describe(d)
     for idx, got in [*rep.items.items(), (SATI_BEFORE, rep.sati_before), (SATI_AFTER, rep.sati_after)]:
-        n, mean, std, skew, kurt, normal = ref_stats([r.rating(idx) for r in recs if r.rating(idx) is not None])
+        n, mean, std, skew, kurt, normal = ref_stats(ratings[idx])
         assert (got.n, got.mean, got.normal) == (n, mean, normal)
         assert abs(got.std - std) <= 2.3e-16 * std
         assert abs(got.skewness - skew) <= 1.8e-15 and abs(got.kurtosis - kurt) <= 1.8e-15
     groups = {"a": ITEMS[:16], "b": ITEMS[16:]}
     got = entropy_report(d, groups)
-    expect = ref_entropy(recs, groups)
+    expect = {i: entropy(ratings[i]) for items in groups.values() for i in items}
     assert all(abs(got.per_item[i] - e) <= 3.4e-16 * e for i, e in expect.items())
     variability = {name: 1.0 - float(np.mean([expect[i] for i in items])) for name, items in groups.items()}
     assert got.ranking == tuple(sorted(variability, key=lambda name: (-variability[name], name)))
 
 
 @settings(max_examples=150, deadline=None)
-@given(recs=records(), groups=item_groups)
-def test_entropy_report_matches_record_loop(recs, groups):
-    d = SurveyDataset.from_records(recs, DEFAULT_CATALOG)
+@given(survey=surveys(), groups=item_groups)
+def test_entropy_report_matches_record_loop(survey, groups):
+    recs, d = survey
     latent_items = {f"g{k}": g for k, g in enumerate(groups)}
     try:
         expect = ref_entropy(recs, latent_items)
@@ -265,9 +277,9 @@ def test_entropy_report_matches_record_loop(recs, groups):
 
 
 @settings(max_examples=150, deadline=None)
-@given(recs=records(min_size=1), alt=st.one_of(st.none(), st.lists(st.sampled_from(ITEMS), min_size=1, max_size=5)))
-def test_delay_strata_matches_record_loop(recs, alt):
-    d = SurveyDataset.from_records(recs, DEFAULT_CATALOG)
+@given(survey=surveys(min_size=1), alt=st.one_of(st.none(), st.lists(st.sampled_from(ITEMS), min_size=1, max_size=5)))
+def test_delay_strata_matches_record_loop(survey, alt):
+    recs, d = survey
     if all(r.delay_hours is None for r in recs):
         with pytest.raises(ValueError):
             delay_strata(d, alt_items=alt)
@@ -279,10 +291,10 @@ def test_delay_strata_matches_record_loop(recs, alt):
 
 
 @settings(max_examples=150, deadline=None)
-@given(recs=records(), data=st.data())
-def test_validation_summary_matches_record_loop(recs, data):
+@given(survey=surveys(), data=st.data())
+def test_validation_summary_matches_record_loop(survey, data):
     w = _weights(data.draw, data.draw(item_groups))
-    d = SurveyDataset.from_records(recs, DEFAULT_CATALOG)
+    recs, d = survey
     rows = data.draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=len(recs), max_size=len(recs))))
     if rows is not None:  # score only the rows of a mask, as the holdout is scored
         recs = tuple(r for r, offered in zip(recs, rows) if offered)
@@ -303,9 +315,9 @@ def test_validation_summary_matches_record_loop(recs, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(recs=records(min_size=2), data=st.data())
-def test_split_is_an_order_preserving_partition(recs, data):
-    d = SurveyDataset.from_records(recs, DEFAULT_CATALOG)
+@given(survey=surveys(min_size=2), data=st.data())
+def test_split_is_an_order_preserving_partition(survey, data):
+    recs, d = survey
     n_train = data.draw(st.integers(1, d.n - 1))
     seed = data.draw(st.integers(0, 1000))
     train = split(d, n_train, seed)
@@ -318,9 +330,9 @@ def test_split_is_an_order_preserving_partition(recs, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(recs=records(min_size=0))
-def test_write_then_load_round_trips(recs, tmp_path_factory):
-    d = SurveyDataset.from_records(recs, DEFAULT_CATALOG)
+@given(survey=surveys(min_size=0))
+def test_write_then_load_round_trips(survey, tmp_path_factory):
+    recs, d = survey
     path = str(tmp_path_factory.mktemp("rt") / "survey.csv")
     write_survey(d, path)
     back = load_survey(path)

@@ -50,10 +50,10 @@ def test_load_accepts_clean_rows(tmp_path):
     d = load_survey(path)
     assert d.n == 2
     assert d.rejected == ()
-    assert d.respondents[0].sati_before == 3
-    assert d.respondents[0].sati_after == 3
-    assert d.respondents[0].ratings[17] == 3
-    assert d.respondents[0].delay_hours == 1.5
+    assert d.column(0)[0] == 3
+    assert d.column(33)[0] == 3
+    assert d.column(17)[0] == 3
+    assert d.delay_hours[0] == 1.5
 
 
 def test_rating_out_of_range_rejected_with_reason(tmp_path):
@@ -102,8 +102,7 @@ def test_missing_item_rating_is_allowed(tmp_path):
     path = _write(tmp_path, [_header(), _row("a1", ratings=with_gap)])
     d = load_survey(path)
     assert d.n == 1
-    assert 10 not in d.respondents[0].ratings
-    assert d.respondents[0].rating(10) is None
+    assert d.column(10)[0] == 0  # missing
 
 
 def test_bad_header_raises(tmp_path):
@@ -130,7 +129,7 @@ def test_round_trip_is_exact(tmp_path):
     write_survey(d, out)
     d2 = load_survey(out)
     assert d2.rejected == ()
-    assert d2.respondents == d.respondents
+    assert d2 == d
     # and writing again yields the identical file
     out2 = str(tmp_path / "out2.csv")
     write_survey(d2, out2)
@@ -179,7 +178,7 @@ def test_describe_report_covers_catalog():
 def test_split_is_seeded_shuffle_of_sorted_ids():
     d = gen_sem_survey(default_sem_truth(n=25, seed=9))
     train = split(d, 10, seed=42)
-    ids = sorted(r.id for r in d.respondents)
+    ids = sorted(d.respondent_ids.tolist())
     rng = random.Random(42)
     rng.shuffle(ids)
     assert set(compress(d.respondent_ids, train)) == set(ids[:10])
@@ -324,7 +323,7 @@ def test_ids_and_demographics_given_as_lists_are_stored_as_arrays():
     assert e == d
     assert isinstance(e.respondent_ids.dtype, StringDType)
     assert len(e.demographics.combos) == len(d.demographics.combos) < d.n
-    assert [r.gender for r in e.respondents] == d.demographics["gender"]
+    assert e.demographics["gender"] == d.demographics["gender"]
     with pytest.raises(ValueError, match="demographics"):
         SurveyDataset(d.catalog, d.respondent_ids, d.codes, d.delay_hours, {**d.demographics, "gender": []})
 
@@ -364,15 +363,15 @@ def test_catalog_round_trip_and_validation():
 def test_generator_is_deterministic():
     a = gen_sem_survey(default_sem_truth(n=30, seed=13))
     b = gen_sem_survey(default_sem_truth(n=30, seed=13))
-    assert a.respondents == b.respondents
+    assert a == b
     c = gen_sem_survey(default_sem_truth(n=30, seed=14))
-    assert c.respondents != a.respondents
+    assert c != a
 
 
 def test_generator_delay_negatively_tracks_time_items():
     d = gen_sem_survey(default_sem_truth(n=2000, seed=21))
-    delays = np.array([r.delay_hours for r in d.respondents])
-    time_mean = np.array([np.mean([r.ratings[i] for i in (5, 6, 7, 8, 9, 10)]) for r in d.respondents])
+    delays = d.delay_hours
+    time_mean = d.codes[:, [5, 6, 7, 8, 9, 10]].mean(axis=1)
     rho = np.corrcoef(np.log(delays), time_mean)[0, 1]
     assert rho < -0.4
 

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.dtypes import StringDType
 
 from lockqual import dataset
 from lockqual.ahp import (
@@ -30,13 +31,13 @@ from lockqual.ahp import (
     aggregate_geomean,
     JudgmentMatrix,
     JudgmentStack,
-    parse_judgments,
     weights_eigen,
     weights_eigen_stack,
 )
 from lockqual.catalog import DEFAULT_CATALOG, VariableCatalog
 from lockqual.dataset import DEMOGRAPHICS, RejectedRow, SurveyFormatError, _expected_header, load_survey
 from lockqual.scoring import ScoreWeights, ValidationSummary, write_scores_csv
+from lockqual.synth import write_judgments_csv
 
 DATA_JUDGMENTS = str(Path(__file__).resolve().parent.parent / "data" / "fixture_judgments.csv")
 
@@ -543,21 +544,6 @@ def _first_error(fn, rows):
         return None, str(exc)
 
 
-@settings(max_examples=200, deadline=None)
-@given(rows=judgment_rows())
-def test_parse_judgments_matches_the_per_cell_parser(rows):
-    want, want_err = _first_error(ref_parse_judgments, rows)
-    got, got_err = _first_error(parse_judgments, rows)
-    assert got_err == want_err
-    if want is None:
-        return
-    assert [e.respondent_id for e in got] == [rid for rid, _, _ in want]
-    for e, (_, crit, leaves) in zip(got, want):
-        assert e.criteria.labels == crit.labels and np.array_equal(e.criteria.values, crit.values)
-        for c, m in leaves.items():
-            assert e.leaves[c].labels == m.labels and np.array_equal(e.leaves[c].values, m.values)
-
-
 def ref_load_judgments(path: str):
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -590,13 +576,14 @@ def test_load_judgments_reads_what_the_dict_reader_read(rows, data, tmp_path_fac
     got, got_err = _first_error(load_judgments, str(path))
     assert got_err == want_err
     if want is not None:
-        assert [e.respondent_id for e in got] == [rid for rid, _, _ in want]
-        for e, (_, crit, leaves) in zip(got, want):
-            assert np.array_equal(e.criteria.values, crit.values)
-            assert all(np.array_equal(e.leaves[c].values, m.values) for c, m in leaves.items())
+        assert list(got.respondent_ids) == [rid for rid, _, _ in want]
+        for k, (_, crit, leaves) in enumerate(want):
+            assert got.criteria.labels == crit.labels and np.array_equal(got.criteria.values[k], crit.values)
+            for c, m in leaves.items():
+                assert got.leaves[c].labels == m.labels and np.array_equal(got.leaves[c].values[k], m.values)
 
 
-def test_parse_judgments_first_of_two_defects():
+def test_parse_judgments_first_of_two_defects(tmp_path):
     rows = _all_rows(["e1", "e2"], lambda: True)
     for r in rows:
         r["selection"] = "L3"
@@ -621,8 +608,10 @@ def test_parse_judgments_first_of_two_defects():
                 case[k - 1]["selection"] = "X2"
             else:
                 case[k - 1]["level"] = "nowhere"
-        assert _first_error(ref_parse_judgments, case)[1] == message
-        assert _first_error(parse_judgments, case)[1] == message
+        path = str(tmp_path / "judgments.csv")
+        write_judgments_csv(case, path)
+        assert _first_error(ref_load_judgments, path)[1] == message
+        assert _first_error(load_judgments, path)[1] == message
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +660,8 @@ def test_batched_eigen_equals_the_per_matrix_loop(stack, stop):
 def test_batched_eigen_on_the_fixture_experts():
     experts = load_judgments(DATA_JUDGMENTS)
     w, lam = weights_eigen_stack(experts.criteria.values)
-    for k, e in enumerate(experts):
-        w_ref, lam_ref = ref_weights_eigen(e.criteria.values)
+    for k, a in enumerate(experts.criteria.values):
+        w_ref, lam_ref = ref_weights_eigen(a)
         assert w[k].tolist() == w_ref.tolist() and lam[k] == lam_ref
 
 
@@ -693,7 +682,7 @@ def test_write_scores_csv_writes_the_csv_writer_bytes(ids, data, tmp_path_factor
     n = len(ids)
     lvr = np.array(data.draw(st.lists(st.lists(score, min_size=2, max_size=2), min_size=n, max_size=n)), dtype=float)
     summary = ValidationSummary(
-        ids=tuple(ids),
+        ids=np.array(ids, dtype=StringDType()),
         latents=("B", "A"),
         lvr=lvr.reshape(n, 2),
         sqr=np.array(data.draw(st.lists(score, min_size=n, max_size=n)), dtype=float),
@@ -721,7 +710,7 @@ def test_write_scores_csv_with_repeated_lvrs_and_quoted_ids(ids, data, tmp_path_
     n = len(ids)
     lvr = np.array(data.draw(st.lists(st.sampled_from(REPEATED), min_size=3 * n, max_size=3 * n)), dtype=float)
     summary = ValidationSummary(
-        ids=tuple(ids),
+        ids=np.array(ids, dtype=StringDType()),
         latents=("C", "A", "B"),
         lvr=lvr.reshape(n, 3),
         sqr=np.array(data.draw(st.lists(st.sampled_from(REPEATED), min_size=n, max_size=n)), dtype=float),

@@ -21,16 +21,15 @@ from lockqual.oprobit import (
     _kappa_of,
     _ll,
     _softplus_inv,
+    _BLOCK_ROWS,
     backward_eliminate,
-    build_questionnaire,
     fit,
     null_fit,
-    predict_proba,
-    write_questionnaire_csv,
 )
-from lockqual.catalog import SATI_AFTER
-from lockqual.moments import _BLOCK_ROWS, Moments
-from lockqual.pipeline import PipelineConfig, run_pipeline
+from lockqual.catalog import DEFAULT_CATALOG, DISPLAY_NAMES, SATI_AFTER
+from lockqual.dataset import load_survey
+from lockqual.moments import Moments
+from lockqual.pipeline import GateThresholds, PipelineConfig, probit_section, run_pipeline, write_questionnaire
 
 
 def _simulate(n, beta, kappa, seed):
@@ -233,21 +232,6 @@ def test_standard_errors_match_numeric_information():
     assert np.allclose(m.kappa_se, se_fd[1:], rtol=1e-3)
 
 
-def test_predict_proba_rows_sum_to_one_and_shift_mass():
-    beta_true = np.array([1.0])
-    kappa_true = np.array([-0.8, 0.8])
-    X, y = _simulate(400, beta_true, kappa_true, seed=2)
-    m = fit(X, y)
-    grid = np.array([[-2.0], [0.0], [2.0]])
-    P = predict_proba(m, grid)
-    assert P.shape == (3, 3)
-    assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(P > 0)
-    # larger index pushes probability toward the top category
-    assert P[2, 2] > P[1, 2] > P[0, 2]
-    assert P[0, 0] > P[1, 0] > P[2, 0]
-
-
 def test_input_validation():
     X = np.random.default_rng(0).normal(size=(50, 2))
     y_ok = np.array(([1] * 17 + [2] * 17 + [3] * 16))
@@ -333,28 +317,29 @@ def test_backward_elimination_can_empty_out():
 
 
 def test_questionnaire_grouping_and_numbering():
-    survivors = ("q10", "q2", "q7")
-    metadata = {
-        "q10": {"construct": "B", "description": "later block", "abbreviation": "ten"},
-        "q2": {"construct": "A", "description": "first", "abbreviation": "two"},
-        "q7": {"construct": "A", "description": "second", "abbreviation": "seven"},
-    }
-    q = build_questionnaire(survivors, metadata, construct_order=("A", "B"))
-    assert [e.item for e in q.entries] == ["q2", "q7", "q10"]
-    assert [e.number for e in q.entries] == [1, 2, 3]
-    assert [e.construct for e in q.entries] == ["A", "A", "B"]
-    # without metadata the abbreviation falls back to the item itself
-    bare = build_questionnaire(("x", "y"))
-    assert [e.abbreviation for e in bare.entries] == ["x", "y"]
+    # the probit document files each survivor under its item's construct, by
+    # display name, the constructs in the order they first appear among the
+    # survivors, and numbers the rows from 1
+    data = load_survey(str(Path(__file__).resolve().parent.parent / "data" / "fixture_survey.csv"))
+    constructs = {i: "safe_security" if i % 2 else "staff_skills" for i in DEFAULT_CATALOG.indices}
+    doc = probit_section(data, constructs, DEFAULT_CATALOG, GateThresholds(), False, [])
+    item_of = {DEFAULT_CATALOG.abbreviation_of(i): i for i in DEFAULT_CATALOG.indices}
+    survivors = doc["survivors"]
+    first = constructs[item_of[survivors[0]]]
+    grouped = sorted(survivors, key=lambda name: constructs[item_of[name]] != first)
+    assert grouped != list(survivors)  # the survivors interleave the two constructs
+    rows = doc["questionnaire"]
+    assert [r["abbreviation"] for r in rows] == grouped
+    assert [r["question_number"] for r in rows] == list(range(1, len(rows) + 1))
+    assert [r["construct"] for r in rows] == [DISPLAY_NAMES[constructs[item_of[name]]] for name in grouped]
+    assert [r["description"] for r in rows] == [f"survey item {item_of[name]}" for name in grouped]
 
 
 def test_questionnaire_csv(tmp_path):
-    q = build_questionnaire(
-        ("q2",),
-        {"q2": {"construct": "A", "description": "d", "abbreviation": "ab"}},
-    )
     path = tmp_path / "q.csv"
-    write_questionnaire_csv(q, str(path))
+    write_questionnaire(
+        [{"construct": "A", "question_number": 1, "description": "d", "abbreviation": "ab"}], str(path)
+    )
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["construct", "question_number", "description", "abbreviation"]

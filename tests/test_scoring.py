@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lockqual.catalog import DEFAULT_CATALOG
-from lockqual.dataset import RespondentRecord, SurveyDataset
+from lockqual.dataset import DEMOGRAPHICS, RespondentRecord, SurveyDataset
 from lockqual.scoring import (
     DelayStrata,
     ScoreWeights,
@@ -41,6 +41,18 @@ def _resp(rid: str, ratings: dict[int, int], sati_after: int = 4, delay: float |
         sati_after=sati_after,
         ratings=ratings,
     )
+
+
+def _survey(*rows: tuple[dict[int, int], int, float | None]) -> SurveyDataset:
+    """A dataset built from columns: rows of (item ratings, post-trip rating, delay), ids r1, r2, ..."""
+    codes = np.zeros((len(rows), 34), dtype=np.int8)
+    codes[:, 0] = 3
+    for k, (ratings, after, _) in enumerate(rows):
+        codes[k, list(ratings)] = list(ratings.values())
+        codes[k, 33] = after
+    delays = np.array([math.nan if delay is None else delay for *_, delay in rows])
+    ids = [f"r{k + 1}" for k in range(len(rows))]
+    return SurveyDataset(DEFAULT_CATALOG, ids, codes, delays, {name: ["-"] * len(rows) for name in DEMOGRAPHICS})
 
 
 def _weights() -> ScoreWeights:
@@ -177,13 +189,10 @@ def test_weights_from_estimate_requires_standardization_and_one_target():
 
 def test_validation_summary_counts_and_error():
     w = _weights()
-    ds = SurveyDataset.from_records(
-        (
-            _resp("r1", {1: 4, 2: 4, 3: 4}, sati_after=4),
-            _resp("r2", {1: 5, 2: 5, 3: 5}, sati_after=4),
-            _resp("r3", {1: 2, 3: 2}, sati_after=2),  # unscoreable
-        ),
-        DEFAULT_CATALOG,
+    ds = _survey(
+        ({1: 4, 2: 4, 3: 4}, 4, None),
+        ({1: 5, 2: 5, 3: 5}, 4, None),
+        ({1: 2, 3: 2}, 2, None),  # unscoreable
     )
     out = validation_summary(ds, w)
     assert out.n_scored == 2
@@ -213,10 +222,8 @@ def _holdouts(draw):
     w = ScoreWeights(latents, item_weights, {name: draw(weight) for name in latents})
     rating = st.integers(1, 5)
     n = draw(st.integers(1, 20))
-    records = [
-        _resp(f"r{r}", {item: draw(rating) for item in items[:start]}, sati_after=draw(rating)) for r in range(n)
-    ]
-    return w, SurveyDataset.from_records(records, DEFAULT_CATALOG)
+    rows = [({item: draw(rating) for item in items[:start]}, draw(rating), None) for _ in range(n)]
+    return w, _survey(*rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -231,10 +238,7 @@ def test_holdout_scores_stay_on_the_rating_scale(case):
 
 def test_scores_csv_round_trip(tmp_path):
     w = _weights()
-    ds = SurveyDataset.from_records(
-        (_resp("r1", {1: 4, 2: 4, 3: 4}, sati_after=4),),
-        DEFAULT_CATALOG,
-    )
+    ds = _survey(({1: 4, 2: 4, 3: 4}, 4, None))
     out = validation_summary(ds, w)
     path = tmp_path / "scores.csv"
     write_scores_csv(out, w, str(path))
@@ -289,14 +293,7 @@ def test_count_entropy_is_entropy_of_the_ratings_counted(counts):
 def test_entropy_report_ranking():
     # latent "flat" has uniform answers (E = 1, variability 0);
     # latent "split" concentrates answers (E < 1, variability > 0)
-    ds = SurveyDataset.from_records(
-        (
-            _resp("r1", {1: 3, 2: 1}),
-            _resp("r2", {1: 3, 2: 5}),
-            _resp("r3", {1: 3, 2: 1}),
-        ),
-        DEFAULT_CATALOG,
-    )
+    ds = _survey(({1: 3, 2: 1}, 4, None), ({1: 3, 2: 5}, 4, None), ({1: 3, 2: 1}, 4, None))
     rep = entropy_report(ds, {"flat": (1,), "split": (2,)})
     assert rep.per_latent["flat"] == pytest.approx(1.0)
     assert rep.per_latent["split"] < 1.0
@@ -305,27 +302,18 @@ def test_entropy_report_ranking():
 
 
 def test_entropy_report_mean_over_items():
-    ds = SurveyDataset.from_records(
-        (
-            _resp("r1", {1: 1, 2: 2}),
-            _resp("r2", {1: 4, 2: 2}),
-        ),
-        DEFAULT_CATALOG,
-    )
+    ds = _survey(({1: 1, 2: 2}, 4, None), ({1: 4, 2: 2}, 4, None))
     rep = entropy_report(ds, {"g": (1, 2)})
     assert rep.per_latent["g"] == pytest.approx((entropy([1, 4]) + entropy([2, 2])) / 2, rel=1e-12)
 
 
 def test_delay_band_boundaries_go_low():
-    ds = SurveyDataset.from_records(
-        (
-            _resp("r1", {1: 3}, sati_after=4, delay=2.0),  # boundary -> [0,2]
-            _resp("r2", {1: 3}, sati_after=4, delay=3.0),
-            _resp("r3", {1: 3}, sati_after=2, delay=20.0),
-            _resp("r4", {1: 3}, sati_after=5, delay=16.0),  # boundary -> (8,16]
-            _resp("r5", {1: 3}, sati_after=3, delay=None),
-        ),
-        DEFAULT_CATALOG,
+    ds = _survey(
+        ({1: 3}, 4, 2.0),  # boundary -> [0,2]
+        ({1: 3}, 4, 3.0),
+        ({1: 3}, 2, 20.0),
+        ({1: 3}, 5, 16.0),  # boundary -> (8,16]
+        ({1: 3}, 3, None),
     )
     out = delay_strata(ds)
     assert isinstance(out, DelayStrata)
@@ -344,22 +332,13 @@ def test_delay_band_boundaries_go_low():
 
 
 def test_delay_alt_items_average():
-    ds = SurveyDataset.from_records(
-        (
-            _resp("r1", {1: 2, 2: 4}, sati_after=4, delay=1.0),
-            _resp("r2", {1: 4, 2: 4}, sati_after=4, delay=1.5),
-        ),
-        DEFAULT_CATALOG,
-    )
+    ds = _survey(({1: 2, 2: 4}, 4, 1.0), ({1: 4, 2: 4}, 4, 1.5))
     out = delay_strata(ds, alt_items=(1, 2))
     band = out.bands[0]
     assert band.s_mean_alt == pytest.approx((3.0 + 4.0) / 2)
 
 
 def test_delay_requires_some_delays():
-    ds = SurveyDataset.from_records(
-        (_resp("r1", {1: 3}, delay=None),),
-        DEFAULT_CATALOG,
-    )
+    ds = _survey(({1: 3}, 4, None))
     with pytest.raises(ValueError):
         delay_strata(ds)

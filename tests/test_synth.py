@@ -7,7 +7,7 @@ import pytest
 from lockqual.ahp import (
     aggregate_geomean,
     consistency,
-    parse_judgments,
+    load_judgments,
     weights_eigen,
 )
 from lockqual.dataset import describe
@@ -25,7 +25,7 @@ from lockqual.synth import (
     gen_probit,
     gen_sem_survey,
     true_cfa_model,
-    true_structural_model,
+    write_judgments_csv,
 )
 
 
@@ -46,12 +46,14 @@ def test_default_truth_is_unit_variance_and_consistent():
 def test_truth_models_align_with_planted_structure():
     spec = default_sem_truth()
     cfa = true_cfa_model()
-    full = true_structural_model()
     assert len(cfa.observed) == 29
-    assert set(full.observed) == set(cfa.observed) | {0, 33}
-    assert full.structural_paths == tuple((f, "service_quality") for f in spec.latents[:-1])
-    # the marker of each block is its first item and loads strongly
     obs_index = {v: i for i, v in enumerate(spec.observed)}
+    # the planted structure: each of the six factors predicts service_quality,
+    # which the two overall satisfaction bookends measure
+    assert spec.latents[:-1] == cfa.latents
+    assert np.flatnonzero(spec.beta[-1]).tolist() == list(range(len(cfa.latents)))
+    assert np.flatnonzero(spec.lam[:, -1]).tolist() == [obs_index[0], obs_index[33]]
+    # the marker of each block is its first item and loads strongly
     for name in cfa.latents:
         marker = cfa.marker_of(name)
         lat_col = spec.latents.index(name)
@@ -76,13 +78,9 @@ def test_survey_generation_deterministic_and_screened():
     assert d1.n == 120
     assert d1.respondent_ids[0] == "r0001"
     assert d1.respondent_ids[-1] == "r0120"
-    for r in d1.respondents:
-        assert 1 <= r.sati_before <= 5
-        assert 1 <= r.sati_after <= 5
-        assert r.delay_hours is not None and r.delay_hours > 0
-        assert set(r.ratings) == set(range(1, 33))
-        for v in r.ratings.values():
-            assert 1 <= v <= 5
+    # every rating of every row is given and lies in 1..5, the bookends too
+    assert np.all((d1.codes >= 1) & (d1.codes <= 5))
+    assert np.all(d1.delay_hours > 0)
     d3 = gen_sem_survey(default_sem_truth(n=120, seed=43))
     assert d3 != d1
 
@@ -101,7 +99,7 @@ def test_survey_missing_rate():
         missing_rate=0.05,
     )
     d = gen_sem_survey(spec)
-    n_cells = sum(len(r.ratings) for r in d.respondents)
+    n_cells = np.count_nonzero(d.codes[:, 1:33])
     assert n_cells < 300 * 32
     share = 1.0 - n_cells / (300 * 32)
     assert 0.02 < share < 0.09
@@ -129,7 +127,7 @@ def test_survey_delay_negatively_tracks_time_factor():
     d = gen_sem_survey(spec)
     time_items = (5, 6, 7, 8, 9, 10)
     _, X = d.matrix(time_items)
-    delays = np.array([r.delay_hours for r in d.respondents])
+    delays = d.delay_hours
     mean_rating = X.mean(axis=1)
     rho = np.corrcoef(np.log(delays), mean_rating)[0, 1]
     assert rho < -0.3
@@ -147,16 +145,22 @@ def test_survey_feeds_descriptives_and_adequacy():
     assert adq.bartlett_p < 1e-6
 
 
-def test_ahp_rows_deterministic_and_parseable():
+def _load(tmp_path, rows):
+    path = str(tmp_path / "judgments.csv")
+    write_judgments_csv(rows, path)
+    return load_judgments(path)
+
+
+def test_ahp_rows_deterministic_and_parseable(tmp_path):
     spec = AhpSpec(n_respondents=10, seed=11)
     rows1 = gen_ahp_judgments(spec)
     rows2 = gen_ahp_judgments(spec)
     assert rows1 == rows2
     # 3 criteria pairs + 3 leaf pairs per respondent
     assert len(rows1) == 10 * 6
-    experts = parse_judgments(rows1)
+    experts = _load(tmp_path, rows1)
     assert len(experts) == 10
-    assert experts[0].respondent_id == "e001"
+    assert experts.respondent_ids[0] == "e001"
 
 
 # weights whose pairwise ratios sit exactly on scale rungs (3, 3, 1 at
@@ -171,13 +175,13 @@ _ALIGNED_WEIGHTS = {
 }
 
 
-def test_ahp_zero_noise_exact_for_ladder_aligned_weights():
+def test_ahp_zero_noise_exact_for_ladder_aligned_weights(tmp_path):
     spec = AhpSpec(n_respondents=5, seed=1, noise_level=0.0, true_weights=_ALIGNED_WEIGHTS)
-    experts = parse_judgments(gen_ahp_judgments(spec))
+    experts = _load(tmp_path, gen_ahp_judgments(spec))
     # every respondent's matrix is the rounded-truth matrix
-    for e in experts[1:]:
-        assert np.allclose(e.criteria.values, experts[0].criteria.values)
-    agg = aggregate_geomean([e.criteria for e in experts])
+    for a in experts.criteria.values[1:]:
+        assert np.allclose(a, experts.criteria.values[0])
+    agg = aggregate_geomean(experts.criteria)
     wv, lam = weights_eigen(agg)
     assert consistency(agg, lam).passed
     assert wv.weights["WLOE"] == pytest.approx(0.6, abs=1e-9)
@@ -192,26 +196,26 @@ def test_ahp_uniform_weights_give_all_center_selections():
     assert all(row["selection"] == "E" for row in rows)
 
 
-def test_ahp_moderate_noise_recovers_aligned_weights():
+def test_ahp_moderate_noise_recovers_aligned_weights(tmp_path):
     # aggregated eigen weights stay within 0.03 of the planted criteria
     # weights across seeds at survey-scale panels
     for seed in (11, 12, 13, 14, 15):
         spec = AhpSpec(n_respondents=50, seed=seed, noise_level=0.2, true_weights=_ALIGNED_WEIGHTS)
-        experts = parse_judgments(gen_ahp_judgments(spec))
-        agg = aggregate_geomean([e.criteria for e in experts])
+        experts = _load(tmp_path, gen_ahp_judgments(spec))
+        agg = aggregate_geomean(experts.criteria)
         wv, _ = weights_eigen(agg)
         assert wv.weights["WLOE"] == pytest.approx(0.6, abs=0.03)
         assert wv.weights["WLFP"] == pytest.approx(0.2, abs=0.03)
         assert wv.weights["WLMS"] == pytest.approx(0.2, abs=0.03)
 
 
-def test_ahp_noise_creates_some_inconsistency():
+def test_ahp_noise_creates_some_inconsistency(tmp_path):
     spec = AhpSpec(n_respondents=49, seed=11, noise_level=0.35)
-    experts = parse_judgments(gen_ahp_judgments(spec))
+    experts = _load(tmp_path, gen_ahp_judgments(spec))
     flags = []
-    for e in experts:
-        _, lam = weights_eigen(e.criteria)
-        flags.append(consistency(e.criteria, lam).passed)
+    for m in experts.criteria:
+        _, lam = weights_eigen(m)
+        flags.append(consistency(m, lam).passed)
     assert any(flags)
     assert not all(flags)
 
@@ -259,7 +263,7 @@ def test_likert_marginals_match_threshold_gaps():
     cuts = np.concatenate(([-np.inf], LIKERT_THRESHOLDS, [np.inf]))
     expect = np.diff(scipy.stats.norm.cdf(cuts))
     for item in (1, 17, 33):
-        vals = np.array([r.rating(item) for r in d.respondents])
+        vals = d.column(item)
         shares = np.bincount(vals, minlength=6)[1:] / len(vals)
         assert np.max(np.abs(shares - expect)) < 0.03
 
@@ -268,7 +272,7 @@ def test_empty_survey_draw():
     spec = default_sem_truth(n=0, seed=1)
     d = gen_sem_survey(spec)
     assert d.n == 0
-    assert d.respondents == ()
+    assert d.codes.shape == (0, 34)
 
 
 def test_sample_cov_of_continuous_draws_matches_truth():
