@@ -102,11 +102,11 @@ class JudgmentMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class JudgmentStack(Sequence[JudgmentMatrix]):
+class JudgmentStack:
     """Judgment matrices over the same labels, held as one (m, n, n) array.
 
-    An integer index gives a JudgmentMatrix viewing one slice; a slice,
-    mask or index array gives the stack of the chosen matrices.
+    A slice, mask or index array gives the stack of the chosen matrices;
+    matrix k is `values[k]`.
     """
 
     labels: tuple[str, ...]
@@ -127,9 +127,8 @@ class JudgmentStack(Sequence[JudgmentMatrix]):
     def __len__(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, index):
-        a = self.values[index]
-        return JudgmentMatrix(self.labels, a) if a.ndim == 2 else JudgmentStack(self.labels, a)
+    def __getitem__(self, rows) -> "JudgmentStack":
+        return JudgmentStack(self.labels, self.values[rows])
 
 
 @dataclass(frozen=True)

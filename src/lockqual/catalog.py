@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 KINDS = ("frequency", "subjective", "satisfaction")
+_FIELDS = ("index", "abbreviation", "kind", "latent_hint")  # of one item in a catalog file
 
 # Observed-variable index space: 0 is the pre-trip overall satisfaction
 # bookend, 1..32 are catalog items, 33 is the post-trip bookend.
@@ -97,37 +98,30 @@ class VariableCatalog:
     def hint_of(self, index: int) -> str:
         return self.item(index).latent_hint
 
-    def to_json(self) -> str:
-        rows = [
-            {
-                "index": it.index,
-                "abbreviation": it.abbreviation,
-                "kind": it.kind,
-                "latent_hint": it.latent_hint,
-            }
-            for it in self.items
-        ]
-        return json.dumps(rows, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Mapping[str, object]]) -> "VariableCatalog":
-        items = tuple(
-            CatalogItem(
-                index=int(r["index"]),
-                abbreviation=str(r["abbreviation"]),
-                kind=str(r["kind"]),
-                latent_hint=str(r["latent_hint"]),
-            )
-            for r in rows
-        )
-        return cls(items)
-
     @classmethod
     def from_json(cls, text: str) -> "VariableCatalog":
+        """Read a JSON list of item objects; a missing or malformed field is a
+        ValueError naming its row (counted from 0) and the field."""
         rows = json.loads(text)
         if not isinstance(rows, list):
-            raise ValueError("catalog JSON must be a list of item objects")
-        return cls.from_rows(rows)
+            raise ValueError("catalog: the document must be a list of item objects")
+        items = []
+        for j, r in enumerate(rows):
+            if not isinstance(r, dict):
+                raise ValueError(f"catalog: row {j} must be an object with {', '.join(_FIELDS)}")
+            missing = [name for name in _FIELDS if name not in r]
+            if missing:
+                raise ValueError(f"catalog: row {j} has no {missing[0]!r}")
+            if type(r["index"]) is not int:
+                raise ValueError(f"catalog: row {j} 'index' must be an integer")
+            try:
+                items.append(CatalogItem(r["index"], str(r["abbreviation"]), str(r["kind"]), str(r["latent_hint"])))
+            except ValueError as exc:
+                raise ValueError(f"catalog: row {j}: {exc}") from None
+        try:
+            return cls(tuple(items))
+        except ValueError as exc:
+            raise ValueError(f"catalog: {exc}") from None
 
 
 def load_catalog(path: str) -> VariableCatalog:

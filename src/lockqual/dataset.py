@@ -32,7 +32,7 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.dtypes import StringDType
@@ -91,14 +91,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-class Demographics(Mapping[str, list[str]]):
+class Demographics:
     """The demographic cells of each row, as the number of its distinct tuple of cells.
 
     combos : the distinct tuples of cells, each in DEMOGRAPHICS order
     number : read-only int64 array of shape (n,), each row's tuple in combos
-
-    As a mapping, field name (see DEMOGRAPHICS) -> one string per row, built
-    on each access.
     """
 
     def __init__(self, combos: Sequence[tuple[str, ...]], number: np.ndarray) -> None:
@@ -115,18 +112,6 @@ class Demographics(Mapping[str, list[str]]):
         number = np.fromiter((combo.setdefault(t, len(combo)) for t in rows), dtype=np.int64)
         return cls(list(combo), number)
 
-    def __getitem__(self, name: str) -> list[str]:
-        if name not in DEMOGRAPHICS:
-            raise KeyError(name)
-        k = DEMOGRAPHICS.index(name)
-        return np.array([c[k] for c in self.combos], dtype=object)[self.number].tolist()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(DEMOGRAPHICS)
-
-    def __len__(self) -> int:
-        return len(DEMOGRAPHICS)
-
     def rows(self) -> list[tuple[str, ...]]:
         """Each row's cells, in DEMOGRAPHICS order."""
         return list(map(self.combos.__getitem__, self.number.tolist()))
@@ -141,8 +126,8 @@ class SurveyDataset:
                      questionnaire field q0..q33; column 0 and the last column
                      are the overall satisfaction bookends. 0 means missing.
     delay_hours    : float64 array of shape (n,), NaN where no delay was given.
-    demographics   : a Demographics, field name (see DEMOGRAPHICS) -> one
-                     string per row.
+    demographics   : a Demographics, one number per row for its cells in the
+                     DEMOGRAPHICS fields.
 
     Ids and demographics given as string sequences (one per field) are
     stored in these forms, and every array is held as a read-only view.
@@ -156,7 +141,7 @@ class SurveyDataset:
     respondent_ids: np.ndarray
     codes: np.ndarray
     delay_hours: np.ndarray
-    demographics: Mapping[str, Sequence[str]]
+    demographics: Demographics | Mapping[str, Sequence[str]]
     rejected: tuple[RejectedRow, ...] = ()
 
     def __post_init__(self) -> None:

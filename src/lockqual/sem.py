@@ -16,6 +16,10 @@ Standard errors come from the inverse expected information. Residual
 and latent variances are log-parameterized inside the optimizer so the
 search space is unconstrained; estimates are reported on the raw scale
 and boundary solutions are flagged, never clamped.
+The order of the packed parameter vector lives in `_ParamMap` alone:
+the start values, the objective and its gradient, the standard errors
+and the parameter table read and write the vector through its
+`scatter`, `gather` and `table`.
 """
 from __future__ import annotations
 
@@ -198,89 +202,98 @@ def _implied(lam: np.ndarray, beta: np.ndarray, psi: np.ndarray, theta: np.ndarr
     return a, c, lam_c, 0.5 * (sig + sig.T)
 
 
+# a parameter's name in lavaan's syntax, from its table entry's lhs and rhs
+_SYNTAX = {
+    "loading": "{0}=~q{1}",
+    "path": "{1}~{0}",
+    "covariance": "{0}~~{1}",
+    "variance": "{0}~~{1}",
+    "residual": "q{0}~~q{1}",
+}
+
+
 class _ParamMap:
-    """Packed parameter layout for one model.
+    """Packed parameter layout for one model; no other code knows the order.
 
     Order: free loadings, structural paths, free latent covariances,
-    log latent variances, log residual variances.
+    log latent variances, log residual variances. Each entry of `table`
+    is (kind, lhs, rhs, cell), with the cell a flat position in Lam
+    (p x m), B (m x m), Psi (m x m) and Theta (p) laid end to end (see
+    `flat`). The table lists the fixed markers too, each before its
+    latent's free loadings, in the row order of `SemEstimate.param_table`.
+    `fixed` holds the markers' cells, `cells` the packed parameters' and
+    `mirror` the Psi cell (b, a) of each covariance (a, b); `scatter`
+    puts a packed vector into the four matrices and `gather` reads one
+    out of them.
     """
 
     def __init__(self, model: MeasurementModel):
         self.model = model
         obs = model.observed
-        self.p = len(obs)
-        self.m = len(model.latents)
-        self.lat_index = {name: j for j, name in enumerate(model.latents)}
+        self.p = p = len(obs)
+        self.m = m = len(model.latents)
+        lat = {name: j for j, name in enumerate(model.latents)}
         self.obs_index = {item: i for i, item in enumerate(obs)}
-        load_rows: list[int] = []
-        load_cols: list[int] = []
-        marker_rows: list[int] = []
-        for name in model.latents:
-            j = self.lat_index[name]
-            inds = model.indicators[name]
-            marker_rows.append(self.obs_index[inds[0]])
-            for item in inds[1:]:
-                load_rows.append(self.obs_index[item])
-                load_cols.append(j)
-        # index arrays, which NumPy gathers and scatters with as it does
-        # lists, without converting a list on every call
-        self.load_rows = np.array(load_rows, dtype=np.intp)
-        self.load_cols = np.array(load_cols, dtype=np.intp)
-        self.marker_rows = np.array(marker_rows, dtype=np.intp)
-        paths, covs = model.structural_paths, model.latent_covariances
-        self.path_dst = np.array([self.lat_index[d] for _, d in paths], dtype=np.intp)
-        self.path_src = np.array([self.lat_index[s] for s, _ in paths], dtype=np.intp)
-        self.cov_a = np.array([self.lat_index[a] for a, _ in covs], dtype=np.intp)
-        self.cov_b = np.array([self.lat_index[b] for _, b in covs], dtype=np.intp)
-        self.n_load = len(self.load_rows)
-        self.n_path = len(self.path_dst)
-        self.n_cov = len(self.cov_a)
-        self.q = self.n_load + self.n_path + self.n_cov + self.m + self.p
+        b0, s0, t0 = p * m, p * m + m * m, p * m + 2 * m * m
+        self._bounds = [b0, s0, t0]
+        self.size = t0 + p
+        self.table = (
+            [("loading", x, item, self.obs_index[item] * m + lat[x]) for x in lat for item in model.indicators[x]]
+            + [("path", src, dst, b0 + lat[dst] * m + lat[src]) for src, dst in model.structural_paths]
+            + [("covariance", a, b, s0 + lat[a] * m + lat[b]) for a, b in model.latent_covariances]
+            + [("variance", x, x, s0 + j * (m + 1)) for x, j in lat.items()]
+            + [("residual", item, item, t0 + i) for item, i in self.obs_index.items()]
+        )
+        self.marker_rows = np.array([self.obs_index[model.marker_of(x)] for x in lat], dtype=np.intp)
+        self.fixed = frozenset((self.marker_rows * m + np.arange(m)).tolist())  # the markers' cells
+        self.free = [entry for entry in self.table if entry[3] not in self.fixed]
+        self.cells = np.array([entry[3] for entry in self.free], dtype=np.intp)
+        self.q = len(self.cells)
+        self.n_path = len(model.structural_paths)
+        self.n_cov = len(model.latent_covariances)
+        self.n_load = self.q - self.n_path - self.n_cov - m - p
+        self.cov = slice(self.n_load + self.n_path, self.q - m - p)
+        self.log = slice(self.cov.stop, self.q)
+        # each kind's matrix indices, which _information reads
+        self.load_rows, self.load_cols = np.divmod(self.cells[: self.n_load], m)
+        self.path_dst, self.path_src = np.divmod(self.cells[self.n_load : self.cov.start] - b0, m)
+        self.cov_a, self.cov_b = np.divmod(self.cells[self.cov] - s0, m)
+        self.mirror = s0 + self.cov_b * m + self.cov_a
 
     def names(self) -> list[str]:
         """The packed parameters in lavaan's syntax: a=~q2, b~a, a~~b, a~~a, q2~~q2."""
-        model = self.model
-        obs, lat = model.observed, model.latents
-        return (
-            [f"{lat[j]}=~q{obs[i]}" for i, j in zip(self.load_rows.tolist(), self.load_cols.tolist())]
-            + [f"{dst}~{src}" for src, dst in model.structural_paths]
-            + [f"{a}~~{b}" for a, b in model.latent_covariances]
-            + [f"{x}~~{x}" for x in lat]
-            + [f"q{i}~~q{i}" for i in obs]
-        )
+        return [_SYNTAX[kind].format(lhs, rhs) for kind, lhs, rhs, _ in self.free]
+
+    @staticmethod
+    def flat(lam: np.ndarray, beta: np.ndarray, psi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """Lam, B, Psi and Theta laid end to end, as the cells index them."""
+        return np.concatenate((lam.ravel(), beta.ravel(), psi.ravel(), theta))
+
+    def scatter(self, values: np.ndarray, fill: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Lam, B, Psi and Theta holding the packed values, and `fill` in every other cell."""
+        flat = np.full(self.size, fill)
+        flat[self.cells] = values
+        flat[self.mirror] = values[self.cov]
+        lam, beta, psi, theta = np.split(flat, self._bounds)
+        return lam.reshape(self.p, self.m), beta.reshape(self.m, self.m), psi.reshape(self.m, self.m), theta
+
+    def gather(self, lam: np.ndarray, beta: np.ndarray, psi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """The packed vector of the four matrices' parameter cells."""
+        return self.flat(lam, beta, psi, theta)[self.cells]
 
     def unpack(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        p, m = self.p, self.m
-        lam = np.zeros((p, m))
-        lam[self.marker_rows, np.arange(m)] = 1.0
-        k = 0
-        lam[self.load_rows, self.load_cols] = vec[k : k + self.n_load]
-        k += self.n_load
-        beta = np.zeros((m, m))
-        beta[self.path_dst, self.path_src] = vec[k : k + self.n_path]
-        k += self.n_path
-        psi = np.zeros((m, m))
-        psi[self.cov_a, self.cov_b] = vec[k : k + self.n_cov]
-        psi = psi + psi.T
-        k += self.n_cov
-        np.fill_diagonal(psi, np.exp(vec[k : k + m]))
-        k += m
-        theta = np.exp(vec[k : k + p])
+        values = np.array(vec, dtype=float)
+        values[self.log] = np.exp(values[self.log])
+        lam, beta, psi, theta = self.scatter(values, 0.0)
+        lam[self.marker_rows, np.arange(self.m)] = 1.0
         return lam, beta, psi, theta
 
     def pack_start(self, S: np.ndarray) -> np.ndarray:
-        vec = np.empty(self.q)
-        k = 0
-        vec[k : k + self.n_load] = 1.0
-        k += self.n_load
-        vec[k : k + self.n_path] = 0.0
-        k += self.n_path
-        vec[k : k + self.n_cov] = 0.0
-        k += self.n_cov
-        marker_var = np.diag(S)[self.marker_rows]
-        vec[k : k + self.m] = np.log(0.5 * marker_var)
-        k += self.m
-        vec[k : k + self.p] = np.log(0.5 * np.diag(S))
+        """Free loadings 1, paths and covariances 0, each variance half its marker's or item's."""
+        half = 0.5 * np.diag(S)
+        vec = np.zeros(self.q)
+        vec[: self.n_load] = 1.0
+        vec[self.log] = np.log(np.concatenate((half[self.marker_rows], half)))
         return vec
 
 
@@ -327,108 +340,35 @@ class SemEstimate:
         return a @ self.psi @ a.T
 
     def param_table(self) -> list[dict]:
-        """Flat per-parameter rows for reports (unstd, se, t, p, std, smc)."""
+        """Flat per-parameter rows for reports (unstd, se, t, p, std, smc).
+
+        One row per entry of the model's `_ParamMap.table`: loadings (the
+        fixed markers among them), paths, covariances, latent variances
+        and residual variances.
+        """
+        pmap = _ParamMap(self.model)
+        est = pmap.flat(self.lam, self.beta, self.psi, self.theta).tolist()
+        se = pmap.flat(self.se_lam, self.se_beta, self.se_psi, self.se_theta).tolist()
+        std = smc = None
+        if self.std_lam is not None:
+            std = pmap.flat(self.std_lam, self.std_beta, self.latent_corr, self.smc).tolist()
+            smc = self.smc.tolist()
         rows: list[dict] = []
-        obs = self.model.observed
-        lat = self.model.latents
-        li = {name: j for j, name in enumerate(lat)}
-        oi = {item: i for i, item in enumerate(obs)}
-
-        def t_value(est: float, se: float) -> float | None:
-            if not math.isfinite(se) or se <= 0:
-                return None
-            return est / se
-
-        for name in lat:
-            for pos, item in enumerate(self.model.indicators[name]):
-                i, j = oi[item], li[name]
-                se = float(self.se_lam[i, j])
-                fixed = pos == 0
-                t = None if fixed else t_value(float(self.lam[i, j]), se)
-                rows.append(
-                    {
-                        "kind": "loading",
-                        "lhs": name,
-                        "rhs": item,
-                        "est": float(self.lam[i, j]),
-                        "se": None if fixed else se,
-                        "t": t,
-                        "p": None,
-                        "std": None if self.std_lam is None else float(self.std_lam[i, j]),
-                        "smc": None if self.smc is None else float(self.smc[i]),
-                        "fixed": fixed,
-                    }
-                )
-        for src, dst in self.model.structural_paths:
-            k, l = li[dst], li[src]
-            se = float(self.se_beta[k, l])
-            t = t_value(float(self.beta[k, l]), se)
+        for kind, lhs, rhs, cell in pmap.table:
+            fixed = cell in pmap.fixed
+            tested = not fixed and math.isfinite(se[cell]) and se[cell] > 0
             rows.append(
                 {
-                    "kind": "path",
-                    "lhs": src,
-                    "rhs": dst,
-                    "est": float(self.beta[k, l]),
-                    "se": se,
-                    "t": t,
+                    "kind": kind,
+                    "lhs": lhs,
+                    "rhs": rhs,
+                    "est": est[cell],
+                    "se": None if fixed else se[cell],
+                    "t": est[cell] / se[cell] if tested else None,
                     "p": None,
-                    "std": None if self.std_beta is None else float(self.std_beta[k, l]),
-                    "smc": None,
-                    "fixed": False,
-                }
-            )
-        for a, b in self.model.latent_covariances:
-            i, j = li[a], li[b]
-            se = float(self.se_psi[i, j])
-            t = t_value(float(self.psi[i, j]), se)
-            rows.append(
-                {
-                    "kind": "covariance",
-                    "lhs": a,
-                    "rhs": b,
-                    "est": float(self.psi[i, j]),
-                    "se": se,
-                    "t": t,
-                    "p": None,
-                    "std": None if self.latent_corr is None else float(self.latent_corr[i, j]),
-                    "smc": None,
-                    "fixed": False,
-                }
-            )
-        for name in lat:
-            j = li[name]
-            se = float(self.se_psi[j, j])
-            t = t_value(float(self.psi[j, j]), se)
-            rows.append(
-                {
-                    "kind": "variance",
-                    "lhs": name,
-                    "rhs": name,
-                    "est": float(self.psi[j, j]),
-                    "se": se,
-                    "t": t,
-                    "p": None,
-                    "std": None,
-                    "smc": None,
-                    "fixed": False,
-                }
-            )
-        for item in obs:
-            i = oi[item]
-            se = float(self.se_theta[i])
-            t = t_value(float(self.theta[i]), se)
-            rows.append(
-                {
-                    "kind": "residual",
-                    "lhs": item,
-                    "rhs": item,
-                    "est": float(self.theta[i]),
-                    "se": se,
-                    "t": t,
-                    "p": None,
-                    "std": None,
-                    "smc": None if self.smc is None else float(self.smc[i]),
-                    "fixed": False,
+                    "std": std[cell] if std is not None and kind in ("loading", "path", "covariance") else None,
+                    "smc": smc[pmap.obs_index[rhs]] if smc is not None and kind in ("loading", "residual") else None,
+                    "fixed": fixed,
                 }
             )
         # two-sided normal p-values of every t, in one call of the kernel
@@ -505,7 +445,6 @@ def _make_objective(pmap: _ParamMap, S: np.ndarray):
     def grad(vec: np.ndarray) -> np.ndarray:
         key = np.asarray(vec, dtype=float).tobytes()
         lam, psi, theta, a, c, lam_c, sig = last[1] if key == last[0] else parts(vec)
-        m = pmap.m
         sig_inv = np.linalg.inv(sig)
         w = sig_inv - sig_inv @ S @ sig_inv
         w = 0.5 * (w + w.T)
@@ -514,17 +453,9 @@ def _make_objective(pmap: _ParamMap, S: np.ndarray):
         mtw = mm.T @ w
         g_beta = 2.0 * (mtw @ lam_c)
         g_psi = mtw @ mm
-        out = np.empty(pmap.q)
-        k = 0
-        out[k : k + pmap.n_load] = g_lam[pmap.load_rows, pmap.load_cols]
-        k += pmap.n_load
-        out[k : k + pmap.n_path] = g_beta[pmap.path_dst, pmap.path_src]
-        k += pmap.n_path
-        out[k : k + pmap.n_cov] = 2.0 * g_psi[pmap.cov_a, pmap.cov_b]
-        k += pmap.n_cov
-        out[k : k + m] = np.diag(g_psi) * np.diag(psi)
-        k += m
-        out[k : k + p] = np.diag(w) * theta
+        out = pmap.gather(g_lam, g_beta, g_psi, np.diag(w))
+        out[pmap.cov] *= 2.0
+        out[pmap.log] *= np.concatenate((np.diag(psi), theta))
         return out
 
     return fun, grad
@@ -655,7 +586,6 @@ def _expected_se(
     A singular I means the model is not identified (Rothenberg 1971,
     Econometrica 39): a warning names the parameters, and no SE is given.
     """
-    p, m = pmap.p, pmap.m
     info = _information(pmap, lam, beta, psi, theta)
     warnings: list[str] = []
     sets = dependent_sets(info)
@@ -672,19 +602,7 @@ def _expected_se(
         if np.any(var < 0):
             warnings.append("negative variance estimates in the information inverse; affected SEs reported as nan")
             var[var < 0] = math.nan
-    se = np.sqrt(var)
-    se_lam = np.full((p, m), math.nan)
-    se_beta = np.full((m, m), math.nan)
-    se_psi = np.full((m, m), math.nan)
-    k = 0
-    se_lam[pmap.load_rows, pmap.load_cols] = se[k : k + pmap.n_load]
-    k += pmap.n_load
-    se_beta[pmap.path_dst, pmap.path_src] = se[k : k + pmap.n_path]
-    k += pmap.n_path
-    se_psi[pmap.cov_a, pmap.cov_b] = se_psi[pmap.cov_b, pmap.cov_a] = se[k : k + pmap.n_cov]
-    k += pmap.n_cov
-    np.fill_diagonal(se_psi, se[k : k + m])
-    se_theta = se[k + m :]
+    se_lam, se_beta, se_psi, se_theta = pmap.scatter(np.sqrt(var), math.nan)
     return se_lam, se_beta, se_psi, se_theta, warnings
 
 

@@ -334,6 +334,38 @@ def test_custom_group_that_is_not_a_list_of_integers_is_named(tmp_path, capsys, 
     assert "Traceback" not in err
 
 
+_CATALOG_ROWS = [
+    {"index": it.index, "abbreviation": it.abbreviation, "kind": it.kind, "latent_hint": it.latent_hint}
+    for it in DEFAULT_CATALOG.items
+]
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ({"index": 5, "abbreviation": "wait_time", "latent_hint": "time_convenience"}, "row 4 has no 'kind'"),
+        ([1, 2], "row 4 must be an object with index, abbreviation, kind, latent_hint"),
+        ({**_CATALOG_ROWS[4], "index": "5"}, "row 4 'index' must be an integer"),
+        ({**_CATALOG_ROWS[4], "kind": "yes/no"}, "row 4: unknown question kind 'yes/no'"),
+    ],
+    ids=["no-kind", "not-an-object", "string-index", "unknown-kind"],
+)
+def test_malformed_catalog_row_is_named(tmp_path, capsys, bad_row, message):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(_CATALOG_ROWS[:4] + [bad_row] + _CATALOG_ROWS[5:]))
+    assert cli.main(["describe", "--input", SURVEY, "--catalog", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: catalog: {message}\n"
+
+
+def test_custom_catalog_is_read(tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(_CATALOG_ROWS))
+    assert _run_json(["describe", "--input", SURVEY, "--catalog", str(path)], tmp_path / "a.json") == _run_json(
+        ["describe", "--input", SURVEY], tmp_path / "b.json"
+    )
+
+
 def test_model_file_without_latents_is_named(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text("{}")

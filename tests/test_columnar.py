@@ -407,4 +407,5 @@ def test_screening_rules_row_by_row(tmp_path):
     assert np.array_equal(d.codes, expect)
     assert d.delay_hours[0] == 0.0 and np.signbit(d.delay_hours[0])
     assert d.delay_hours[1] == 1.5 and math.isnan(d.delay_hours[2]) and d.delay_hours[3] == 16.0
-    assert d.demographics["vessel_type"] == ["dry_bulk"] * 4
+    vessel_type = DEMOGRAPHICS.index("vessel_type")
+    assert [r[vessel_type] for r in d.demographics.rows()] == ["dry_bulk"] * 4

@@ -1,6 +1,8 @@
 """Survey ingestion, screening, descriptives and splitting."""
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 import random
 import tracemalloc
@@ -319,13 +321,15 @@ def test_a_loaded_survey_holds_no_python_object_per_row(tmp_path):
 
 def test_ids_and_demographics_given_as_lists_are_stored_as_arrays():
     d = load_survey(str(Path(__file__).resolve().parent.parent / "data" / "fixture_survey.csv"))
-    e = SurveyDataset(d.catalog, d.respondent_ids.tolist(), d.codes, d.delay_hours, dict(d.demographics))
+    columns = dict(zip(DEMOGRAPHICS, map(list, zip(*d.demographics.rows()))))
+    e = SurveyDataset(d.catalog, d.respondent_ids.tolist(), d.codes, d.delay_hours, columns)
     assert e == d
     assert isinstance(e.respondent_ids.dtype, StringDType)
     assert len(e.demographics.combos) == len(d.demographics.combos) < d.n
-    assert e.demographics["gender"] == d.demographics["gender"]
+    gender = DEMOGRAPHICS.index("gender")
+    assert [r[gender] for r in e.demographics.rows()] == columns["gender"]
     with pytest.raises(ValueError, match="demographics"):
-        SurveyDataset(d.catalog, d.respondent_ids, d.codes, d.delay_hours, {**d.demographics, "gender": []})
+        SurveyDataset(d.catalog, d.respondent_ids, d.codes, d.delay_hours, {**columns, "gender": []})
 
 
 def test_the_rating_counts_are_counted_once_over_read_only_arrays():
@@ -344,19 +348,21 @@ def test_the_rating_counts_are_counted_once_over_read_only_arrays():
 
 
 def test_catalog_round_trip_and_validation():
-    text = DEFAULT_CATALOG.to_json()
-    c2 = VariableCatalog.from_json(text)
+    rows = [dataclasses.asdict(it) for it in DEFAULT_CATALOG.items]
+    c2 = VariableCatalog.from_json(json.dumps(rows, indent=2, sort_keys=True))
     assert c2 == DEFAULT_CATALOG
     assert len(DEFAULT_CATALOG) == 32
     assert tuple(it.index for it in DEFAULT_CATALOG.items if it.kind == "frequency") == (1, 2, 3)
     subjective = {it.index for it in DEFAULT_CATALOG.items if it.kind == "subjective"}
     assert subjective == {7, 11, 15, 16, 17, 20, 22, 24, 26, 27, 29, 30}
     with pytest.raises(ValueError):
-        VariableCatalog.from_rows(
-            [
-                {"index": 1, "abbreviation": "a", "kind": "satisfaction", "latent_hint": "x"},
-                {"index": 3, "abbreviation": "b", "kind": "satisfaction", "latent_hint": "x"},
-            ]
+        VariableCatalog.from_json(
+            json.dumps(
+                [
+                    {"index": 1, "abbreviation": "a", "kind": "satisfaction", "latent_hint": "x"},
+                    {"index": 3, "abbreviation": "b", "kind": "satisfaction", "latent_hint": "x"},
+                ]
+            )
         )
 
 

@@ -301,7 +301,7 @@ def _assert_same_survey(path: str, block_sizes=(1 << 18,)) -> None:
         assert d.codes.dtype == np.int8 and np.array_equal(d.codes, codes), size
         assert np.array_equal(d.delay_hours, delays, equal_nan=True), size
         assert np.array_equal(np.signbit(d.delay_hours), np.signbit(delays)), size
-        assert dict(d.demographics) == demo, size
+        assert d.demographics.rows() == list(zip(*(demo[name] for name in DEMOGRAPHICS))), size
         assert d.rejected == rejected, size
 
 
@@ -415,7 +415,8 @@ def test_a_quote_hands_the_rest_of_the_file_to_csv(tmp_path, where):
     path = _write_lines(tmp_path / "q.csv", lines)
     _assert_same_survey(path, EDGE_SIZES)
     d = load_survey(path)
-    assert d.demographics["gender"].count("fe,\nmale") == 1
+    gender = DEMOGRAPHICS.index("gender")
+    assert [r[gender] for r in d.demographics.rows()].count("fe,\nmale") == 1
     assert [r.row_number for r in d.rejected] == [k + 1 for k in range(0, 40, 7) if k != where]
 
 

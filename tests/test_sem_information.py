@@ -31,6 +31,7 @@ from lockqual.sem import (
     _make_objective,
     _ParamMap,
     fit_ml,
+    implied_sigma,
 )
 
 SURVEY = str(Path(__file__).resolve().parent.parent / "data" / "fixture_survey.csv")
@@ -132,6 +133,53 @@ def test_information_matches_the_derivative_stack_on_random_models():
         kinds.add((pmap.n_path > 0, pmap.n_cov > 0))
         parts = pmap.unpack(_random_point(pmap, rng))
         assert _scaled_gap(_information(pmap, *parts), _oracle_information(pmap, *parts)) <= 1e-12
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _cell_of_name(model: MeasurementModel, name: str) -> tuple[str, tuple[int, ...]]:
+    """The matrix and index a lavaan-syntax parameter name denotes, read from the model."""
+    obs = {item: i for i, item in enumerate(model.observed)}
+    lat = {x: j for j, x in enumerate(model.latents)}
+    if "=~" in name:
+        latent, item = name.split("=~")
+        return "lam", (obs[int(item[1:])], lat[latent])
+    if "~~" in name:
+        a, b = name.split("~~")
+        if a.startswith("q"):
+            return "theta", (obs[int(a[1:])],)
+        return "psi", (lat[a], lat[b])
+    dst, src = name.split("~")
+    return "beta", (lat[dst], lat[src])
+
+
+def test_scatter_gather_names_and_param_table_agree_on_random_models():
+    rng = np.random.default_rng(29)
+    kinds = set()
+    for _ in range(40):
+        model = _random_model(rng)
+        pmap = _ParamMap(model)
+        kinds.add((pmap.n_path > 0, pmap.n_cov > 0))
+        v = rng.standard_normal(pmap.q)
+        assert _bits(pmap.gather(*pmap.scatter(v, math.nan))) == _bits(v)
+        # a sample covariance the model reproduces exactly, so the fit converges
+        S = implied_sigma(*pmap.unpack(_random_point(pmap, rng)))
+        est = fit_ml(model, S, 400)
+        assert est.converged
+        rows = est.param_table()
+        order = ["loading", "path", "covariance", "variance", "residual"]
+        assert [row["kind"] for row in rows] == sorted((row["kind"] for row in rows), key=order.index)
+        assert [sum(row["kind"] == kind for row in rows) for kind in order] == [
+            pmap.p, pmap.n_path, pmap.n_cov, pmap.m, pmap.p
+        ]
+        markers = [row for row in rows if row["fixed"]]
+        assert [(row["lhs"], row["rhs"]) for row in markers] == [(x, model.marker_of(x)) for x in model.latents]
+        assert all(row["kind"] == "loading" and row["est"] == 1.0 and row["se"] is None for row in markers)
+        free = [row for row in rows if not row["fixed"]]
+        assert len(free) == pmap.q
+        for row, name in zip(free, pmap.names()):
+            matrix, index = _cell_of_name(model, name)
+            assert row["est"] == getattr(est, matrix)[index]
+            assert row["se"] == getattr(est, "se_" + matrix)[index]
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 

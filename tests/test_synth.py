@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lockqual.ahp import (
+    JudgmentMatrix,
     aggregate_geomean,
     consistency,
     load_judgments,
@@ -213,7 +214,8 @@ def test_ahp_noise_creates_some_inconsistency(tmp_path):
     spec = AhpSpec(n_respondents=49, seed=11, noise_level=0.35)
     experts = _load(tmp_path, gen_ahp_judgments(spec))
     flags = []
-    for m in experts.criteria:
+    for a in experts.criteria.values:
+        m = JudgmentMatrix(experts.criteria.labels, a)
         _, lam = weights_eigen(m)
         flags.append(consistency(m, lam).passed)
     assert any(flags)
