@@ -11,6 +11,17 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
+__all__ = [
+    "KINDS",
+    "SATI_BEFORE",
+    "SATI_AFTER",
+    "DISPLAY_NAMES",
+    "CatalogItem",
+    "VariableCatalog",
+    "load_catalog",
+    "DEFAULT_CATALOG",
+]
+
 KINDS = ("frequency", "subjective", "satisfaction")
 _FIELDS = ("index", "abbreviation", "kind", "latent_hint")  # of one item in a catalog file
 
@@ -18,16 +29,6 @@ _FIELDS = ("index", "abbreviation", "kind", "latent_hint")  # of one item in a c
 # bookend, 1..32 are catalog items, 33 is the post-trip bookend.
 SATI_BEFORE = 0
 SATI_AFTER = 33
-
-SEVEN_GROUPS = (
-    "safe_security",
-    "time_convenience",
-    "lockage_regulation",
-    "supporting_facilities",
-    "comfortable_conditions",
-    "service_professional",
-    "staff_skills",
-)
 
 DISPLAY_NAMES: Mapping[str, str] = {
     "safe_security": "Safe & security",
@@ -102,7 +103,10 @@ class VariableCatalog:
     def from_json(cls, text: str) -> "VariableCatalog":
         """Read a JSON list of item objects; a missing or malformed field is a
         ValueError naming its row (counted from 0) and the field."""
-        rows = json.loads(text)
+        try:
+            rows = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"catalog: not a JSON document ({exc})") from None
         if not isinstance(rows, list):
             raise ValueError("catalog: the document must be a list of item objects")
         items = []

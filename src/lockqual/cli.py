@@ -145,9 +145,17 @@ def _cmd_sem(args: argparse.Namespace) -> int:
     return _finish(args, doc, checks, args.out)
 
 
-def _load_weight_doc(path: str) -> Mapping[str, float]:
+def _read_json(option: str, path: str):
+    """The JSON document in the file given to `option`; a file that does not parse is named."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{option} {path}: not a JSON document ({exc})") from None
+
+
+def _load_weight_doc(option: str, path: str) -> Mapping[str, float]:
+    doc = _read_json(option, path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     for key in ("score_weights", "ahp"):
@@ -169,8 +177,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
     catalog = _catalog(args)
     d = load_survey(args.input, catalog)
-    with open(args.weights, "r", encoding="utf-8") as fh:
-        wdoc = json.load(fh)
+    wdoc = _read_json("--weights", args.weights)
     if isinstance(wdoc, dict) and isinstance(wdoc.get("score_weights"), dict):
         wdoc = wdoc["score_weights"]
     try:
@@ -192,8 +199,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     catalog = _catalog(args)
     d = load_survey(args.input, catalog)
     if args.groups:
-        with open(args.groups, "r", encoding="utf-8") as fh:
-            groups = json.load(fh)
+        groups = _read_json("--groups", args.groups)
         if not isinstance(groups, dict) or not groups:
             raise ValueError(f"{args.groups}: expected a JSON object of name -> item list")
         for name, items in groups.items():
@@ -247,9 +253,9 @@ def _cmd_bias(args: argparse.Namespace) -> int:
     from . import ahp as ahp_mod
 
     sw = ahp_mod.normalized_weights(
-        _load_weight_doc(args.sw), labels=ahp_mod.DEFAULT_HIERARCHY.leaves
+        _load_weight_doc("--sw", args.sw), labels=ahp_mod.DEFAULT_HIERARCHY.leaves
     )
-    _emit(bias_section(_load_weight_doc(args.ow), sw), args.out)
+    _emit(bias_section(_load_weight_doc("--ow", args.ow), sw), args.out)
     return 0
 
 

@@ -40,6 +40,21 @@ from numpy.dtypes import StringDType
 from .catalog import DEFAULT_CATALOG, SATI_AFTER, SATI_BEFORE, VariableCatalog
 from .moments import Moments
 
+__all__ = [
+    "SurveyFormatError",
+    "DEMOGRAPHICS",
+    "RespondentRecord",
+    "RejectedRow",
+    "Demographics",
+    "SurveyDataset",
+    "ItemStats",
+    "DescriptiveReport",
+    "load_survey",
+    "write_survey",
+    "describe",
+    "split",
+]
+
 
 class SurveyFormatError(ValueError):
     """Raised when a survey file does not match the expected layout."""

@@ -63,38 +63,6 @@ __all__ = [
 _BLOCK_ROWS = 512
 
 
-def _as_design(X: np.ndarray) -> np.ndarray:
-    """X as a 2-dimensional array: integer codes as they are, anything else as float64."""
-    X = np.asarray(X)
-    if X.dtype.kind not in "iu":
-        X = X.astype(float, copy=False)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-dimensional")
-    return X
-
-
-def _validate_xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    X = _as_design(X)
-    y = np.asarray(y)
-    if y.ndim != 1 or y.shape[0] != X.shape[0]:
-        raise ValueError("y must be a vector matching the rows of X")
-    if X.dtype == float and not np.all(np.isfinite(X)):
-        raise ValueError("X contains non-finite values")
-    yi = y.astype(int)
-    if np.any(yi != y):
-        raise ValueError("y must contain integer category codes")
-    c = int(yi.max())
-    if yi.min() < 1:
-        raise ValueError("categories must start at 1")
-    if c < 3:
-        raise ValueError("need at least 3 response categories")
-    counts = np.bincount(yi, minlength=c + 1)[1:]
-    missing = [int(i + 1) for i in np.flatnonzero(counts == 0)]
-    if missing:
-        raise ValueError(f"unobserved categories: {missing}")
-    return X, yi, c
-
-
 def _blocks(X: np.ndarray):
     """(rows, block) over X in row blocks of `_BLOCK_ROWS`, each block as float64.
 
@@ -111,13 +79,6 @@ def _eta(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.concatenate([b @ beta for _, b in _blocks(X)])
 
 
-def _check_collinear(m: Moments) -> None:
-    sets = dependent_sets(m.centred())
-    if sets:
-        named = ", ".join(map(str, sets))
-        raise ValueError(f"predictors are collinear: columns {named} are linearly dependent")
-
-
 class _Design:
     """The response side of a fit: y, its category count and every array of y alone.
 
@@ -127,8 +88,7 @@ class _Design:
     cutpoint and the row of each; `both` marks the rows with two terms,
     whose cuts meet in the off-diagonal of the kappa block at the lower
     one, `both_cut`. A design built by `_prepare` also carries the null
-    fit, and stands for a y that passed validation against a design
-    matrix whose moments passed `_check_collinear`.
+    fit, and stands for a y and a design matrix that passed its checks.
     """
 
     def __init__(self, y: np.ndarray, c: int, null: NullFit | None = None) -> None:
@@ -146,14 +106,29 @@ class _Design:
 def _prepare(X: np.ndarray, y: np.ndarray, moments: Moments | None = None) -> tuple[np.ndarray, _Design]:
     """Validate X and y, check X for collinearity, and build y's design.
 
-    The check is `dependent_sets`: no eigenvalue of the correlations at
-    or below k * eps times the largest. Any subset of the columns passes
-    it too, as a principal submatrix's eigenvalues interlace the whole's.
+    This is the one check behind `fit` and `backward_eliminate`. X must be
+    2-dimensional, integer or finite float, with one code of y per row;
+    `null_fit` holds the rules on y itself and gives C. The collinearity
+    check is `dependent_sets`: no eigenvalue of the correlations at or
+    below k * eps times the largest. Any subset of the columns passes it
+    too, as a principal submatrix's eigenvalues interlace the whole's.
     It reads `moments`, the moments of X's rows and columns when the
-    caller has them, or else `Moments.of_matrix(X)`. An X that
-    fits in one row block is returned as float64.
+    caller has them, or else `Moments.of_matrix(X)`. An integer X is kept
+    as it is, except that an X that fits in one row block is returned as
+    float64.
     """
-    X, yi, c = _validate_xy(X, y)
+    X = np.asarray(X)
+    if X.dtype.kind not in "iu":
+        X = X.astype(float, copy=False)
+    if X.ndim != 2:
+        raise ValueError("X must be 2-dimensional")
+    y = np.asarray(y)
+    if y.ndim != 1 or y.shape[0] != X.shape[0]:
+        raise ValueError("y must be a vector matching the rows of X")
+    if X.dtype == float and not np.all(np.isfinite(X)):
+        raise ValueError("X contains non-finite values")
+    null = null_fit(y)
+    c = null.kappa.size + 1
     n, k = X.shape
     if k < 1:
         raise ValueError("need at least one predictor")
@@ -165,8 +140,11 @@ def _prepare(X: np.ndarray, y: np.ndarray, moments: Moments | None = None) -> tu
         moments = Moments.of_matrix(X)
     elif (moments.n, moments.k) != (n, k):
         raise ValueError("moments must be taken over the rows and columns of X")
-    _check_collinear(moments)
-    return X, _Design(yi, c, null_fit(yi))
+    sets = dependent_sets(moments.centred())
+    if sets:
+        named = ", ".join(map(str, sets))
+        raise ValueError(f"predictors are collinear: columns {named} are linearly dependent")
+    return X, _Design(y.astype(int), c, null)
 
 
 def _cell_probs(eta: np.ndarray, y: np.ndarray, kappa: np.ndarray):
@@ -315,8 +293,10 @@ def null_fit(y: np.ndarray) -> NullFit:
     """
     y = np.asarray(y)
     yi = y.astype(int)
-    if np.any(yi != y) or yi.min() < 1:
-        raise ValueError("y must contain integer category codes starting at 1")
+    if np.any(yi != y):
+        raise ValueError("y must contain integer category codes")
+    if yi.min() < 1:
+        raise ValueError("categories must start at 1")
     c = int(yi.max())
     if c < 3:
         raise ValueError("need at least 3 response categories")
@@ -397,19 +377,14 @@ def fit(
 
     X is an n x k float or integer design. y is a vector of category
     codes 1..C, or the `_Design` that `backward_eliminate` built once
-    from its codes and full design matrix; X is then a subset of that
-    matrix's columns, which is neither validated nor checked for
-    collinearity again. Newton starts at beta = 0 and the null model's
+    from its codes and full design matrix; X is then a subset of the
+    columns of the matrix that `_prepare` returned, and is not checked
+    again. Newton starts at beta = 0 and the null model's
     cutpoints, or at `start`, a raw (beta, kappa) vector of length
     k + C - 1 with ascending cutpoints.
     """
     if isinstance(y, _Design):
         design = y
-        X = _as_design(X)
-        if X.shape[0] != design.y.shape[0]:
-            raise ValueError("X must have one row per response")
-        if X.shape[1] < 1:
-            raise ValueError("need at least one predictor")
     else:
         X, design = _prepare(X, y)
     yi, c, null = design.y, design.c, design.null
@@ -595,10 +570,7 @@ def backward_eliminate(
     where the last fit's solution puts the optimum without the dropped
     coefficients (`_restart`).
     """
-    X = _as_design(X)
     names = list(names)
-    if X.shape[1] != len(names):
-        raise ValueError("names must match the number of predictors")
     X, design = _prepare(X, y, moments)
     initial = fit(X, design, names)
     if not initial.converged:

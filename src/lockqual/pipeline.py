@@ -557,17 +557,10 @@ def sem_section(
 
     doc, est = _fit(data, model, "sem", "structural fit", g, gates, warnings, rows)
     try:
-        weights = scoring_mod.weights_from_estimate(est)
+        doc["score_weights"] = _jsonable(scoring_mod.weights_from_estimate(est))
     except ValueError as exc:
         warnings.append(f"score weights unavailable: {exc}")
-        weights = None
-    if weights is not None and weights.nonpositive:
-        warnings.append(
-            "nonpositive or non-finite standardized weights, scoring skipped: "
-            + ", ".join(weights.nonpositive)
-        )
-        weights = None
-    doc["score_weights"] = weights.to_jsonable() if weights is not None else None
+        doc["score_weights"] = None
     return doc, est
 
 

@@ -44,15 +44,6 @@ __all__ = [
 ]
 
 
-def _weight_fault(w: float) -> str | None:
-    """Why a score cannot use weight w, or None when it can."""
-    if not math.isfinite(w):
-        return "non-finite"
-    if w <= 0:
-        return "nonpositive"
-    return None
-
-
 @dataclass(frozen=True)
 class ScoreWeights:
     """Standardized weights used by the two-stage score.
@@ -60,33 +51,32 @@ class ScoreWeights:
     latents       : latent order used in reports and score CSVs.
     item_weights  : latent -> {observed item index -> weight}.
     latent_weights: latent -> structural weight.
-    nonpositive   : labels of any weight that is not a finite number > 0
-                    (scores refuse to use them).
+
+    A score needs every weight to be a finite number > 0 and every latent
+    to have item weights: a set that breaks these rules is refused with
+    one ValueError that names each fault, so the scores trust the weights.
     """
 
     latents: tuple[str, ...]
     item_weights: Mapping[str, Mapping[int, float]]
     latent_weights: Mapping[str, float]
-    nonpositive: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        flagged: list[str] = []
+        if not self.latents:
+            raise ValueError("no latents to score")
         for name in self.latents:
             if name not in self.item_weights or name not in self.latent_weights:
                 raise ValueError(f"weights missing for latent {name!r}")
-            if _weight_fault(self.latent_weights[name]):
-                flagged.append(f"latent:{name}")
-            for item, w in self.item_weights[name].items():
-                if _weight_fault(w):
-                    flagged.append(f"item:{name}:{item}")
-        object.__setattr__(self, "nonpositive", tuple(flagged))
-
-    def to_jsonable(self) -> dict:
-        return {
-            "latents": list(self.latents),
-            "item_weights": {k: {str(i): float(w) for i, w in v.items()} for k, v in self.item_weights.items()},
-            "latent_weights": {k: float(v) for k, v in self.latent_weights.items()},
-        }
+        labelled = [(f"item {i} of {name!r}", w) for name, items in self.item_weights.items() for i, w in items.items()]
+        labelled += [(f"latent {name!r}", w) for name, w in self.latent_weights.items()]
+        faults = [
+            f"{'nonpositive' if math.isfinite(w) else 'non-finite'} weight for {label}"
+            for label, w in labelled
+            if not (math.isfinite(w) and w > 0)
+        ]
+        faults += [f"latent {name!r} has no item weights" for name, items in self.item_weights.items() if not items]
+        if faults:
+            raise ValueError("; ".join(faults))
 
     @classmethod
     def from_jsonable(cls, doc: Mapping) -> "ScoreWeights":
@@ -131,12 +121,6 @@ def _lvr_rows(column: Callable[[int], np.ndarray], w: ScoreWeights, latent: str)
     is the same float however many rows are scored together.
     """
     items = w.item_weights[latent]
-    if not items:
-        raise ValueError(f"latent {latent!r} has no item weights")
-    for item, weight in items.items():
-        fault = _weight_fault(weight)
-        if fault:
-            raise ValueError(f"{fault} weight for item {item} of {latent!r}")
     num: np.ndarray | float = 0.0
     den = 0.0
     rated: np.ndarray | bool = True
@@ -182,13 +166,8 @@ def sqr(lvr_values: Mapping[str, float], w: ScoreWeights) -> float:
     den = 0.0
     for name in w.latents:
         weight = w.latent_weights[name]
-        fault = _weight_fault(weight)
-        if fault:
-            raise ValueError(f"{fault} weight for latent {name!r}")
         num = num + lvr_values[name] * weight
         den += weight
-    if den == 0:
-        raise ValueError("latent weights sum to zero")
     return num / den
 
 

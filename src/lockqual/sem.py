@@ -144,7 +144,10 @@ class MeasurementModel:
     @classmethod
     def from_json(cls, text: str) -> "MeasurementModel":
         """Read `to_json`'s document; a missing or malformed field is a ValueError naming it."""
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"model: not a JSON document ({exc})") from None
         blocks = doc.get("latents") if isinstance(doc, dict) else None
         if not isinstance(blocks, list):
             raise ValueError("model: 'latents' must be a list of {name, indicators} objects")

@@ -16,7 +16,7 @@ import pytest
 
 from lockqual import cli
 from lockqual.pipeline import _jsonable
-from lockqual.catalog import DEFAULT_CATALOG, SEVEN_GROUPS
+from lockqual.catalog import DEFAULT_CATALOG
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SURVEY = str(DATA / "fixture_survey.csv")
@@ -358,12 +358,78 @@ def test_malformed_catalog_row_is_named(tmp_path, capsys, bad_row, message):
     assert err == f"error: catalog: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["describe", "--input", SURVEY, "--catalog", "{bad}"], "catalog:"),
+        (["sem", "--input", SURVEY, "--model", "{bad}"], "model:"),
+        (["report", "--input", SURVEY, "--model", "{bad}", "--out-dir", "{out}"], "model:"),
+        (["score", "--input", SURVEY, "--weights", "{bad}"], "--weights {bad}:"),
+        (["entropy", "--input", SURVEY, "--groups", "{bad}"], "--groups {bad}:"),
+        (["bias", "--ow", "{bad}", "--sw", "{ahp}"], "--ow {bad}:"),
+        (["bias", "--ow", "{sem}", "--sw", "{bad}"], "--sw {bad}:"),
+    ],
+    ids=["catalog", "sem-model", "report-model", "weights", "groups", "ow", "sw"],
+)
+def test_a_file_that_is_not_json_is_named(tmp_path, capsys, sem_doc, ahp_doc, argv, named):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json", encoding="utf-8")
+    paths = {"bad": str(bad), "out": str(tmp_path / "out"), "sem": str(sem_doc[0]), "ahp": str(ahp_doc[0])}
+    assert cli.main([arg.format(**paths) for arg in argv]) == 1
+    reason = "not a JSON document (Expecting value: line 1 column 1 (char 0))"
+    assert capsys.readouterr().err == f"error: {named.format(**paths)} {reason}\n"
+
+
 def test_custom_catalog_is_read(tmp_path):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(_CATALOG_ROWS))
     assert _run_json(["describe", "--input", SURVEY, "--catalog", str(path)], tmp_path / "a.json") == _run_json(
         ["describe", "--input", SURVEY], tmp_path / "b.json"
     )
+
+
+def test_a_reverse_keyed_item_refuses_the_score_weights_by_name(tmp_path, sem_doc):
+    # items 13 and 23 written as 6 - code load negatively on their latents,
+    # whose markers are items 12 and 22
+    survey = tmp_path / "reversed.csv"
+    with open(SURVEY, encoding="utf-8", newline="") as src, open(survey, "w", encoding="utf-8", newline="") as dst:
+        rows = csv.reader(src)
+        header = next(rows)
+        cols = [header.index("q13"), header.index("q23")]
+        out = csv.writer(dst, lineterminator="\n")
+        out.writerow(header)
+        for row in rows:
+            for col in cols:
+                if row[col].isdigit():
+                    row[col] = str(6 - int(row[col]))
+            out.writerow(row)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(sem_doc[1]["model"]), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    argv = ["report", "--input", str(survey), "--judgments", JUDGMENTS, "--model", str(model), "--out-dir", str(out_dir)]
+    assert cli.main(argv) == 0
+    bundle = json.loads((out_dir / "report.json").read_text("utf-8"))
+    jsonschema.validate(bundle, _schema("report"))
+    assert bundle["sem"] is not None
+    assert bundle["sem"]["score_weights"] is None
+    assert bundle["scoring"] is None and bundle["bias"] is None
+    sources = {p["from"] for p in sem_doc[1]["model"]["paths"]}
+    bad = {
+        f"nonpositive weight for item {r['rhs']} of {r['lhs']!r}"
+        for r in bundle["sem"]["param_table"]
+        if r["kind"] == "loading" and r["lhs"] in sources and r["std"] <= 0
+    } | {
+        f"nonpositive weight for latent {r['lhs']!r}"
+        for r in bundle["sem"]["param_table"]
+        if r["kind"] == "path" and r["std"] <= 0
+    }
+    assert {
+        "nonpositive weight for item 13 of 'lockage_regulation'",
+        "nonpositive weight for item 23 of 'comfortable_conditions'",
+    } <= bad
+    refusals = [w for w in bundle["warnings"] if w.startswith("score weights unavailable: ")]
+    assert len(refusals) == 1
+    assert set(refusals[0].removeprefix("score weights unavailable: ").split("; ")) == bad
 
 
 def test_model_file_without_latents_is_named(tmp_path, capsys):
@@ -495,7 +561,15 @@ def test_score_accepts_the_sem_output(sem_doc, tmp_path):
 def test_entropy_with_default_groups(tmp_path):
     rc, doc = _run_json(["entropy", "--input", SURVEY], tmp_path / "ent.json")
     assert rc == 0
-    assert set(doc["per_group"]) == set(SEVEN_GROUPS)
+    assert set(doc["per_group"]) == {
+        "safe_security",
+        "time_convenience",
+        "lockage_regulation",
+        "supporting_facilities",
+        "comfortable_conditions",
+        "service_professional",
+        "staff_skills",
+    }
     assert len(doc["delay"]["bands"]) == 5
     time_items = [i for i in DEFAULT_CATALOG.indices if DEFAULT_CATALOG.hint_of(i) == "time_convenience"]
     assert set(doc["delay"]["alt_items"]).isdisjoint(time_items)
@@ -593,14 +667,14 @@ def test_bias_compares_both_weight_documents(sem_doc, ahp_doc, tmp_path):
 def test_weight_doc_unwrapping(tmp_path):
     flat = tmp_path / "flat.json"
     flat.write_text(json.dumps({"a": 2.0, "b": 1.0}), encoding="utf-8")
-    assert cli._load_weight_doc(str(flat)) == {"a": 2.0, "b": 1.0}
+    assert cli._load_weight_doc("--ow", str(flat)) == {"a": 2.0, "b": 1.0}
     nested = tmp_path / "nested.json"
     nested.write_text(json.dumps({"weights": {"a": 1}}), encoding="utf-8")
-    assert cli._load_weight_doc(str(nested)) == {"a": 1.0}
+    assert cli._load_weight_doc("--ow", str(nested)) == {"a": 1.0}
     junk = tmp_path / "junk.json"
     junk.write_text(json.dumps({"a": "not a number"}), encoding="utf-8")
     with pytest.raises(ValueError, match="no usable"):
-        cli._load_weight_doc(str(junk))
+        cli._load_weight_doc("--ow", str(junk))
 
 
 def test_synth_writes_data_and_sidecar(tmp_path):

@@ -254,6 +254,34 @@ def test_input_validation():
         fit(X, y_ok, names=("only_one",))
     with pytest.raises(ValueError, match="too few"):
         fit(X[:4], y_ok[:4] if len(set(y_ok[:4])) == 3 else np.array([1, 2, 3, 1]))
+    # backward_eliminate and null_fit refuse each bad y with fit's message
+    gap = y_ok.copy()
+    gap[gap == 2] = 3
+    gap[0] = 4
+    bad_y = {
+        "integer category codes": y_ok + 0.5,
+        "categories must start at 1": y_ok - 1,
+        "need at least 3 response categories": np.array([1, 2] * 25),
+        r"unobserved categories: \[2\]": gap,
+    }
+    entries = {
+        "fit": lambda x, y: fit(x, y),
+        "backward_eliminate": lambda x, y: backward_eliminate(x, y, ("a", "b")[: x.shape[-1]]),
+        "null_fit": lambda x, y: null_fit(y),
+    }
+    for match, y in bad_y.items():
+        messages = set()
+        for entry in entries.values():
+            with pytest.raises(ValueError, match=match) as info:
+                entry(X, y)
+            messages.add(str(info.value))
+        assert len(messages) == 1, messages
+    # and backward_eliminate refuses a bad X, or names of the wrong length, as fit does
+    for x, match in ((X[:, 0], "2-dimensional"), (np.column_stack([X[:, 0], 2 * X[:, 0]]), "collinear")):
+        with pytest.raises(ValueError, match=match):
+            entries["backward_eliminate"](x, y_ok)
+    with pytest.raises(ValueError, match="names must match the number of predictors"):
+        backward_eliminate(X, y_ok, ("only_one",))
 
 
 def test_perfect_separation_flagged_not_crashed():

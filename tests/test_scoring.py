@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from lockqual.catalog import DEFAULT_CATALOG
 from lockqual.dataset import DEMOGRAPHICS, RespondentRecord, SurveyDataset
+from lockqual.pipeline import _jsonable
 from lockqual.scoring import (
     DelayStrata,
     ScoreWeights,
@@ -107,33 +109,39 @@ def test_relative_error_definition():
 
 
 def test_nonpositive_weights_flagged_and_refused():
-    w = ScoreWeights(
-        latents=("a",),
-        item_weights={"a": {1: 0.8, 2: -0.1}},
-        latent_weights={"a": 0.5},
-    )
-    assert "item:a:2" in w.nonpositive
-    with pytest.raises(ValueError):
-        lvr(_resp("r", {1: 3, 2: 3}), w, "a")
+    with pytest.raises(ValueError, match="nonpositive weight for item 2 of 'a'"):
+        ScoreWeights(
+            latents=("a",),
+            item_weights={"a": {1: 0.8, 2: -0.1}},
+            latent_weights={"a": 0.5},
+        )
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_weights_flagged_and_refused_by_name(bad):
-    on_item = ScoreWeights(("a",), {"a": {1: 0.8, 2: bad}}, {"a": 0.5})
-    assert on_item.nonpositive == ("item:a:2",)
     with pytest.raises(ValueError, match="non-finite weight for item 2 of 'a'"):
-        lvr(_resp("r", {1: 3, 2: 3}), on_item, "a")
-    on_latent = ScoreWeights(("a", "b"), {"a": {1: 0.8}, "b": {2: 0.6}}, {"a": 0.5, "b": bad})
-    assert on_latent.nonpositive == ("latent:b",)
+        ScoreWeights(("a",), {"a": {1: 0.8, 2: bad}}, {"a": 0.5})
     with pytest.raises(ValueError, match="non-finite weight for latent 'b'"):
-        sqr({"a": 3.0, "b": 3.0}, on_latent)
-    with pytest.raises(ValueError, match="non-finite weight for latent 'b'"):
-        score_respondent(_resp("r", {1: 3, 2: 3}), on_latent)
+        ScoreWeights(("a", "b"), {"a": {1: 0.8}, "b": {2: 0.6}}, {"a": 0.5, "b": bad})
+
+
+def test_every_bad_weight_is_named_in_one_refusal():
+    with pytest.raises(ValueError) as info:
+        ScoreWeights(
+            ("a", "b", "x"),
+            {"a": {1: 0.8, 2: 0.0}, "b": {3: 0.6}, "x": {}},
+            {"a": 0.5, "b": math.nan, "x": 0.2},
+        )
+    assert str(info.value) == (
+        "nonpositive weight for item 2 of 'a'; non-finite weight for latent 'b'; latent 'x' has no item weights"
+    )
+    with pytest.raises(ValueError, match="no latents to score"):
+        ScoreWeights((), {}, {})
 
 
 def test_weights_round_trip_json():
     w = _weights()
-    again = ScoreWeights.from_jsonable(w.to_jsonable())
+    again = ScoreWeights.from_jsonable(json.loads(json.dumps(_jsonable(w))))
     assert again.latents == w.latents
     assert again.item_weights == {"a": {1: 0.8, 2: 0.6}, "b": {3: 0.7}}
     assert again.latent_weights == {"a": 0.417, "b": 0.300}
@@ -166,7 +174,6 @@ def test_weights_from_estimate_pulls_standardized_values():
     oi = {item: i for i, item in enumerate(model.observed)}
     assert w.latent_weights["f1"] == pytest.approx(est.std_beta[li["q"], li["f1"]], rel=1e-12)
     assert w.item_weights["f2"][4] == pytest.approx(est.std_lam[oi[4], li["f2"]], rel=1e-12)
-    assert w.nonpositive == ()
 
 
 def test_weights_from_estimate_requires_standardization_and_one_target():
