@@ -1,22 +1,25 @@
 """Normal, logistic and chi-square kernels in NumPy and the standard library.
 
 These are the only special functions lockqual evaluates: the normal
-CDF, tail and quantile for the ordered probit and the SEM t-tests, the
-logistic function for the probit's cutpoint gaps, and the chi-square
-upper tail for Bartlett's test, the SEM chi-square and the probit
-likelihood-ratio test. Each is checked against mpmath and against its
-SciPy counterpart in tests/test_dist.py, to the relative errors stated
-below, gives SciPy's values at NaN, +-inf and -0.0, and raises no
-floating-point warning.
+CDF and density, tail and quantile for the ordered probit and the SEM
+t-tests, the logistic function for the probit's cutpoint gaps, and the
+chi-square upper tail for Bartlett's test, the SEM chi-square and the
+probit likelihood-ratio test. Each is checked against mpmath and
+against its SciPy counterpart in tests/test_dist.py, to the relative
+errors stated below, gives SciPy's values at NaN, +-inf and -0.0, and
+raises no floating-point warning.
 
-`norm_cdf` and `norm_sf` evaluate Phi(-t) = exp(-t^2/2) R(t), t = |x|,
-with one rational function R (below) over 0 <= t <= 40, and take
-1 - Phi(-t) for x > 0. As in Cody's erfc (Math. Comp. 23, 1969),
-exp(-t^2/2) is split as exp(-h^2/2) exp(-(t - h)(t + h)/2), with h
-the multiple of 1/16 nearest t, whose square is exact, so that the
-rounding of t^2 never reaches the result. P and Q are summed by
+One private kernel, `_normal`, gives both Phi(x) and the density
+phi(x) from a single pass: the ordered probit's cells take both at
+once, and `norm_sf` takes Phi(-x). It evaluates Phi(-t) =
+exp(-t^2/2) R(t), t = |x|, with one rational function R (below) over
+0 <= t <= 40, and takes 1 - Phi(-t) for x > 0. As in Cody's erfc
+(Math. Comp. 23, 1969), exp(-t^2/2) is split as exp(-h^2/2)
+exp(-(t - h)(t + h)/2), with h the multiple of 1/16 nearest t, whose
+square is exact, so that the rounding of t^2 never reaches the result;
+phi is that same product over sqrt(2 pi). P and Q are summed by
 Horner's rule, element by element, so each value depends on its x
-alone, whatever the array around it; a 0-d input returns a NumPy float,
+alone, whatever the array around it; a 0-d input returns NumPy floats,
 as a ufunc does. `norm_ppf` is Wichura's AS241 (PPND16, Applied
 Statistics 37, 1988), with no iteration, and `expit` the two-branch
 logistic function, which never overflows; both take one Python float at
@@ -28,14 +31,16 @@ u = z/a - 1, so that the large terms of a log z - z - lgamma(a) never
 cancel in floating point.
 
 Largest relative errors against the exact value (mpmath, 40 digits):
-`norm_cdf`/`norm_sf` 1.2e-15 over |x| <= 38 wherever the value is
->= 1e-300, `norm_ppf` 6e-16, `expit` 3e-16, and `chi2_sf`
-8.4 eps (1 + |log Q|) for a value Q, 6.1e-15 where Q >= 1e-5.
-SciPy's ndtr and chdtrc are less exact in their tails: ndtr rounds
-x / sqrt(2) and its square before taking exp, which costs 1.1e-14 near
-x = -7.9 and up to 2.4e-13 near x = -37, and chdtrc reaches 49 eps
-(1 + |log Q|). So these kernels differ from SciPy by more than 1e-14
-there: by up to 2.4e-13 (`norm_cdf`/`norm_sf`) and 6.8e-13 (`chi2_sf`),
+Phi (`norm_sf`) 1.2e-15 over |x| <= 38 wherever the value is
+>= 1e-300, phi 5.0e-16 wherever it is >= 1e-300 (|x| <= 37.1),
+`norm_ppf` 6e-16, `expit` 3e-16, and `chi2_sf` 8.4 eps (1 + |log Q|)
+for a value Q, 6.1e-15 where Q >= 1e-5. SciPy's ndtr, norm.pdf and
+chdtrc are less exact in their tails: ndtr rounds x / sqrt(2) and its
+square before taking exp, which costs 1.1e-14 near x = -7.9 and up to
+2.4e-13 near x = -37; norm.pdf's exp of the rounded x^2/2 costs up to
+5.7e-14 near |x| = 37; and chdtrc reaches 49 eps (1 + |log Q|). So
+these kernels differ from SciPy by more than 1e-14 there: by up to
+2.4e-13 (Phi), 5.7e-14 (phi) and 6.8e-13 (`chi2_sf`),
 which is SciPy's own error.
 """
 from __future__ import annotations
@@ -44,7 +49,7 @@ import math
 
 import numpy as np
 
-__all__ = ["norm_cdf", "norm_sf", "norm_pdf", "norm_ppf", "chi2_sf", "expit"]
+__all__ = ["norm_sf", "norm_ppf", "chi2_sf", "expit"]
 
 _SQRT_2PI = np.sqrt(2 * np.pi)
 
@@ -95,7 +100,12 @@ def _horner(coefs: tuple, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cdf(x: np.ndarray):
+def _normal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi(x), phi(x)) for a float array x, from one pass over t = |x|.
+
+    Both come from the split exp: phi(x) = exp(-t^2/2) / sqrt(2 pi) and
+    Phi(-t) = exp(-t^2/2) R(t). A 0-d x gives NumPy floats, as a ufunc does.
+    """
     t = np.abs(x).ravel()
     np.minimum(t, _T_MAX, out=t)  # NaN stays NaN
     # exp(-t^2/2) = exp(-h^2/2) exp(-(t - h)(t + h)/2), with h the nearest
@@ -109,25 +119,17 @@ def _cdf(x: np.ndarray):
     w[1] *= h
     w *= -0.5
     np.exp(w, out=w)
+    e = w[0] * w[1]  # one rounding of the product, should it be subnormal
     q = _horner(_R_NUM, t)
     q /= _horner(_R_DEN, t)
-    q *= w[0] * w[1]  # one rounding of the product, should it be subnormal
+    q *= e
     q = q.reshape(x.shape)
-    # a 0-d x gives a NumPy float, as a ufunc does
-    return np.where(x > 0, 1.0 - q, q)[()]
-
-
-def norm_cdf(x):
-    return _cdf(np.asarray(x, dtype=float))
+    e /= _SQRT_2PI
+    return np.where(x > 0, 1.0 - q, q)[()], e.reshape(x.shape)[()]
 
 
 def norm_sf(x):
-    return _cdf(-np.asarray(x, dtype=float))
-
-
-def norm_pdf(x):
-    x = np.asarray(x)
-    return np.exp(-x**2 / 2.0) / _SQRT_2PI
+    return _normal(-np.asarray(x, dtype=float))[0]
 
 
 def _descending(num: tuple, den: tuple) -> tuple:

@@ -128,9 +128,18 @@ class VariableCatalog:
             raise ValueError(f"catalog: {exc}") from None
 
 
-def load_catalog(path: str) -> VariableCatalog:
+def _read_text(option: str, path: str) -> str:
+    """The text of the UTF-8 file given to `option`; a file that is not UTF-8 is named."""
     with open(path, "r", encoding="utf-8") as fh:
-        return VariableCatalog.from_json(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{option} {path}: not UTF-8 text ({exc})") from None
+
+
+def load_catalog(path: str) -> VariableCatalog:
+    """The catalog in the JSON file at `path`, the file of `--catalog`."""
+    return VariableCatalog.from_json(_read_text("--catalog", path))
 
 
 def _default_items() -> tuple[CatalogItem, ...]:

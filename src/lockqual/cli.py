@@ -187,6 +187,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
             f"{args.weights}: not a usable weights document "
             "(needs latents, item_weights and latent_weights)"
         ) from exc
+    except ValueError as exc:  # a weight that is not a number, or not usable
+        raise ValueError(f"--weights {args.weights}: {exc}") from None
     doc, summary = scoring_section(d, w)
     if args.csv:
         scoring_mod.write_scores_csv(summary, w, args.csv)

@@ -31,6 +31,12 @@ moments the caller passes in. It builds the `_Design` once; every re-fit on a su
 the columns reuses it, and starts from the previous solution, moved to
 where it predicts the optimum without the dropped coefficients.
 
+Each evaluation of the cell probabilities is one pass of the normal
+kernel over the stacked (2, n) cuts, in blocks of `_CELL_ROWS` rows,
+which gives Phi and the density phi together: the derivatives read phi
+from the cells and take no second pass. The chain rule to the softplus
+gaps is a pair of reverse cumulative sums (`_transform_grad_hess`).
+
 This module holds the statistics only: the questionnaire that a
 reduction leaves is laid out by `pipeline.probit_section`.
 """
@@ -43,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._dist import chi2_sf, expit, norm_cdf, norm_pdf, norm_ppf, norm_sf
+from ._dist import _normal, chi2_sf, expit, norm_ppf, norm_sf
 from .moments import Moments, dependent_sets
 
 __all__ = [
@@ -61,6 +67,9 @@ __all__ = [
 # splits a small product, not on a documented guarantee. moments._BLOCK_ROWS
 # stays larger, as its integer sums are exact in any order.
 _BLOCK_ROWS = 512
+# Rows per block of `_cell_probs`' pass of the normal kernel: one block on a
+# survey of a few thousand rows, and (2, 4096) temporaries on a larger one.
+_CELL_ROWS = 4096
 
 
 def _blocks(X: np.ndarray):
@@ -148,29 +157,37 @@ def _prepare(X: np.ndarray, y: np.ndarray, moments: Moments | None = None) -> tu
 
 
 def _cell_probs(eta: np.ndarray, y: np.ndarray, kappa: np.ndarray):
-    """P(y_i) per row, floored at 1e-300, with the standardized cuts z = (z_hi, z_lo).
+    """(p, z, phi): P(y_i) per row, floored at 1e-300, the standardized cuts
+    z = (z_hi, z_lo) and the normal density phi(z), 0 at the infinite cuts.
 
     Each row takes the branch that keeps the difference accurate: the
     upper tails Phi(-z_lo) - Phi(-z_hi) when z_lo > 0, the lower ones
     Phi(z_hi) - Phi(z_lo) otherwise. Flipping the signs of those rows
-    first evaluates each row's branch alone, in two passes of Phi over
-    (n,) arrays: one pass over the stacked (2, n) cuts would double the
-    size of Phi's temporaries.
+    first evaluates each row's branch alone, in one pass of the normal
+    kernel over the stacked (2, n) cuts that gives Phi and phi together
+    (phi is even, so the flip leaves it as it is). The pass runs over
+    blocks of `_CELL_ROWS` rows, which bounds its temporaries; the kernel
+    is elementwise, so the block size changes no bit.
     """
     kext = np.concatenate(([-np.inf], kappa, [np.inf]))
-    z = np.empty((2, eta.shape[0]))
+    n = eta.shape[0]
+    z = np.empty((2, n))
     z_hi, z_lo = z
     np.subtract(kext[y], eta, out=z_hi)
     np.subtract(kext[y - 1], eta, out=z_lo)
     sign = np.where(z_lo > 0, -1.0, 1.0)
-    cdf_hi = norm_cdf(z_hi * sign)
-    cdf_lo = norm_cdf(z_lo * sign)
-    p = (cdf_hi - cdf_lo) * sign
-    return np.maximum(p, 1e-300), z
+    p = np.empty(n)
+    phi = np.empty((2, n))
+    for start in range(0, n, _CELL_ROWS):
+        rows = slice(start, start + _CELL_ROWS)
+        cdf, phi[:, rows] = _normal(z[:, rows] * sign[rows])
+        np.subtract(cdf[0], cdf[1], out=p[rows])
+    p *= sign
+    return np.maximum(p, 1e-300, out=p), z, phi
 
 
 def _ll(eta: np.ndarray, y: np.ndarray, kappa: np.ndarray, c: int) -> float:
-    p, _ = _cell_probs(eta, y, kappa)
+    p = _cell_probs(eta, y, kappa)[0]
     return float(np.log(p).sum())
 
 
@@ -181,7 +198,7 @@ def _grad_hess_raw(
     kappa: np.ndarray,
     c: int,
     design: _Design | None = None,
-    cells: tuple[np.ndarray, np.ndarray] | None = None,
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Log-likelihood, gradient and Hessian in the raw (beta, kappa) space.
 
@@ -191,9 +208,8 @@ def _grad_hess_raw(
     """
     d = _Design(y, c) if design is None else design
     n, k = X.shape
-    p, z = _cell_probs(_eta(X, beta), y, kappa) if cells is None else cells
+    p, z, phi = _cell_probs(_eta(X, beta), y, kappa) if cells is None else cells
     ll = float(np.log(p).sum())
-    phi = norm_pdf(z)  # 0 at the infinite outer cuts
     phi_hi, phi_lo = phi
     zphi_hi, zphi_lo = np.multiply(z, phi, out=np.zeros_like(z), where=np.isfinite(z))
     # gradients of P per observation: g_hi = phi_hi is d P / d kappa_{y},
@@ -222,11 +238,16 @@ def _grad_hess_raw(
     # beta x kappa: row i adds x_i times its upper-cut weight to cut y_i - 1
     # and x_i times its lower-cut weight to cut y_i - 2, so the block is W'X,
     # one BLAS product per row block, with those weights in an (n, C - 1) W;
-    # W' is built row-major, which BLAS multiplies faster than X' W
+    # W' is built row-major, which BLAS multiplies faster than X' W, and
+    # lives only from its weights' scatter to its products, the (C - 1, n)
+    # array being the largest of this function
+    w_terms = np.concatenate((h(zphi_hi, g_eta, phi_hi)[hi_ok], h(-zphi_lo, g_eta, g_lo)[lo_ok]))
     wt = np.zeros((c - 1, n))
-    wt[d.cut, d.rows] = np.concatenate((h(zphi_hi, g_eta, phi_hi)[hi_ok], h(-zphi_lo, g_eta, g_lo)[lo_ok]))
+    wt[d.cut, d.rows] = w_terms
+    del w_terms
     # summed over the row blocks in order; one block gives its products as they are
     parts = [(b.T @ g_beta[rows], b.T @ (b * h_bb[rows, None]), wt[:, rows] @ b) for rows, b in _blocks(X)]
+    del wt
     grad[:k], hess[:k, :k], hkb = (functools.reduce(np.add, terms) for terms in zip(*parts))
     hess[k:, :k] = hkb
     hess[:k, k:] = hkb.T
@@ -254,26 +275,34 @@ def _kappa_of(a: np.ndarray) -> np.ndarray:
     return a[0] + np.concatenate(([0.0], np.cumsum(gaps)))
 
 
+def _rcumsum(v: np.ndarray) -> np.ndarray:
+    """Reverse cumulative sums along the last axis: entry j sums entries j, j + 1, ..."""
+    return v[..., ::-1].cumsum(-1)[..., ::-1]
+
+
 def _transform_grad_hess(
     a: np.ndarray, grad: np.ndarray, hess: np.ndarray, k: int, c: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Chain rule from (beta, kappa) to (beta, a) with softplus gaps."""
-    nk = c - 1
+    """Chain rule from (beta, kappa) to (beta, a) with softplus gaps.
+
+    kappa_j = a_0 + softplus(a_1) + ... + softplus(a_j), so the Jacobian
+    d kappa_j / d a_i is s_i = sigma(a_i) (s_0 = 1) for i <= j and 0
+    beyond: J = L diag(s), with L the lower triangle of ones. So J'v is
+    s times L'v, whose entry i is v_i + v_{i+1} + ...: a reverse
+    cumulative sum, and J'HJ takes one along each axis of H.
+    """
     sig = expit(a[1:])
-    deriv = np.concatenate(([1.0], sig))
-    jac = np.tril(np.broadcast_to(deriv, (nk, nk)).copy())
-    g_kappa = grad[k:]
+    s = np.concatenate(([1.0], sig))
+    cum = _rcumsum(grad[k:])
     g_t = grad.copy()
-    g_t[k:] = jac.T @ g_kappa
+    g_t[k:] = s * cum
     h_t = hess.copy()
-    h_t[:k, k:] = hess[:k, k:] @ jac
+    h_t[:k, k:] = _rcumsum(hess[:k, k:]) * s
     h_t[k:, :k] = h_t[:k, k:].T
-    h_kk = jac.T @ hess[k:, k:] @ jac
+    h_kk = _rcumsum(_rcumsum(hess[k:, k:]).T).T * s[:, None] * s
     # curvature of the transform: d2 kappa_j / d a_i^2 = sigma'(a_i) for i >= 1
-    cum = np.cumsum(g_kappa[::-1])[::-1]
-    extra = np.zeros(nk)
-    extra[1:] = cum[1:] * sig * (1.0 - sig)
-    h_kk += np.diag(extra)
+    r = np.arange(1, c - 1)
+    h_kk[r, r] += cum[1:] * sig * (1.0 - sig)
     h_t[k:, k:] = h_kk
     return g_t, h_t
 

@@ -80,9 +80,16 @@ def minimize_qn(
         if sy > 1e-12:
             rho = 1.0 / sy
             Hy = H @ y
-            sh = np.outer(s, Hy)  # its transpose is outer(Hy, s), product for product
-            ss = np.outer(s, s)
-            H = H - rho * (sh + sh.T) + rho**2 * float(y @ Hy) * ss + rho * ss
+            sh = s[:, None] * Hy  # its transpose is outer(Hy, s), product for product
+            ss = s[:, None] * s
+            # H - rho (sh + sh') + rho^2 (y'Hy) ss + rho ss, summed left to
+            # right as written, in place in the new H
+            upd = sh + sh.T
+            upd *= rho
+            H = np.subtract(H, upd, out=upd)
+            H += rho**2 * float(y @ Hy) * ss
+            ss *= rho
+            H += ss
         x, f, g = x_new, f_new, g_new
     else:
         n_iter = max_iter

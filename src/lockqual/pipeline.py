@@ -158,6 +158,11 @@ def _jsonable(value):
     if value is None or isinstance(value, (str, int)):
         return value
     if isinstance(value, np.ndarray):
+        # bool, integer and all-finite float arrays list to JSON types as they are
+        # (a long double lists to NumPy scalars, so it takes the path below)
+        kind = value.dtype.kind
+        if kind in "biu" or (kind == "f" and value.itemsize <= 8 and np.isfinite(value).all()):
+            return value.tolist()
         return _jsonable(value.tolist())  # a 0-d array lists to a scalar
     if isinstance(value, np.integer):
         return int(value)

@@ -82,10 +82,24 @@ class ScoreWeights:
     def from_jsonable(cls, doc: Mapping) -> "ScoreWeights":
         latents = tuple(str(x) for x in doc["latents"])
         item_weights = {
-            str(k): {int(i): float(w) for i, w in v.items()} for k, v in doc["item_weights"].items()
+            str(k): {
+                _number(int, i, f"item index of {str(k)!r}"): _number(float, w, f"weight for item {i} of {str(k)!r}")
+                for i, w in v.items()
+            }
+            for k, v in doc["item_weights"].items()
         }
-        latent_weights = {str(k): float(v) for k, v in doc["latent_weights"].items()}
+        latent_weights = {
+            str(k): _number(float, v, f"weight for latent {str(k)!r}") for k, v in doc["latent_weights"].items()
+        }
         return cls(latents, item_weights, latent_weights)
+
+
+def _number(convert: Callable, value, what: str):
+    """convert(value), or a ValueError naming `what` when it takes no such value."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} is not a number: {value!r}") from None
 
 
 def weights_from_estimate(est: SemEstimate) -> ScoreWeights:

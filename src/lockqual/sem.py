@@ -31,6 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._dist import norm_sf
+from .catalog import _read_text
 from .moments import Moments, dependent_sets
 from .optimize import minimize_qn
 
@@ -174,8 +175,8 @@ class MeasurementModel:
 
 
 def load_model(path: str) -> MeasurementModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return MeasurementModel.from_json(fh.read())
+    """The model in the JSON file at `path`, the file of `--model`."""
+    return MeasurementModel.from_json(_read_text("--model", path))
 
 
 def sample_cov(X: np.ndarray) -> np.ndarray:
@@ -195,11 +196,16 @@ def implied_sigma(lam: np.ndarray, beta: np.ndarray, psi: np.ndarray, theta: np.
 def _implied(lam: np.ndarray, beta: np.ndarray, psi: np.ndarray, theta: np.ndarray):
     """(I-B)^-1, the latent covariance C, Lam C and the symmetrized Sigma."""
     m = lam.shape[1]
-    try:
-        a = np.linalg.inv(np.eye(m) - beta)
-    except np.linalg.LinAlgError:
-        raise ValueError("I - B is singular") from None
-    c = a @ psi @ a.T
+    if not beta.any():
+        # no paths (a measurement model): A = I and C = Psi, which the
+        # inverse and products of the other branch give exactly for a finite Psi
+        a, c = np.eye(m), psi
+    else:
+        try:
+            a = np.linalg.inv(np.eye(m) - beta)
+        except np.linalg.LinAlgError:
+            raise ValueError("I - B is singular") from None
+        c = a @ psi @ a.T
     lam_c = lam @ c
     sig = lam_c @ lam.T + np.diag(theta)
     return a, c, lam_c, 0.5 * (sig + sig.T)
@@ -277,8 +283,13 @@ class _ParamMap:
         flat = np.full(self.size, fill)
         flat[self.cells] = values
         flat[self.mirror] = values[self.cov]
-        lam, beta, psi, theta = np.split(flat, self._bounds)
-        return lam.reshape(self.p, self.m), beta.reshape(self.m, self.m), psi.reshape(self.m, self.m), theta
+        b0, s0, t0 = self._bounds
+        return (
+            flat[:b0].reshape(self.p, self.m),
+            flat[b0:s0].reshape(self.m, self.m),
+            flat[s0:t0].reshape(self.m, self.m),
+            flat[t0:],
+        )
 
     def gather(self, lam: np.ndarray, beta: np.ndarray, psi: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """The packed vector of the four matrices' parameter cells."""

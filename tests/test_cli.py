@@ -380,6 +380,45 @@ def test_a_file_that_is_not_json_is_named(tmp_path, capsys, sem_doc, ahp_doc, ar
     assert capsys.readouterr().err == f"error: {named.format(**paths)} {reason}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["describe", "--input", SURVEY, "--catalog", "{bad}", "--out", "{out}"], "--catalog"),
+        (["sem", "--input", SURVEY, "--model", "{bad}", "--out", "{out}"], "--model"),
+        (["report", "--input", SURVEY, "--catalog", "{bad}", "--out-dir", "{out}"], "--catalog"),
+        (["report", "--input", SURVEY, "--model", "{bad}", "--out-dir", "{out}"], "--model"),
+    ],
+    ids=["describe-catalog", "sem-model", "report-catalog", "report-model"],
+)
+def test_a_catalog_or_model_file_that_is_not_utf8_is_named(tmp_path, capsys, argv, option):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe[]")
+    out = tmp_path / "out"
+    assert cli.main([arg.format(bad=bad, out=out) for arg in argv]) == 1
+    reason = "not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)"
+    assert capsys.readouterr().err == f"error: {option} {bad}: {reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "item_weights, latent_weights, what",
+    [
+        ({"a": {"1": "x"}}, {"a": 1.0}, "weight for item 1 of 'a' is not a number: 'x'"),
+        ({"a": {"1": 0.5}}, {"a": None}, "weight for latent 'a' is not a number: None"),
+        ({"a": {"one": 0.5}}, {"a": 1.0}, "item index of 'a' is not a number: 'one'"),
+    ],
+    ids=["item-weight", "latent-weight", "item-index"],
+)
+def test_score_names_the_file_and_a_weight_that_is_not_a_number(tmp_path, capsys, item_weights, latent_weights, what):
+    path = tmp_path / "w.json"
+    doc = {"latents": ["a"], "item_weights": item_weights, "latent_weights": latent_weights}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "scores.json"
+    assert cli.main(["score", "--input", SURVEY, "--weights", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --weights {path}: {what}\n"
+    assert not out.exists()
+
+
 def test_custom_catalog_is_read(tmp_path):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(_CATALOG_ROWS))

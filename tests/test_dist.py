@@ -7,10 +7,12 @@ Each kernel must stay within a stated relative error of both, on dense
 grids that reach the tails, and give exactly what SciPy gives at +-inf,
 NaN and -0.0, with SciPy's return type. The bounds against SciPy are
 wider than those against mpmath where SciPy's own error is the larger:
-ndtr's beyond |x| = 7 and chdtrc's in its tails.
+ndtr's beyond |x| = 7, norm.pdf's beyond |x| = 8 and chdtrc's in its
+tails. The probit's cells run the normal kernel over row blocks, which
+must give the bits of one call per row and bound the pass's memory.
 The ordered-probit derivatives, summed per cutpoint with np.bincount,
 must equal the np.add.at scatters they replaced, float for float, with
-Phi and phi taken from lockqual's kernels on both sides. The beta x kappa
+Phi and phi taken from lockqual's kernel on both sides. The beta x kappa
 block of the Hessian is one BLAS product, which adds its n terms per
 cell in an order of its own: each cell must lie within gamma_2n times
 the sum of its terms' magnitudes of the scatter's (Higham, Accuracy and
@@ -39,8 +41,8 @@ from hypothesis.extra.numpy import arrays
 
 import lockqual
 from lockqual import cli
-from lockqual._dist import chi2_sf, expit, norm_cdf, norm_pdf, norm_ppf, norm_sf
-from lockqual.oprobit import _grad_hess_raw
+from lockqual._dist import _normal, chi2_sf, expit, norm_ppf, norm_sf
+from lockqual.oprobit import _CELL_ROWS, _cell_probs, _grad_hess_raw
 
 mpmath.mp.dps = 40
 EPS = np.finfo(float).eps
@@ -69,12 +71,22 @@ def _exact_rel(got, exact) -> np.ndarray:
     return np.array([float(abs(mpmath.mpf(float(g)) - e) / abs(e)) for g, e in zip(got, exact)])
 
 
+def _cdf(x):
+    """Phi(x), the normal kernel's first output (no module takes Phi alone)."""
+    return _normal(np.asarray(x, dtype=float))[0]
+
+
+def _pdf(x):
+    """phi(x), the normal kernel's second output."""
+    return _normal(np.asarray(x, dtype=float))[1]
+
+
 @pytest.mark.parametrize(
     "ours, ref, points, bound",
     [
-        (norm_cdf, scipy.stats.norm.cdf, POINTS, 1e-14),
+        (_cdf, scipy.stats.norm.cdf, POINTS, 1e-14),
         (norm_sf, scipy.stats.norm.sf, POINTS, 1e-14),
-        (norm_pdf, scipy.stats.norm.pdf, POINTS, 0.0),
+        (_pdf, scipy.stats.norm.pdf, POINTS, 1e-13),
         (norm_ppf, scipy.stats.norm.ppf, PROBABILITIES, 2e-15),
         (expit, scipy.stats.logistic.cdf, POINTS, 1e-15),
     ],
@@ -83,7 +95,10 @@ def _exact_rel(got, exact) -> np.ndarray:
 def test_normal_kernels_equal_scipy_stats(ours, ref, points, bound):
     # equal to the stated relative error, exactly at the special points, with
     # scipy.stats' shape and scalar type, for arrays and 0-d inputs alike;
-    # the largest difference is 7.2e-15, at Phi(-8.5)
+    # the largest difference is 7.2e-15, at Phi(-8.5). phi comes from the
+    # split exp that Phi uses, not from SciPy's exp of the rounded x^2/2, so
+    # its bound is 1e-13 (see the dense grid below), though it equals
+    # SciPy's at these points
     x = np.array(points)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -133,10 +148,10 @@ def test_norm_cdf_and_sf_relative_error_over_the_dense_grid():
     inside = np.array([e >= 1e-300 for e in exact_all])
     exact = [e for e, keep in zip(exact_all, inside) if keep]
     x = grid[inside]
-    cdf = norm_cdf(x)
+    cdf = _cdf(x)
     assert _exact_rel(cdf, exact).max() <= 1.5e-15
     assert _same(norm_sf(-x), cdf)
-    assert _same(np.array([norm_cdf(float(v)) for v in x]), cdf)
+    assert _same(np.array([_cdf(float(v)) for v in x]), cdf)
     diff = _rel(cdf, scipy.special.ndtr(x))
     assert diff[np.abs(x) <= 8].max() <= 2e-14
     assert diff.max() <= 3e-13
@@ -147,11 +162,11 @@ def test_norm_kernels_below_the_normal_range_and_on_every_shape():
     # of the exact one or within the spacing of the subnormals
     x = np.linspace(-38.6, -37, 81)
     exact = np.array([float(mpmath.ncdf(mpmath.mpf(float(v)))) for v in x])
-    assert np.all(np.abs(norm_cdf(x) - exact) <= 2e-15 * exact + 5e-324)
+    assert np.all(np.abs(_cdf(x) - exact) <= 2e-15 * exact + 5e-324)
     z = np.linspace(-5, 5, 24).reshape(2, 3, 4)
-    assert _same(norm_cdf(z), norm_cdf(z.ravel()).reshape(z.shape))
-    assert norm_cdf(np.empty((0, 3))).shape == (0, 3)
-    assert _same(norm_cdf([0.0, -1.0]), norm_cdf(np.array([0.0, -1.0])))
+    assert _same(_cdf(z), _cdf(z.ravel()).reshape(z.shape))
+    assert _cdf(np.empty((0, 3))).shape == (0, 3)
+    assert _same(_cdf([0.0, -1.0]), _cdf(np.array([0.0, -1.0])))
 
 
 def _two_pass_cdf(x: np.ndarray):
@@ -178,23 +193,94 @@ def _two_pass_cdf(x: np.ndarray):
     return np.where(x > 0, 1.0 - q, q)[()]
 
 
+# a grid over [-40, 40], the edge values and the subnormal tail
+BITS_GRID = np.concatenate(
+    [
+        np.linspace(-40, 40, 80_001),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324],
+        np.linspace(-38.6, -37.4, 241),
+    ]
+)
+
+
 def test_norm_cdf_gives_the_bits_of_the_two_pass_horner_sums():
-    # a grid over [-40, 40], the edge values, the subnormal tail and 0-d input
-    x = np.concatenate(
-        [
-            np.linspace(-40, 40, 80_001),
-            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324],
-            np.linspace(-38.6, -37.4, 241),
-        ]
-    )
+    # on BITS_GRID and on 0-d input
+    x = BITS_GRID
     want = _two_pass_cdf(x)
     assert np.any((want > 0) & (want < np.finfo(float).tiny))  # subnormal values reached
-    assert norm_cdf(x).tobytes() == want.tobytes()
+    assert _cdf(x).tobytes() == want.tobytes()
     assert norm_sf(-x).tobytes() == want.tobytes()
     for v in (0.0, -0.0, -1.5, 2.25, -38.2, np.inf, -np.inf, np.nan):
-        got = norm_cdf(np.float64(v))
+        got = _cdf(np.float64(v))
         assert type(got) is np.float64
         assert np.asarray(got).tobytes() == np.asarray(_two_pass_cdf(np.float64(v))).tobytes()
+
+
+def test_normal_kernel_gives_norm_sf_bits_and_each_0d_call_its_own():
+    # Phi from the fused kernel has the bits of the two-pass sums above and
+    # of norm_sf on BITS_GRID, and every element of either output, Phi or
+    # phi, has the bits of its own 0-d call (on every 10th point), as a
+    # NumPy float
+    x = BITS_GRID
+    cdf, pdf = _normal(x)
+    assert cdf.tobytes() == _two_pass_cdf(x).tobytes() == norm_sf(-x).tobytes()
+    assert _same(_normal(-x)[1], pdf)  # phi is even, bit for bit
+    ones = [_normal(np.float64(v)) for v in x[::10]]
+    assert all(type(a) is np.float64 and type(b) is np.float64 for a, b in ones)
+    assert np.array(ones).T.tobytes() == np.stack((cdf[::10], pdf[::10])).tobytes()
+
+
+def test_normal_kernel_phi_relative_error_over_the_dense_grid():
+    # phi = exp(-t^2/2) / sqrt(2 pi) from the split exp: 1e-15 from the exact
+    # value wherever phi >= 1e-300 (|x| <= 37.1; measured 3.9e-16, and
+    # 5.0e-16 on 200,000 points), 2e-15 from SciPy's norm.pdf on |x| <= 8 and
+    # 1e-13 beyond (measured 1.9e-15 and 5.7e-14): SciPy takes exp of the
+    # rounded x^2/2, which puts it 5.7e-14 from the exact value near |x| = 37
+    grid = np.concatenate([np.linspace(-38.6, 38.6, 7721), np.linspace(-1e-3, 1e-3, 201), np.linspace(-6, 6, 601) + 3e-3])
+    exact_all = [mpmath.npdf(mpmath.mpf(float(v))) for v in grid]
+    inside = np.array([e >= 1e-300 for e in exact_all])
+    x = grid[inside]
+    pdf = _normal(x)[1]
+    assert _exact_rel(pdf, [e for e, keep in zip(exact_all, inside) if keep]).max() <= 1e-15
+    diff = _rel(pdf, scipy.stats.norm.pdf(x))
+    assert diff[np.abs(x) <= 8].max() <= 2e-15
+    assert diff.max() <= 1e-13
+
+
+def test_cell_probs_over_row_blocks_equal_the_row_by_row_cells():
+    # three blocks and one row more: p, z and phi have the bits of one call
+    # per row, in the tails too (|eta| up to 40, p at its 1e-300 floor)
+    rng = np.random.default_rng(11)
+    n, c = 3 * _CELL_ROWS + 1, 5
+    y = rng.integers(1, c + 1, size=n)
+    eta = rng.normal(scale=3.0, size=n)
+    eta[::97] *= 13.0
+    kappa = np.array([-1.5, -0.5, 0.5, 1.5])
+    p, z, phi = _cell_probs(eta, y, kappa)
+    assert np.any(p == 1e-300) and np.any(phi == 0.0)
+    rows = [_cell_probs(eta[i : i + 1], y[i : i + 1], kappa) for i in range(n)]
+    assert p.tobytes() == np.concatenate([r[0] for r in rows]).tobytes()
+    assert z.tobytes() == np.concatenate([r[1] for r in rows], axis=1).tobytes()
+    assert phi.tobytes() == np.concatenate([r[2] for r in rows], axis=1).tobytes()
+
+
+def test_cell_probs_memory_stays_within_a_few_row_arrays():
+    # the kernel runs over blocks of _CELL_ROWS rows, so at n = 100,000 the
+    # peak stays under 8 arrays of n floats (measured 6.8, of which the cells
+    # returned hold 5); one pass over the whole stacked (2, n) cuts reaches
+    # 24 of them, and the two passes of Phi over (n,) arrays it replaced 12
+    rng = np.random.default_rng(3)
+    n, c = 100_000, 5
+    eta = rng.normal(size=n)
+    y = rng.integers(1, c + 1, size=n)
+    kappa = np.array([-1.5, -0.5, 0.5, 1.5])
+    tracemalloc.start()
+    try:
+        _cell_probs(eta, y, kappa)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * eta.nbytes
 
 
 def test_norm_ppf_relative_error_across_both_tails():
@@ -320,11 +406,11 @@ def ref_grad_hess_raw(X, y, beta, kappa, c):
     kext = np.concatenate(([-np.inf], kappa, [np.inf]))
     z_hi = kext[y] - eta
     z_lo = kext[y - 1] - eta
-    p = np.where(z_lo > 0, norm_sf(z_lo) - norm_sf(z_hi), norm_cdf(z_hi) - norm_cdf(z_lo))
+    p = np.where(z_lo > 0, norm_sf(z_lo) - norm_sf(z_hi), _cdf(z_hi) - _cdf(z_lo))
     p = np.maximum(p, 1e-300)
     ll = float(np.log(p).sum())
-    phi_hi = np.where(np.isfinite(z_hi), norm_pdf(z_hi), 0.0)
-    phi_lo = np.where(np.isfinite(z_lo), norm_pdf(z_lo), 0.0)
+    phi_hi = np.where(np.isfinite(z_hi), _normal(z_hi)[1], 0.0)
+    phi_lo = np.where(np.isfinite(z_lo), _normal(z_lo)[1], 0.0)
     zphi_hi = np.zeros_like(phi_hi)
     zphi_lo = np.zeros_like(phi_lo)
     fin_hi = np.isfinite(z_hi)
